@@ -17,6 +17,7 @@ from .core import (
     daft_demodulate,
     daft_matrix,
     daft_modulate,
+    region_rows,
     strip_prefix,
 )
 from .channel import (
@@ -52,6 +53,7 @@ from .estimator import (
     profile_bins,
     pspr,
     read_profile,
+    readout_bins,
 )
 from .baselines import integer_only, two_d_search
 from .harness import (
@@ -73,6 +75,7 @@ __all__ = [
     "daft_demodulate",
     "daft_matrix",
     "daft_modulate",
+    "region_rows",
     "strip_prefix",
     "LosChannel",
     "apply_los_channel",
@@ -102,6 +105,7 @@ __all__ = [
     "profile_bins",
     "pspr",
     "read_profile",
+    "readout_bins",
     "integer_only",
     "two_d_search",
     "CSV_HEADER",

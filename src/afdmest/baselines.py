@@ -16,7 +16,6 @@ specific published variant.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import AfdmGrid, daft_demodulate, daft_modulate
 from .channel import LosChannel
@@ -28,6 +27,8 @@ from .estimator import (
     integer_estimate,
     profile_bins,
     pspr,
+    read_profile,
+    readout_bins,
 )
 
 __all__ = ["integer_only", "two_d_search"]
@@ -42,7 +43,7 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     error floor this baseline exists to exhibit.
     """
     j = profile_bins(grid)
-    p = np.abs(y[(layout.pilot_index - j) % grid.n])
+    p = read_profile(grid, y, layout)
     js, k, l_round, flagged = integer_estimate(grid, p)
     pos = int(np.searchsorted(j, js))
     return Estimate(
@@ -73,8 +74,12 @@ def two_d_search(
     hits the iteration cap before its diameter drops below ``xatol`` the
     best point so far is returned with the flag set.
     """
+    # scipy.optimize takes about half a second to import; only this
+    # estimator needs it
+    from scipy.optimize import minimize
+
     j = profile_bins(grid)
-    bins = (layout.pilot_index - j) % grid.n
+    bins = readout_bins(grid, layout)
     obs = y[bins]
     amp = layout.pilot_amplitude
 
@@ -112,7 +117,7 @@ def two_d_search(
     # forward transform of y)
     r = daft_modulate(grid, y)
     y_comp = daft_demodulate(grid, compensate(r, doppler - k_floor))
-    p = np.abs(y_comp[bins])
+    p = read_profile(grid, y_comp, layout)
     js, _, _, _ = integer_estimate(grid, p)
     pos = int(np.searchsorted(j, js))
     return Estimate(

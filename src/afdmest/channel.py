@@ -111,9 +111,11 @@ def apply_los_channel(
     output[p] = gain * sum_i taps[i] * s[p - l - i] * exp(-i*2*pi*K*p/N) + w[p]
 
     with p counted from the first post-prefix sample (so the prefix occupies
-    p = -n_prefix .. -1) and K the full normalized Doppler. Tap lookups that
-    reach past the start of the prefix are filled from the cyclic chirp-train
-    extension of the frame body.
+    p = -n_prefix .. -1) and K the full normalized Doppler. The source
+    samples s[-n_prefix - l - half_width .. N - l + half_width - 1] are
+    gathered once, those past either end of the prefixed frame from the
+    periodic chirp-train extension of the frame body; each tap then adds
+    its shifted slice of that run, taps in order.
     """
     n, ncp = grid.n, grid.n_prefix
     if s_prefixed.shape != (n + ncp,):
@@ -123,21 +125,19 @@ def apply_los_channel(
         raise ValueError("channel memory exceeds the prefix")
 
     taps = fir_taps(ch.delay_frac, half_width)
+    # non-causal taps peek past both frame edges; those samples come from
+    # the periodic chirp-train extension of the frame body
+    src = np.arange(-ncp - l - half_width, n - l + half_width)
+    ext = np.empty(src.size, dtype=complex)
+    inside = (src >= -ncp) & (src < n)
+    ext[inside] = s_prefixed[src[inside] + ncp]
+    outside = ~inside
+    ext[outside] = s_prefixed[ncp + src[outside] % n] * _train_sign(grid, src[outside] // n)
     p = np.arange(-ncp, n)
     out = np.zeros(n + ncp, dtype=complex)
     for tap, i in zip(taps, range(-half_width, half_width + 1)):
-        src = p - l - i
-        # non-causal taps peek past both frame edges; those samples come from
-        # the periodic chirp-train extension of the frame body
-        inside = (src >= -ncp) & (src < n)
-        vals = np.empty(n + ncp, dtype=complex)
-        vals[inside] = s_prefixed[src[inside] + ncp]
-        if not inside.all():
-            outside = ~inside
-            body_idx = src[outside] % n
-            wraps = src[outside] // n
-            vals[outside] = s_prefixed[ncp + body_idx] * _train_sign(grid, wraps)
-        out += tap * vals
+        # source sample p - l - i sits at ext[p + ncp + half_width - i]
+        out += tap * ext[half_width - i : half_width - i + n + ncp]
     out *= ch.gain * np.exp(-2j * np.pi * ch.doppler * p / n)
     if ch.noise_var > 0:
         if rng is None:

@@ -24,7 +24,7 @@ import numpy as np
 from .channel import LosChannel, apply_los_channel
 from .core import add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from .effective import envelope_profile, exact_profile
-from .estimator import PilotLayout, build_pilot_frame, profile_bins
+from .estimator import PilotLayout, build_pilot_frame, profile_bins, read_profile
 from .harness import ExperimentConfig, csv_lines, emit, run_sweep, validate_mode
 
 _LIST_FIELDS = {
@@ -159,9 +159,9 @@ def _cmd_profile_dump(args: argparse.Namespace) -> int:
     y = daft_demodulate(grid, r)
     j = profile_bins(grid)
     # measured readout rescaled onto the exact-sum scale (peak near N)
-    measured = np.abs(y[(layout.pilot_index - j) % grid.n]) * grid.n / layout.pilot_amplitude
-    exact = exact_profile(grid, layout.pilot_index, ch)[(layout.pilot_index - j) % grid.n]
-    env = envelope_profile(grid, layout.pilot_index, ch)[(layout.pilot_index - j) % grid.n]
+    measured = read_profile(grid, y, layout) * grid.n / layout.pilot_amplitude
+    exact = read_profile(grid, exact_profile(grid, layout.pilot_index, ch), layout)
+    env = read_profile(grid, envelope_profile(grid, layout.pilot_index, ch), layout)
     lines = ["j,measured,exact_model,envelope"]
     for idx, jj in enumerate(j):
         lines.append(f"{jj},{measured[idx]:.10g},{exact[idx]:.10g},{env[idx]:.10g}")

@@ -5,9 +5,10 @@ sample n carries the phase 2*pi*(c1*n^2 + c2*m^2 + n*m/N); c1 is tied to the
 Doppler budget of the link (see :class:`AfdmGrid`), c2 is a free quadratic
 spreading term. Modulation and demodulation are unitary.
 
-Two transform paths are provided: an explicit matrix (the reference, and the
-thing the estimator slices rows out of) and an FFT factorization used where
-frames are long or many.
+Two transform paths are provided: an explicit matrix (the reference) and an
+FFT factorization used where frames are long or many. :func:`region_rows`
+builds only the few inverse-transform rows the estimator reads, from the
+same chirp factors, without forming the N x N matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "daft_matrix",
     "daft_modulate",
     "daft_demodulate",
+    "region_rows",
     "add_prefix",
     "strip_prefix",
 ]
@@ -114,14 +116,20 @@ def _frac_quad_cycles(coef: float, idx: np.ndarray) -> np.ndarray:
     return np.mod(np.mod(hi * sq, 1.0) + lo * sq, 1.0)
 
 
-@lru_cache(maxsize=8)
-def _daft_matrix_cached(n: int, c1: float, c2: float) -> np.ndarray:
+def _chirp_columns(n: int, c1: float, c2: float, carriers: np.ndarray) -> np.ndarray:
+    # columns `carriers` of U, shape (n, carriers.size), each element formed
+    # exactly as in the full matrix
     idx = np.arange(n)
     f1 = _frac_quad_cycles(c1, idx)
-    f2 = _frac_quad_cycles(c2, idx)
-    cross = (np.outer(idx, idx) % n) / n
+    f2 = _frac_quad_cycles(c2, carriers)
+    cross = (np.outer(idx, carriers) % n) / n
     ph = f1[:, None] + f2[None, :] + cross
     return np.exp(2j * np.pi * ph) / np.sqrt(n)
+
+
+@lru_cache(maxsize=8)
+def _daft_matrix_cached(n: int, c1: float, c2: float) -> np.ndarray:
+    return _chirp_columns(n, c1, c2, np.arange(n))
 
 
 def daft_matrix(grid: AfdmGrid) -> np.ndarray:
@@ -165,6 +173,18 @@ def daft_demodulate(grid: AfdmGrid, r: np.ndarray, use_fft: bool = False) -> np.
     e2 = np.exp(-2j * np.pi * _frac_quad_cycles(grid.c2, idx))
     e1 = np.exp(-2j * np.pi * _frac_quad_cycles(grid.c1, idx))
     return e2 * np.fft.fft(e1 * r) / np.sqrt(n)
+
+
+def region_rows(grid: AfdmGrid, bins: np.ndarray) -> np.ndarray:
+    """Rows ``bins`` of the inverse transform U^H, shape (len(bins), N).
+
+    ``region_rows(grid, bins) @ r`` is ``daft_demodulate(grid, r)[bins]``.
+    The rows come from the chirp factors in O(len(bins) * N) time and
+    memory, element for element equal to ``daft_matrix(grid)[:, bins]``
+    conjugated and transposed, so no N x N matrix is formed.
+    """
+    bins = np.asarray(bins, dtype=np.int64) % grid.n
+    return np.ascontiguousarray(np.conj(_chirp_columns(grid.n, grid.c1, grid.c2, bins)).T)
 
 
 def add_prefix(grid: AfdmGrid, s: np.ndarray) -> np.ndarray:

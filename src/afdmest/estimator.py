@@ -4,8 +4,12 @@ Estimation runs in three stages on a received frame:
 
 1. fractional Doppler: a scalar search over the compensation phase that
    maximizes the peak-to-sidelobe power ratio (PSPR) of the pilot region
-   readout. Coarse grid first, then golden-section refinement. Only the
-   pilot region of the transform output is computed inside the loop.
+   readout. The coarse grid is scored in one pass: a single product of the
+   pilot readout rows (built once per grid and pilot position, see
+   core.region_rows) with a cached matrix of compensation phasors, then a
+   vectorised PSPR over all candidates. Golden-section refinement of the
+   best cell follows, one candidate at a time. Only the pilot region of the
+   transform output is ever computed.
 
 2. integer decode: the peak position of the compensated readout sits on a
    comb with spacing C; its position splits into an integer delay and an
@@ -21,10 +25,11 @@ Estimation runs in three stages on a received frame:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, daft_matrix
+from .core import AfdmGrid, region_rows
 from .effective import elg_invert
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "Estimate",
     "build_pilot_frame",
     "profile_bins",
+    "readout_bins",
     "read_profile",
     "pspr",
     "compensate",
@@ -99,14 +105,19 @@ def profile_bins(grid: AfdmGrid) -> np.ndarray:
     return np.arange(-half - c, c * grid.l_max + (c - half) + c)
 
 
+def readout_bins(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
+    """Transform-domain bins of the pilot readout, (pilot_index - j) mod N
+    for j over profile_bins."""
+    return (layout.pilot_index - profile_bins(grid)) % grid.n
+
+
 def read_profile(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """Pilot readout: p[j] = |y[(pilot_index - j) mod N]| over profile_bins.
 
     Positive j walks toward larger equivalent delay; the channel peak for
     integer delay l and Doppler k appears at j = k + C*l.
     """
-    j = profile_bins(grid)
-    return np.abs(y[(layout.pilot_index - j) % grid.n])
+    return np.abs(y[readout_bins(grid, layout)])
 
 
 def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
@@ -130,19 +141,54 @@ def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
     return r * np.exp(2j * np.pi * kappa * np.arange(n) / n)
 
 
-def _region_rows(grid: AfdmGrid, layout: PilotLayout) -> tuple[np.ndarray, np.ndarray]:
-    # demodulation restricted to the pilot readout bins: rows of the inverse
-    # transform for output indices (pilot - j) mod N, j over profile_bins
-    j = profile_bins(grid)
-    bins = (layout.pilot_index - j) % grid.n
-    u = daft_matrix(grid)
-    return np.conj(u[:, bins]).T, j
+@lru_cache(maxsize=8)
+def _region_rows(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
+    # demodulation restricted to the pilot readout bins, built once per grid
+    # and layout; the cached array is shared, so it is made read-only
+    rows = region_rows(grid, readout_bins(grid, layout))
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=8)
+def _coarse_grid(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    # coarse candidates (i + 1/2)/steps and their N x steps compensation
+    # phasors, each column formed as in the scalar objective
+    cand = (np.arange(steps) + 0.5) / steps
+    phasors = np.exp(2j * np.pi * cand[None, :] * np.arange(n)[:, None] / n)
+    cand.flags.writeable = False
+    phasors.flags.writeable = False
+    return cand, phasors
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
     # positions of the decodeable peak range inside the profile array
     # (strips the one-comb-period margin on each side)
     return slice(grid.n_seg, -grid.n_seg)
+
+
+def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
+    """pspr of every row of a (candidates, bins) profile matrix, each taken
+    at its row's first largest bin inside the decodeable range, with the
+    window and the denom <= 0 -> inf rule of :func:`pspr` (the window sum
+    may associate differently, in the last bit)."""
+    c, half = grid.n_seg, grid.n_seg // 2
+    inner = _inner_slice(grid)
+    pos = inner.start + np.argmax(p[:, inner], axis=1)
+    window = np.take_along_axis(p, pos[:, None] + np.arange(-half, c - half), axis=1)
+    peak = p[np.arange(p.shape[0]), pos]
+    denom = (np.sum(window**2, axis=1) - peak**2) / c
+    out = np.full(p.shape[0], np.inf)
+    ok = denom > 0.0
+    out[ok] = peak[ok] ** 2 / denom[ok]
+    return out
+
+
+def _coarse_scores(grid: AfdmGrid, rows: np.ndarray, r: np.ndarray, steps: int):
+    """PSPR of every coarse compensation candidate, as (candidates, scores)."""
+    cand, phasors = _coarse_grid(grid.n, steps)
+    y = (rows * r) @ phasors
+    return cand, _pspr_rows(grid, np.abs(y.T))
 
 
 def integer_estimate(
@@ -221,33 +267,42 @@ def estimate_doppler_frac(
     r: np.ndarray,
     layout: PilotLayout,
     cfg: SearchConfig = SearchConfig(),
-) -> tuple[float, float]:
+) -> tuple[float, float, np.ndarray]:
     """Fractional Doppler by closed-loop PSPR maximization.
 
-    Sweeps candidate compensations on a coarse grid over [0, 1), then
-    golden-section refines the best cell. Returns (kappa_hat, pspr_at_opt).
-    The PSPR objective is evaluated on the pilot readout region only.
+    Scores all candidate compensations of a coarse grid over [0, 1) at
+    once, then golden-section refines the best cell. Returns (kappa_hat,
+    pspr_at_opt, profile_at_opt), the last being the pilot readout
+    magnitudes over profile_bins with kappa_hat compensated. The PSPR
+    objective is evaluated on the pilot readout region only. Raises
+    ValueError for a frame of the wrong shape or with non-finite samples.
     """
-    rows, _ = _region_rows(grid, layout)
+    r = np.asarray(r)
+    if r.shape != (grid.n,):
+        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("received frame has non-finite samples")
+    rows = _region_rows(grid, layout)
     n = grid.n
     nn = np.arange(n)
     inner = _inner_slice(grid)
     c = grid.n_seg
 
-    def objective(kappa: float) -> float:
-        y_region = rows @ (r * np.exp(2j * np.pi * kappa * nn / n))
-        p = np.abs(y_region)
+    def readout(kappa: float) -> np.ndarray:
+        return np.abs(rows @ (r * np.exp(2j * np.pi * kappa * nn / n)))
+
+    def score(p: np.ndarray) -> float:
         pos = inner.start + int(np.argmax(p[inner]))
         return pspr(p, pos, c)
 
     steps = cfg.coarse_steps
-    cand = (np.arange(steps) + 0.5) / steps
-    scores = [objective(k) for k in cand]
+    cand, scores = _coarse_scores(grid, rows, r, steps)
     best = int(np.argmax(scores))
     lo = cand[best] - 1.0 / steps
     hi = cand[best] + 1.0 / steps
-    kappa = _golden_max(objective, lo, hi, cfg.refine_tol) % 1.0
-    return kappa, objective(kappa)
+    kappa = float(_golden_max(lambda k: score(readout(k)), lo, hi, cfg.refine_tol) % 1.0)
+    p = readout(kappa)
+    return kappa, score(p), p
 
 
 def estimate_delay_frac(
@@ -283,10 +338,24 @@ def joint_estimate(
     layout: PilotLayout,
     cfg: SearchConfig = SearchConfig(),
 ) -> Estimate:
-    """Full three-stage estimate from a received frame body (prefix stripped)."""
-    kappa, score = estimate_doppler_frac(grid, r, layout, cfg)
-    rows, j = _region_rows(grid, layout)
-    p = np.abs(rows @ compensate(r, kappa))
+    """Full three-stage estimate from a received frame body (prefix stripped).
+
+    Raises ValueError for a frame of the wrong shape or with non-finite
+    samples. A frame whose pilot readout is all zero (nothing received)
+    carries no estimate: it comes back flagged, with zero in every field.
+    """
+    kappa, score, p = estimate_doppler_frac(grid, r, layout, cfg)
+    if not np.any(p):
+        return Estimate(
+            delay_int=0,
+            delay_frac=0.0,
+            doppler_int=0,
+            doppler_frac=0.0,
+            pspr=0.0,
+            peak_index=0,
+            flagged=True,
+        )
+    j = profile_bins(grid)
     js, k, l_round, flagged = integer_estimate(grid, p)
     peak_pos = int(np.searchsorted(j, js))
     floor, iota, _ = estimate_delay_frac(grid, p, peak_pos, l_round)

@@ -16,9 +16,10 @@ completion order. Wall-clock columns are the only nondeterministic output.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -200,6 +201,31 @@ def _trial_worker(args):
     return run_trial(grid, layout, noise_var, estimators, frames, ss, fir_half_width)
 
 
+# thread-count variables of the BLAS builds numpy may link against
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_pool(workers: int):
+    """A pool of fresh (spawned) worker processes whose BLAS runs one thread.
+
+    The workers already run trials in parallel; BLAS threads inside each
+    of them oversubscribe the cores, and a sweep ran slower with two
+    workers than with one. Spawned workers load BLAS afresh, so they read
+    the thread variables, which are set only while the workers start; then
+    the parent's environment is put back.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
+    try:
+        return get_context("spawn").Pool(workers)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _wrap_doppler(e: np.ndarray) -> np.ndarray:
     # score on the circle: integer shifts of the compensation phase are
     # indistinguishable to the fractional loop, so errors wrap to [-1/2, 1/2]
@@ -216,7 +242,7 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
         for ep in cfg.ep_ei_db_list
     ]
     rows = []
-    pool = Pool(cfg.workers) if cfg.workers > 1 else None
+    pool = _worker_pool(cfg.workers) if cfg.workers > 1 else None
     try:
         for cell_idx, (c, snr, ep) in enumerate(cells):
             grid = cfg.grid_for(c)

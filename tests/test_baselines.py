@@ -5,9 +5,15 @@ accuracy. two_d_search is accurate when started in the right basin, and
 its tests also pin the failure mode when it is not.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import afdmest
 from afdmest.baselines import integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
@@ -97,3 +103,19 @@ class TestTwoDSearch:
         assert 0.0 <= est.delay_frac < 1.0
         assert est.doppler_int == -3
         assert 0.0 <= est.doppler_frac < 1.0
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    """Only two_d_search needs scipy.optimize; importing the package, as
+    every sweep worker does, must not pay for it."""
+    code = "import sys, afdmest; print('scipy.optimize' in sys.modules)"
+    src = str(Path(afdmest.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -17,6 +17,7 @@ import pytest
 
 from afdmest.channel import (
     LosChannel,
+    _train_sign,
     apply_los_channel,
     awgn,
     fir_taps,
@@ -77,7 +78,40 @@ class TestFirTaps:
             fir_taps(0.5, 3)
 
 
+def per_tap_channel(grid, s_prefixed, ch, half_width=16):
+    """Noise-free LOS channel written one tap at a time, each tap gathering
+    its source samples with a mask on the prefixed frame and the periodic
+    chirp-train extension past its ends: the reference the single-gather
+    apply_los_channel must reproduce bit for bit."""
+    n, ncp, l = grid.n, grid.n_prefix, ch.delay_int
+    p = np.arange(-ncp, n)
+    out = np.zeros(n + ncp, dtype=complex)
+    for tap, i in zip(fir_taps(ch.delay_frac, half_width), range(-half_width, half_width + 1)):
+        src = p - l - i
+        inside = (src >= -ncp) & (src < n)
+        vals = np.empty(n + ncp, dtype=complex)
+        vals[inside] = s_prefixed[src[inside] + ncp]
+        outside = ~inside
+        vals[outside] = s_prefixed[ncp + src[outside] % n] * _train_sign(grid, src[outside] // n)
+        out += tap * vals
+    return out * (ch.gain * np.exp(-2j * np.pi * ch.doppler * p / n))
+
+
 class TestApplyLosChannel:
+    @pytest.mark.parametrize(
+        "n,pad,delay,doppler",
+        [(256, 2, 0.0, 1.3), (256, 2, 0.45, -2.2), (256, 2, 3.7, 2.9), (255, 3, 0.0, -0.6),
+         (255, 3, 3.25, 0.8)],
+        ids=["l0-int", "l0-frac", "lmax", "oddCN-l0", "oddCN-lmax"],
+    )
+    def test_matches_per_tap_reference(self, n, pad, delay, doppler):
+        grid = AfdmGrid(n=n, doppler_pad=pad)
+        rng = np.random.default_rng(11)
+        sp = add_prefix(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        ch = LosChannel(gain=0.6 - 0.8j, delay=delay, doppler=doppler)
+        assert ch.delay_int in (0, grid.l_max)
+        assert np.array_equal(apply_los_channel(grid, sp, ch), per_tap_channel(grid, sp, ch))
+
     def test_integer_channel_is_shift_and_phasor(self):
         """l=2, k=1: output body is the body delayed two samples (through the
         prefix) times exp(-i 2 pi K n / N)."""

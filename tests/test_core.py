@@ -9,6 +9,7 @@ from afdmest.core import (
     daft_demodulate,
     daft_matrix,
     daft_modulate,
+    region_rows,
     strip_prefix,
 )
 
@@ -120,6 +121,21 @@ class TestTransforms:
         lhs = daft_modulate(g, a * x1 + b * x2)
         rhs = a * daft_modulate(g, x1) + b * daft_modulate(g, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n,pad,pilot",
+        [(256, 2, 0), (255, 3, 0), (255, 3, 40), (128, 3, 100)],
+        ids=["even-CN", "odd-CN", "odd-CN-pilot40", "even-CN-pilot100"],
+    )
+    def test_region_rows_match_matrix_rows(self, n, pad, pilot):
+        """Readout rows built from the chirp factors equal the rows of U^H;
+        bins below zero wrap as they do when indexing the matrix."""
+        g = AfdmGrid(n=n, doppler_pad=pad)
+        bins = pilot - np.arange(-12, 36)
+        rows = region_rows(g, bins)
+        ref = daft_matrix(g).conj().T[bins % n]
+        assert rows.shape == (bins.size, n)
+        assert np.max(np.abs(rows - ref)) <= 1e-12
 
     def test_length_mismatch_raises(self):
         g = AfdmGrid()

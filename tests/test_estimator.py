@@ -8,6 +8,8 @@ nature and are held to the tolerances the pipeline is designed around:
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
@@ -15,6 +17,9 @@ from afdmest.estimator import (
     Estimate,
     PilotLayout,
     SearchConfig,
+    _coarse_scores,
+    _inner_slice,
+    _pspr_rows,
     _region_rows,
     build_pilot_frame,
     compensate,
@@ -24,6 +29,7 @@ from afdmest.estimator import (
     profile_bins,
     pspr,
     read_profile,
+    readout_bins,
 )
 
 GRID = AfdmGrid()
@@ -122,9 +128,63 @@ class TestProfile:
     def test_region_rows_match_full_demodulation(self):
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
-        rows, j = _region_rows(GRID, LAYOUT)
-        full = daft_demodulate(GRID, r)[(LAYOUT.pilot_index - j) % GRID.n]
+        rows = _region_rows(GRID, LAYOUT)
+        full = daft_demodulate(GRID, r)[readout_bins(GRID, LAYOUT)]
         assert np.max(np.abs(rows @ r - full)) < 1e-10
+
+
+def scalar_pspr(grid, p):
+    """pspr at the first largest bin of the decodeable range, one profile."""
+    inner = _inner_slice(grid)
+    return pspr(p, inner.start + int(np.argmax(p[inner])), grid.n_seg)
+
+
+class TestCoarseScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(32, 320),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 4),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        steps=st.sampled_from([4, 16, 64]),
+        spike=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_scores_match_scalar_loop(self, n, k_max, pad, l_max, pilot, steps, spike, seed):
+        """One product over all candidates and the vectorised PSPR give the
+        scores of the candidate-by-candidate loop, over N, the parity of C,
+        the pilot position and zero search boxes; a flat profile and a lone
+        spike take the same path through the vectorised PSPR."""
+        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        try:
+            grid.validate()
+        except ValueError:
+            assume(False)
+        layout = PilotLayout(pilot_index=pilot % n)
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rows = _region_rows(grid, layout)
+        j = profile_bins(grid)
+        cand, scores = _coarse_scores(grid, rows, r, steps)
+        assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
+        profiles = np.array([np.abs(rows @ compensate(r, kappa)) for kappa in cand])
+        expect = [scalar_pspr(grid, p) for p in profiles]
+        # one GEMM against a matvec per candidate: equal up to summation order
+        np.testing.assert_allclose(scores, expect, rtol=1e-9)
+
+        flat = np.full(j.size, 0.7)
+        lone = np.zeros(j.size)
+        inner = _inner_slice(grid)
+        lone[inner.start + spike % (j.size - 2 * grid.n_seg)] = 3.0
+        stack = np.vstack([profiles, flat, lone])
+        got = _pspr_rows(grid, stack)
+        # same window and formula; the window sum may associate differently
+        np.testing.assert_allclose(got, [scalar_pspr(grid, p) for p in stack], rtol=1e-12)
+        c = grid.n_seg
+        # a one-bin window holds only the peak: no sidelobe power, like a spike
+        assert got[-2] == (np.inf if c == 1 else pytest.approx(c / (c - 1)))
+        assert got[-1] == np.inf
 
 
 class TestIntegerDecode:
@@ -160,7 +220,7 @@ class TestDopplerSearch:
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=1.5, doppler=1.0 + kappa)
         r = oversampled_oracle(GRID, x, ch, 20)
-        k_hat, score = estimate_doppler_frac(GRID, r, LAYOUT)
+        k_hat, score, _ = estimate_doppler_frac(GRID, r, LAYOUT)
         assert abs(k_hat - kappa) < 5e-3
         assert score > 50.0
 
@@ -168,7 +228,7 @@ class TestDopplerSearch:
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=1.0, doppler=2.3)
         r = oversampled_oracle(GRID, x, ch, 20)
-        k_hat, _ = estimate_doppler_frac(GRID, r, LAYOUT, SearchConfig(coarse_steps=16, refine_tol=1e-2))
+        k_hat, _, _ = estimate_doppler_frac(GRID, r, LAYOUT, SearchConfig(coarse_steps=16, refine_tol=1e-2))
         assert abs(k_hat - 0.3) < 2e-2
 
 
@@ -194,6 +254,42 @@ class TestJointEstimate:
         assert abs(est.delay - delay) < 2e-2
         assert abs(est.doppler - ch.doppler) < 5e-3
         assert not est.flagged
+
+    def test_profile_is_the_compensated_readout(self):
+        """The search hands back the readout at its optimum, so the joint
+        estimate need not form it again."""
+        rng = np.random.default_rng(12)
+        x = build_pilot_frame(GRID, LAYOUT, rng)
+        r = pipeline(GRID, x, LosChannel(delay=1.3, doppler=-0.7))
+        kappa, score, p = estimate_doppler_frac(GRID, r, LAYOUT)
+        assert type(kappa) is float
+        expect = read_profile(GRID, daft_demodulate(GRID, compensate(r, kappa)), LAYOUT)
+        assert np.max(np.abs(p - expect)) < 1e-10
+        assert score == scalar_pspr(GRID, p)
+
+    @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
+    @pytest.mark.parametrize("shape", [(GRID.n - 1,), (GRID.n + 1,), (1, GRID.n), ()])
+    def test_wrong_shape_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match="shape"):
+            fn(GRID, np.ones(shape, dtype=complex), LAYOUT)
+
+    @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_samples_rejected(self, fn, bad):
+        r = np.ones(GRID.n, dtype=complex)
+        r[17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(GRID, r, LAYOUT)
+
+    def test_all_zero_frame_is_flagged_with_finite_fields(self):
+        est = joint_estimate(GRID, np.zeros(GRID.n, dtype=complex), LAYOUT)
+        assert est.flagged
+        assert np.all(np.isfinite([est.delay, est.doppler, est.pspr]))
+
+    def test_doppler_frac_is_python_float(self):
+        x = build_pilot_frame(GRID, LAYOUT, None)
+        est = joint_estimate(GRID, pipeline(GRID, x, LosChannel(delay=0.4, doppler=1.6)), LAYOUT)
+        assert type(est.doppler_frac) is float
 
     def test_estimate_sums(self):
         est = Estimate(
@@ -230,3 +326,56 @@ class TestJointEstimate:
         assert unflagged >= 47
         assert np.mean(delay_err) < 0.1
         assert np.mean(doppler_err) < 0.05
+
+
+def pinned_frames():
+    """16 seeded loaded frames at 10/20/30 dB, alternating the default grid
+    with an odd C*N grid (N=255, C=9) whose pilot sits at index 40."""
+    rng = np.random.default_rng(17)
+    odd = AfdmGrid(n=255, doppler_pad=3)
+    for i in range(16):
+        grid, layout = (GRID, LAYOUT) if i % 2 == 0 else (odd, PilotLayout(pilot_index=40))
+        n_data = layout.data_slots(grid).size
+        snr_db = (10.0, 20.0, 30.0)[i % 3]
+        noise_var = (layout.pilot_amplitude**2 + n_data) / grid.n / 10.0 ** (snr_db / 10.0)
+        ch = LosChannel(
+            gain=np.exp(2j * np.pi * rng.uniform()),
+            delay=rng.uniform(0, grid.l_max),
+            doppler=rng.uniform(-grid.k_max, grid.k_max),
+            noise_var=noise_var,
+        )
+        x = build_pilot_frame(grid, layout, rng)
+        yield grid, layout, pipeline(grid, x, ch, rng=rng)
+
+
+# (delay_int, delay_frac, doppler_int, doppler_frac, pspr, flagged) per
+# pinned frame, recorded with the candidate-by-candidate coarse search
+# reading rows of the dense transform matrix
+PINNED = [
+    (0, 0.5442166923433758, 0, 0.3087086595898749, 58.60114566349711, False),
+    (0, 0.9515032083024209, -3, 0.9742828432226514, 2240.4579394909274, False),
+    (2, 0.2561455870506996, -3, 0.4121939562694146, 1666.1057104124113, False),
+    (3, 0.18779316926796338, -2, 0.11250114552724352, 188.4337491467366, False),
+    (0, 0.38992137860766896, -3, 0.012244772636638245, 211.0475503681526, False),
+    (1, 0.6164597096501475, 2, 0.670901470332046, 318.2394184744956, False),
+    (2, 0.147838008740035, 1, 0.6127552273633617, 118.4133373679009, False),
+    (1, 0.847085095833035, 1, 0.7995900324804802, 967.9639477978833, False),
+    (1, 0.8688157331446316, -3, 0.05763235166023018, 1906.884591300983, False),
+    (1, 0.35724785547700755, 2, 0.4931367670115857, 84.6821051854675, False),
+    (1, 0.9349251715118735, -2, 0.12986764833976983, 1113.0060204148124, False),
+    (0, 0.6103525284847634, -2, 0.494878269824112, 251.62297678612174, False),
+    (3, 0.17666443353785724, 2, 0.5281238544727564, 180.57490055240535, False),
+    (-1, 0.8934380516227338, -3, 0.4597341511522961, 843.574552316129, False),
+    (-1, 0.9054201257248744, -2, 0.8254099675195198, 8771.169660092331, False),
+    (1, 0.2202067137715162, -1, 0.22710065396482237, 121.92882794209119, False),
+]
+
+
+def test_joint_estimates_pinned_on_seeded_frames():
+    for (grid, layout, r), expect in zip(pinned_frames(), PINNED, strict=True):
+        est = joint_estimate(grid, r, layout)
+        l, iota, k, kappa, score, flagged = expect
+        assert (est.delay_int, est.doppler_int, est.flagged) == (l, k, flagged)
+        assert abs(est.delay_frac - iota) <= 1e-12
+        assert abs(est.doppler_frac - kappa) <= 1e-12
+        assert abs(est.pspr - score) <= 1e-12 * score

@@ -8,6 +8,7 @@ promise that worker count never changes the numbers.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from afdmest.harness import (
     SCHEMA_VERSION,
     ExperimentConfig,
     RmseReport,
+    _BLAS_THREAD_VARS,
+    _worker_pool,
     _wrap_doppler,
     csv_lines,
     emit,
@@ -182,6 +185,21 @@ class TestRunSweep:
         calls = []
         run_sweep(cfg, progress=lambda done, total, ms: calls.append((done, total)))
         assert calls == [(1, 2), (2, 2)]
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        """Workers start with every BLAS thread variable at 1, whatever the
+        parent has, and the parent's environment is left as it was."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        pool = _worker_pool(2)
+        try:
+            seen = pool.map_async(os.getenv, _BLAS_THREAD_VARS).get(timeout=120)
+        finally:
+            pool.close()
+            pool.join()
+        assert seen == ["1"] * len(_BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
 
     def test_worker_count_is_invisible_in_results(self):
         cfg1 = tiny_config(workers=1)

@@ -15,7 +15,6 @@ from .core import (
     AfdmGrid,
     add_prefix,
     daft_demodulate,
-    daft_matrix,
     daft_modulate,
     region_rows,
     strip_prefix,
@@ -73,7 +72,6 @@ __all__ = [
     "AfdmGrid",
     "add_prefix",
     "daft_demodulate",
-    "daft_matrix",
     "daft_modulate",
     "region_rows",
     "strip_prefix",

@@ -114,7 +114,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--fir-half-width", type=int, dest="fir_half_width")
-    p.add_argument("--oversample", type=int, dest="oracle_oversample")
     p.add_argument("--workers", type=int, dest="workers")
 
 

@@ -5,10 +5,11 @@ sample n carries the phase 2*pi*(c1*n^2 + c2*m^2 + n*m/N); c1 is tied to the
 Doppler budget of the link (see :class:`AfdmGrid`), c2 is a free quadratic
 spreading term. Modulation and demodulation are unitary.
 
-Two transform paths are provided: an explicit matrix (the reference) and an
-FFT factorization used where frames are long or many. :func:`region_rows`
+The transform is computed as a chirp multiply, an N-point FFT and a second
+chirp multiply (U = diag(e1) . IDFT . diag(e2)), in O(N log N) time and
+O(N) memory; the two chirp vectors are cached per grid. :func:`region_rows`
 builds only the few inverse-transform rows the estimator reads, from the
-same chirp factors, without forming the N x N matrix.
+same chirp factors. No N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "AfdmGrid",
-    "daft_matrix",
     "daft_modulate",
     "daft_demodulate",
     "region_rows",
@@ -118,7 +118,7 @@ def _frac_quad_cycles(coef: float, idx: np.ndarray) -> np.ndarray:
 
 def _chirp_columns(n: int, c1: float, c2: float, carriers: np.ndarray) -> np.ndarray:
     # columns `carriers` of U, shape (n, carriers.size), each element formed
-    # exactly as in the full matrix
+    # directly from its phase
     idx = np.arange(n)
     f1 = _frac_quad_cycles(c1, idx)
     f2 = _frac_quad_cycles(c2, carriers)
@@ -128,51 +128,38 @@ def _chirp_columns(n: int, c1: float, c2: float, carriers: np.ndarray) -> np.nda
 
 
 @lru_cache(maxsize=8)
-def _daft_matrix_cached(n: int, c1: float, c2: float) -> np.ndarray:
-    return _chirp_columns(n, c1, c2, np.arange(n))
+def _chirps(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    # the chirp factors e1 = exp(2 pi i c1 n^2) and e2 = exp(2 pi i c2 m^2)
+    # of U, built once per grid; the cached arrays are shared, so they are
+    # made read-only
+    idx = np.arange(n)
+    e1 = np.exp(2j * np.pi * _frac_quad_cycles(c1, idx))
+    e2 = np.exp(2j * np.pi * _frac_quad_cycles(c2, idx))
+    e1.flags.writeable = False
+    e2.flags.writeable = False
+    return e1, e2
 
 
-def daft_matrix(grid: AfdmGrid) -> np.ndarray:
-    """Unitary synthesis matrix U with U[n, m] the m-th chirp at sample n.
-
-    Cached per grid; treat the return value as read-only.
-    """
-    return _daft_matrix_cached(grid.n, grid.c1, grid.c2)
-
-
-def daft_modulate(grid: AfdmGrid, x: np.ndarray, use_fft: bool = False) -> np.ndarray:
+def daft_modulate(grid: AfdmGrid, x: np.ndarray) -> np.ndarray:
     """Map DAFT-domain symbols x to time samples s = U @ x.
 
-    The direct matrix product is the default (it is the reference the rest
-    of the stack is checked against); ``use_fft`` switches to the
-    chirp-FFT-chirp factorization, which matches the matrix path to well
-    below 1e-9 and wins once frames are long or numerous.
+    U[n, m] is the m-th chirp at sample n; the product is formed as
+    diag(e1) . (inverse DFT) . diag(e2) with the unitary scaling.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (grid.n,):
         raise ValueError(f"frame must have shape ({grid.n},)")
-    if not use_fft:
-        return daft_matrix(grid) @ x
-    n = grid.n
-    idx = np.arange(n)
-    e2 = np.exp(2j * np.pi * _frac_quad_cycles(grid.c2, idx))
-    e1 = np.exp(2j * np.pi * _frac_quad_cycles(grid.c1, idx))
-    # U = diag(e1) . (inverse DFT) . diag(e2), up to the unitary scaling
-    return e1 * np.fft.ifft(e2 * x) * np.sqrt(n)
+    e1, e2 = _chirps(grid.n, grid.c1, grid.c2)
+    return e1 * np.fft.ifft(e2 * x) * np.sqrt(grid.n)
 
 
-def daft_demodulate(grid: AfdmGrid, r: np.ndarray, use_fft: bool = False) -> np.ndarray:
+def daft_demodulate(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
     """Invert :func:`daft_modulate`: y = U^H @ r."""
     r = np.asarray(r, dtype=complex)
     if r.shape != (grid.n,):
         raise ValueError(f"frame must have shape ({grid.n},)")
-    if not use_fft:
-        return daft_matrix(grid).conj().T @ r
-    n = grid.n
-    idx = np.arange(n)
-    e2 = np.exp(-2j * np.pi * _frac_quad_cycles(grid.c2, idx))
-    e1 = np.exp(-2j * np.pi * _frac_quad_cycles(grid.c1, idx))
-    return e2 * np.fft.fft(e1 * r) / np.sqrt(n)
+    e1, e2 = _chirps(grid.n, grid.c1, grid.c2)
+    return np.conj(e2) * np.fft.fft(np.conj(e1) * r) / np.sqrt(grid.n)
 
 
 def region_rows(grid: AfdmGrid, bins: np.ndarray) -> np.ndarray:
@@ -180,8 +167,8 @@ def region_rows(grid: AfdmGrid, bins: np.ndarray) -> np.ndarray:
 
     ``region_rows(grid, bins) @ r`` is ``daft_demodulate(grid, r)[bins]``.
     The rows come from the chirp factors in O(len(bins) * N) time and
-    memory, element for element equal to ``daft_matrix(grid)[:, bins]``
-    conjugated and transposed, so no N x N matrix is formed.
+    memory, each element formed directly as conj(U[n, m]) for m in
+    ``bins``, so no N x N matrix is formed.
     """
     bins = np.asarray(bins, dtype=np.int64) % grid.n
     return np.ascontiguousarray(np.conj(_chirp_columns(grid.n, grid.c1, grid.c2, bins)).T)

@@ -67,6 +67,14 @@ class PilotLayout:
     def pilot_amplitude(self) -> float:
         return 10.0 ** (self.ep_ei_db / 20.0)
 
+    def validate(self, grid: AfdmGrid) -> None:
+        # an index outside the frame would be wrapped silently by the
+        # modular readout arithmetic, reading a slot the pilot is not in
+        if not 0 <= self.pilot_index < grid.n:
+            raise ValueError(
+                f"pilot_index {self.pilot_index} outside the frame [0, {grid.n})"
+            )
+
     def guard_slots(self, grid: AfdmGrid) -> np.ndarray:
         # a full Q on each side: the composite response is read at bins
         # pilot - j for j up to Q, so the reserve below the pilot must not
@@ -87,8 +95,9 @@ def build_pilot_frame(
     """Transform-domain frame: pilot, zero guards, QPSK data.
 
     With no rng the data slots stay zero (pilot-only frame, useful for
-    calibration runs).
+    calibration runs). Raises ValueError for a pilot index outside [0, N).
     """
+    layout.validate(grid)
     x = np.zeros(grid.n, dtype=complex)
     x[layout.pilot_index] = layout.pilot_amplitude
     if rng is not None:
@@ -107,7 +116,9 @@ def profile_bins(grid: AfdmGrid) -> np.ndarray:
 
 def readout_bins(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
     """Transform-domain bins of the pilot readout, (pilot_index - j) mod N
-    for j over profile_bins."""
+    for j over profile_bins. Raises ValueError for a pilot index outside
+    [0, N)."""
+    layout.validate(grid)
     return (layout.pilot_index - profile_bins(grid)) % grid.n
 
 
@@ -128,11 +139,14 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     (a flat profile scores C/(C-1), a lone spike +inf).
     """
     half = c // 2
-    window = p[peak_pos - half : peak_pos + (c - half)]
-    denom = (np.sum(window**2) - p[peak_pos] ** 2) / c
+    # the peak power is taken from the squared window itself: squaring the
+    # scalar separately may round differently by one ulp, and a one-bin
+    # window (C = 1) would then score about 1e16 instead of +inf
+    sq = p[peak_pos - half : peak_pos + (c - half)] ** 2
+    denom = (np.sum(sq) - sq[half]) / c
     if denom <= 0.0:
         return np.inf
-    return float(p[peak_pos] ** 2 / denom)
+    return float(sq[half] / denom)
 
 
 def compensate(r: np.ndarray, kappa: float) -> np.ndarray:

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_pspr,wall_ms"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ESTIMATOR_NAMES = ("joint", "integer_only", "two_d_search")
 
@@ -69,7 +69,6 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("joint", "integer_only")
     master_seed: int = 1234
     fir_half_width: int = 16
-    oracle_oversample: int = 16
     workers: int = 1
 
     def validate(self) -> None:

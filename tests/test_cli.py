@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from afdmest.cli import _coerce, _parse_config_file, main
-from afdmest.harness import CSV_HEADER
+from afdmest.harness import CSV_HEADER, SCHEMA_VERSION
 
 
 class TestConfigFile:
@@ -75,7 +75,8 @@ class TestSweepCommand:
         assert len(lines) == 2  # one cell, one estimator
 
         obj = json.loads(json_p.read_text())
-        assert obj["schema_version"] == 1
+        assert obj["schema_version"] == SCHEMA_VERSION == 2
+        assert "oracle_oversample" not in obj["config"]
         assert obj["config"]["trials_per_point"] == 2
         assert obj["config"]["snr_db_list"] == [20.0]
         assert [r["estimator"] for r in obj["rows"]] == ["joint"]
@@ -132,6 +133,18 @@ class TestSweepCommand:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_oversample_flag_rejected(self, capsys, tmp_path):
+        """The oracle oversampling knob was never read by a sweep; neither its
+        flag nor its config key is accepted."""
+        with pytest.raises(SystemExit) as exc:
+            main(SWEEP_FAST + ["--oversample", "16"])
+        assert exc.value.code == 2
+        assert "--oversample" in capsys.readouterr().err
+        cfg_p = tmp_path / "exp.cfg"
+        cfg_p.write_text("oracle_oversample = 16\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            main(SWEEP_FAST + ["--config", str(cfg_p)])
 
 
 class TestValidateCommand:

@@ -1,17 +1,26 @@
 """Transform layer: grid construction, unitarity, prefix phase rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from afdmest import core
 from afdmest.core import (
     AfdmGrid,
     add_prefix,
     daft_demodulate,
-    daft_matrix,
     daft_modulate,
     region_rows,
     strip_prefix,
 )
+
+
+def dense_daft(g: AfdmGrid) -> np.ndarray:
+    """Reference synthesis matrix U, U[n, m] the m-th chirp at sample n,
+    every element formed directly from its phase. Test use only: it is
+    N x N, which the library never builds."""
+    return core._chirp_columns(g.n, g.c1, g.c2, np.arange(g.n))
 
 
 class TestAfdmGrid:
@@ -56,7 +65,7 @@ class TestAfdmGrid:
 class TestTransforms:
     def test_matrix_is_unitary(self):
         g = AfdmGrid()
-        u = daft_matrix(g)
+        u = dense_daft(g)
         eye = u.conj().T @ u
         assert np.max(np.abs(eye - np.eye(g.n))) < 1e-10
 
@@ -64,7 +73,7 @@ class TestTransforms:
     def test_round_trip(self, n):
         """demodulate(modulate(x)) recovers x to machine precision.
 
-        c2*m^2 reaches ~1e5 cycles at N=256; the matrix builder reduces the
+        c2*m^2 reaches ~1e5 cycles at N=256; the chirp builder reduces the
         phase mod 1 with a split-coefficient product before exponentiating,
         so none of that magnitude leaks into the result."""
         g = AfdmGrid(n=n)
@@ -94,23 +103,49 @@ class TestTransforms:
     def test_single_subcarrier_demodulates_to_impulse(self):
         g = AfdmGrid()
         m0 = 37
-        r = daft_matrix(g)[:, m0]
+        r = dense_daft(g)[:, m0]
         y = daft_demodulate(g, r)
         expect = np.zeros(g.n, dtype=complex)
         expect[m0] = 1.0
         assert np.max(np.abs(y - expect)) < 1e-10
 
     def test_fft_path_matches_matrix_path(self):
-        """The fast factorization is only allowed to differ at the 1e-9 level."""
-        g = AfdmGrid()
+        """The chirp-FFT-chirp transforms equal the reference matrix products
+        U @ x and U^H @ r to the 1e-9 level, at even C*N (N=256, N=128) and
+        odd C*N (N=255, C=9)."""
         rng = np.random.default_rng(3)
+        for g in (AfdmGrid(), AfdmGrid(n=255, doppler_pad=3), AfdmGrid(n=128)):
+            u = dense_daft(g)
+            x = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            assert np.max(np.abs(daft_modulate(g, x) - u @ x)) < 1e-9
+            r = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            assert np.max(np.abs(daft_demodulate(g, r) - u.conj().T @ r)) < 1e-9
+
+    def test_large_frame_round_trip_allocates_linear_memory(self):
+        """At N=8192 the round trip is exact and one demodulate call allocates
+        a few N-vectors, far below the 1 GiB a dense N x N matrix takes."""
+        g = AfdmGrid(n=8192)
+        rng = np.random.default_rng(4)
         x = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        assert np.max(np.abs(daft_modulate(g, x, use_fft=True) - daft_modulate(g, x))) < 1e-9
         r = daft_modulate(g, x)
-        assert (
-            np.max(np.abs(daft_demodulate(g, r, use_fft=True) - daft_demodulate(g, r)))
-            < 1e-9
-        )
+        assert np.max(np.abs(daft_demodulate(g, r) - x)) < 1e-12
+        tracemalloc.start()
+        try:
+            daft_demodulate(g, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * g.n
+
+    def test_chirp_cache_is_shared_and_read_only(self):
+        g = AfdmGrid()
+        chirps = core._chirps(g.n, g.c1, g.c2)
+        assert core._chirps(g.n, g.c1, g.c2) is chirps
+        for e in chirps:
+            assert e.shape == (g.n,)
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0] = 0.0
 
     def test_linearity(self):
         g = AfdmGrid()
@@ -133,7 +168,7 @@ class TestTransforms:
         g = AfdmGrid(n=n, doppler_pad=pad)
         bins = pilot - np.arange(-12, 36)
         rows = region_rows(g, bins)
-        ref = daft_matrix(g).conj().T[bins % n]
+        ref = dense_daft(g).conj().T[bins % n]
         assert rows.shape == (bins.size, n)
         assert np.max(np.abs(rows - ref)) <= 1e-12
 

@@ -82,6 +82,29 @@ class TestPilotLayout:
         x = build_pilot_frame(GRID, layout, None)
         assert np.flatnonzero(x).tolist() == [40]
 
+    @pytest.mark.parametrize("pilot", [256, -1])
+    def test_pilot_index_outside_frame_rejected(self, pilot):
+        """An index outside [0, N) is refused at every boundary that takes a
+        layout, instead of wrapping to another bin or failing deep inside."""
+        layout = PilotLayout(pilot_index=pilot)
+        r = pipeline(GRID, build_pilot_frame(GRID, LAYOUT), LosChannel())
+        with pytest.raises(ValueError, match="pilot_index"):
+            build_pilot_frame(GRID, layout)
+        with pytest.raises(ValueError, match="pilot_index"):
+            readout_bins(GRID, layout)
+        with pytest.raises(ValueError, match="pilot_index"):
+            read_profile(GRID, daft_demodulate(GRID, r), layout)
+        with pytest.raises(ValueError, match="pilot_index"):
+            joint_estimate(GRID, r, layout)
+
+    def test_last_pilot_index_accepted(self):
+        """N - 1 is the last slot of the frame and a valid pilot position."""
+        layout = PilotLayout(pilot_index=GRID.n - 1)
+        x = build_pilot_frame(GRID, layout)
+        assert np.flatnonzero(x).tolist() == [GRID.n - 1]
+        est = joint_estimate(GRID, pipeline(GRID, x, LosChannel(delay=1.0, doppler=2.0)), layout)
+        assert (est.delay_int, est.doppler_int, est.flagged) == (1, 2, False)
+
 
 class TestProfile:
     def test_bins_cover_decode_range_with_margin(self):
@@ -110,6 +133,12 @@ class TestProfile:
         p = np.zeros(48)
         p[20] = 3.0
         assert pspr(p, 20, 8) == np.inf
+
+    def test_pspr_one_bin_window_is_lone_spike(self):
+        """With C = 1 the window holds only the peak, so every profile scores
+        +inf, whatever rounding squaring its values takes."""
+        p = np.random.default_rng(0).uniform(0.1, 3.0, 1000)
+        assert all(pspr(p, pos, 1) == np.inf for pos in range(p.size))
 
     def test_pspr_prefers_cleaner_peak(self):
         p = np.full(48, 0.1)

@@ -3,7 +3,9 @@
 Three subcommands:
 
 * ``sweep``        Monte Carlo RMSE grid, CSV/JSON out.
-* ``validate``     model self-checks, exit code 1 on any failure.
+* ``validate``     model self-checks, exit code 1 on any failure: the
+                   shared checks of acceptance criteria 1, 2, 3 and 9
+                   on the config's grids, plus FIR against the oracle.
 * ``profile-dump`` pilot readout profile of one channel next to the exact
                    sum and the closed-form envelope, for plotting.
 
@@ -113,7 +115,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         help="comma list: joint,integer_only,two_d_search",
     )
     p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--fir-half-width", type=int, dest="fir_half_width")
     p.add_argument("--workers", type=int, dest="workers")
 
 
@@ -154,7 +155,7 @@ def _cmd_profile_dump(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.master_seed) if args.with_data else None
     x = build_pilot_frame(grid, layout, rng)
     s = add_prefix(grid, daft_modulate(grid, x))
-    r = strip_prefix(grid, apply_los_channel(grid, s, ch, cfg.fir_half_width))
+    r = strip_prefix(grid, apply_los_channel(grid, s, ch))
     y = daft_demodulate(grid, r)
     j = profile_bins(grid)
     # measured readout rescaled onto the exact-sum scale (peak near N)
@@ -189,7 +190,9 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="model self-checks")
     _add_config_flags(p_val)
-    p_val.add_argument("--draws", type=int, default=25, help="envelope draws per C")
+    p_val.add_argument(
+        "--draws", type=int, default=25, help="random draws per check and grid (>= 1)"
+    )
     p_val.set_defaults(func=_cmd_validate)
 
     p_dump = sub.add_parser(

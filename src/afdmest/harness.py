@@ -26,7 +26,13 @@ import numpy as np
 from . import baselines
 from .channel import LosChannel, apply_los_channel, oversampled_oracle
 from .core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
-from .effective import envelope_profile, exact_profile
+from .effective import (
+    _ELG_GRID,
+    elg_invert,
+    elg_theory,
+    envelope_profile,
+    exact_profile,
+)
 from .estimator import (
     Estimate,
     PilotLayout,
@@ -48,7 +54,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_pspr,wall_ms"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 ESTIMATOR_NAMES = ("joint", "integer_only", "two_d_search")
 
@@ -68,7 +74,6 @@ class ExperimentConfig:
     estimates_per_trial: int = 10
     estimators: tuple[str, ...] = ("joint", "integer_only")
     master_seed: int = 1234
-    fir_half_width: int = 16
     workers: int = 1
 
     def validate(self) -> None:
@@ -145,7 +150,6 @@ def run_trial(
     estimators: tuple,
     frames: int,
     seed_seq: np.random.SeedSequence,
-    fir_half_width: int = 16,
 ):
     """One channel draw, ``frames`` received frames, every estimator on each.
 
@@ -163,7 +167,7 @@ def run_trial(
     for _ in range(frames):
         x = build_pilot_frame(grid, layout, rng)
         s = add_prefix(grid, daft_modulate(grid, x))
-        r = apply_los_channel(grid, s, ch, half_width=fir_half_width, rng=rng)
+        r = apply_los_channel(grid, s, ch, rng=rng)
         body = strip_prefix(grid, r)
         for name in estimators:
             t0 = time.perf_counter()
@@ -194,10 +198,9 @@ def _trial_worker(args):
         master_seed,
         cell_idx,
         trial_idx,
-        fir_half_width,
     ) = args
     ss = np.random.SeedSequence(master_seed, spawn_key=(cell_idx, trial_idx))
-    return run_trial(grid, layout, noise_var, estimators, frames, ss, fir_half_width)
+    return run_trial(grid, layout, noise_var, estimators, frames, ss)
 
 
 # thread-count variables of the BLAS builds numpy may link against
@@ -257,7 +260,6 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
                     cfg.master_seed,
                     cell_idx,
                     t,
-                    cfg.fir_half_width,
                 )
                 for t in range(cfg.trials_per_point)
             ]
@@ -329,89 +331,142 @@ def emit(report: RmseReport, csv_path=None, json_path=None) -> None:
 
 
 # --- validation mode -------------------------------------------------------
+# Model checks shared by ``afdmest validate`` and the acceptance suite. Each
+# takes its grids, an rng and a draw count, holds its own budget and returns
+# (passed, detail).
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
-def validate_mode(cfg: ExperimentConfig, draws: int = 25) -> tuple[bool, list]:
-    """Self-checks of the model stack; returns (all_ok, report lines).
-
-    Covers transform round-trip, integer-channel decode, the closed-form
-    envelope against the exact sum, and the FIR channel against the
-    oversampled oracle. Pass thresholds mirror the module invariants.
-    """
-    lines = []
-    ok = True
-
-    def check(name: str, passed: bool, detail: str):
-        nonlocal ok
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
-    rng = np.random.default_rng(cfg.master_seed)
-    grid = cfg.grid_for(cfg.c_list[0])
-
-    # transform round-trip
+def check_transform_round_trip(grids, rng, draws: int) -> tuple[bool, str]:
+    """The DAFT is unitary: ``draws`` random frames per grid come back."""
+    t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        err = np.max(np.abs(daft_demodulate(grid, daft_modulate(grid, x)) - x))
-        worst = max(worst, err)
-    check("transform-round-trip", worst < 1e-10, f"max |err| = {worst:.3e}")
+    for grid in grids:
+        for _ in range(draws):
+            x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+            y = daft_demodulate(grid, daft_modulate(grid, x))
+            worst = max(worst, float(np.max(np.abs(y - x))))
+    dt = time.perf_counter() - t0
+    labels = [f"N={g.n}" for g in grids]
+    if len(set(labels)) < len(labels):
+        labels = [f"N={g.n} C={g.n_seg}" for g in grids]
+    return worst < 1e-10 and dt < 10.0, (
+        f"round-trip sup-norm {worst:.2e} over {draws} frames at "
+        f"{' and '.join(labels)} (budget 1e-10), {dt:.1f} s (budget 10 s)"
+    )
 
-    # integer channel decode
+
+def check_integer_decode(grids, rng, draws: int) -> tuple[bool, str]:
+    """Every integer channel of each grid's search box moves the pilot to
+    one bin, and ``joint_estimate`` reads it back exactly. Deterministic:
+    the rng and the draw count are not used."""
     layout = PilotLayout()
-    x = build_pilot_frame(grid, layout)
-    s = add_prefix(grid, daft_modulate(grid, x))
+    count = 0
     worst_side = 0.0
     decode_ok = True
-    for l in range(grid.l_max + 1):
-        for k in range(-grid.k_max, grid.k_max + 1):
-            ch = LosChannel(delay=float(l), doppler=float(k))
-            r = strip_prefix(grid, apply_los_channel(grid, s, ch, cfg.fir_half_width))
-            y = np.abs(daft_demodulate(grid, r))
-            peak = int(np.argmax(y))
-            expect = (layout.pilot_index - (k + grid.n_seg * l)) % grid.n
-            decode_ok &= peak == expect
-            side = np.partition(y, -2)[-2] / y[peak]
-            worst_side = max(worst_side, side)
-    check(
-        "integer-channel-decode",
-        decode_ok and worst_side < 1e-9,
-        f"all peaks correct = {decode_ok}, worst sidelobe/peak = {worst_side:.3e}",
+    for grid in grids:
+        s = add_prefix(grid, daft_modulate(grid, build_pilot_frame(grid, layout)))
+        for l in range(grid.l_max + 1):
+            for k in range(-grid.k_max, grid.k_max + 1):
+                ch = LosChannel(delay=float(l), doppler=float(k))
+                r = strip_prefix(grid, apply_los_channel(grid, s, ch))
+                y = np.abs(daft_demodulate(grid, r))
+                peak = int(np.argmax(y))
+                expect = (layout.pilot_index - (k + grid.n_seg * l)) % grid.n
+                worst_side = max(worst_side, float(np.partition(y, -2)[-2] / y[peak]))
+                est = joint_estimate(grid, r, layout)
+                decode_ok &= (
+                    peak == expect
+                    and est.delay_int == l
+                    and est.delay_frac == 0.0
+                    and est.doppler_int == k
+                    and abs(est.doppler - k) < 5e-3
+                    and not est.flagged
+                )
+                count += 1
+    return decode_ok and worst_side < 1e-9, (
+        f"all {count} integer channels decode exactly = {decode_ok}, worst "
+        f"sidelobe/peak {worst_side:.2e} (budget 1e-9)"
     )
 
-    # envelope vs exact sum
-    corrs = []
-    for c in cfg.c_list:
-        g = cfg.grid_for(c)
-        cc = []
+
+def check_envelope_fidelity(grids, rng, draws: int) -> tuple[bool, str]:
+    """The envelope is within eps*N of the exact profile at its two largest
+    bins, eps = 2(l+1)/N + (pi*C/N)^2/6 (derived in envelope_magnitude).
+    Exact bins closer than 2*eps*N are a tie it cannot order, so there its
+    peak may land on the exact runner-up; elsewhere it must hit the peak.
+    Every one of ``draws`` channels per grid must agree, and the mean
+    profile correlation per grid must exceed 0.99.
+    """
+    t0 = time.perf_counter()
+    passed = True
+    bands = []
+    mean_corr = []
+    for grid in grids:
+        n, c = grid.n, grid.n_seg
+        hits = flips = 0
+        worst = 0.0
+        corrs = []
         for _ in range(draws):
             ch = LosChannel(
-                delay=rng.uniform(0, g.l_max),
-                doppler=rng.uniform(-g.k_max, g.k_max),
+                delay=rng.uniform(0, grid.l_max),
+                doppler=rng.uniform(-grid.k_max, grid.k_max),
             )
-            cc.append(_pearson(exact_profile(g, 0, ch), envelope_profile(g, 0, ch)))
-        corrs.append(float(np.mean(cc)))
-    check(
-        "envelope-fidelity",
-        all(c > 0.99 for c in corrs),
-        "mean profile correlation per C: "
-        + ", ".join(f"C={c}: {r:.4f}" for c, r in zip(cfg.c_list, corrs)),
+            ex = exact_profile(grid, 0, ch)
+            en = envelope_profile(grid, 0, ch)
+            band = (2.0 * (ch.delay_int + 1) / n + (np.pi * c / n) ** 2 / 6.0) * n
+            top, second = np.argsort(ex)[::-1][:2]
+            err = max(abs(ex[top] - en[top]), abs(ex[second] - en[second]))
+            worst = max(worst, float(err / band))
+            peak = int(np.argmax(en))
+            tie_flip = peak == second and ex[top] - ex[second] < 2.0 * band
+            flips += int(tie_flip)
+            hits += int(err <= band and (peak == top or tie_flip))
+            corrs.append(np.corrcoef(ex, en)[0, 1])
+        mean_corr.append(float(np.mean(corrs)))
+        passed = passed and hits == draws and mean_corr[-1] > 0.99
+        bands.append(
+            f"C={c}: {hits}/{draws} ({flips} tie-band flips, worst "
+            f"|exact-envelope|/(eps*N) {worst:.2f})"
+        )
+    dt = time.perf_counter() - t0
+    return passed and dt < 120.0, (
+        "peak and top-two error within the eps*N band per C "
+        + ", ".join(bands)
+        + f" (budget {draws}/{draws}); mean profile correlation "
+        + ", ".join(f"{r:.4f}" for r in mean_corr)
+        + f" (budget 0.99); {dt:.0f} s (budget 120 s)"
     )
 
-    # FIR channel vs oversampled oracle, coarse settings vs fine. Both
-    # settings see the same channels, with delays on the 1/16 grid: the
-    # O=16 reference is exact there, but the O=4 one snaps them to the 1/4
-    # grid, and that snapping is where the coarse-to-fine drop comes from
-    # (against the fixed O=16 reference the FIR error grows with W). The
-    # ensemble is a fixed diagnostic one: the FIR/oracle disagreement sits
-    # around 0.25 with heavy per-channel spread, and a verdict that flaps
-    # with master_seed would be useless as a self-check.
+
+def check_gate_curve(grids, rng, draws: int) -> tuple[bool, str]:
+    """The early/late gate curve balances at 1/2, falls strictly over its
+    whole table, and ``elg_invert`` undoes it at ``draws`` random fractions.
+    Grid-free: the grids are not used."""
+    at_half = abs(elg_theory(0.5))
+    strictly_down = bool(np.all(np.diff(elg_theory(_ELG_GRID)) < 0.0))
+    xs = rng.uniform(0.011, 0.989, draws)
+    worst_rt = float(np.max(np.abs([elg_invert(elg_theory(x)) - x for x in xs])))
+    return at_half < 1e-9 and strictly_down and worst_rt < 1e-3, (
+        f"balance point |A(0.5)| = {at_half:.1e} (budget 1e-9); strictly "
+        f"decreasing over all {_ELG_GRID.size} table nodes = {strictly_down}; "
+        f"worst round-trip inversion error {worst_rt:.2e} (budget 1e-3)"
+    )
+
+
+def _check_fir_vs_oracle(grids, rng, draws: int) -> tuple[bool, str]:
+    """FIR channel vs oversampled oracle on the first grid, coarse settings
+    vs fine; the rng and the draw count are not used.
+
+    Both settings see the same channels, with delays on the 1/16 grid: the
+    O=16 reference is exact there, but the O=4 one snaps them to the 1/4
+    grid, and that snapping is where the coarse-to-fine drop comes from
+    (against the fixed O=16 reference the FIR error grows with W). The
+    ensemble is a fixed diagnostic one: the FIR/oracle disagreement sits
+    around 0.25 with heavy per-channel spread, and a verdict that flaps
+    with master_seed would be useless as a self-check.
+    """
+    grid = grids[0]
+    layout = PilotLayout()
     diag = np.random.default_rng(0)
     errs = {(4, 4): [], (16, 16): []}
     for _ in range(10):
@@ -428,12 +483,33 @@ def validate_mode(cfg: ExperimentConfig, draws: int = 25) -> tuple[bool, list]:
             ora = oversampled_oracle(grid, xf, ch, o)
             errs[(w, o)].append(np.linalg.norm(fir - ora) / np.linalg.norm(ora))
     errs = {pair: float(np.mean(v)) for pair, v in errs.items()}
-    check(
-        "fir-vs-oracle",
-        errs[(16, 16)] < errs[(4, 4)],
+    return errs[(16, 16)] < errs[(4, 4)], (
         f"rel RMS (W,O)=(4,4): {errs[(4, 4)]:.4f} -> (16,16): {errs[(16, 16)]:.4f} "
         f"(the O=4 reference snaps delays to the 1/4 grid; the drop is the "
-        f"reference getting finer)",
+        f"reference getting finer)"
     )
 
-    return ok, lines
+
+MODEL_CHECKS = (
+    ("transform-round-trip", check_transform_round_trip),  # criterion 1
+    ("integer-channel-decode", check_integer_decode),  # criterion 2
+    ("envelope-fidelity", check_envelope_fidelity),  # criterion 3
+    ("gate-curve", check_gate_curve),  # criterion 9
+    ("fir-vs-oracle", _check_fir_vs_oracle),  # validate only
+)
+
+
+def validate_mode(cfg: ExperimentConfig, draws: int = 25) -> tuple[bool, list]:
+    """Run ``MODEL_CHECKS`` on ``cfg``'s grids; returns (all_ok, report lines).
+
+    The first four checks are acceptance criteria 1, 2, 3 and 9, here with
+    ``draws`` draws each from one rng seeded by ``cfg.master_seed``; the FIR
+    channel against the oversampled oracle is run only here.
+    """
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    grids = tuple(cfg.grid_for(c) for c in cfg.c_list)
+    rng = np.random.default_rng(cfg.master_seed)
+    results = [(name, *check(grids, rng, draws)) for name, check in MODEL_CHECKS]
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+    return all(ok for _, ok, _ in results), lines

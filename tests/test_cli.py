@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from afdmest import harness
 from afdmest.cli import _coerce, _parse_config_file, main
 from afdmest.harness import CSV_HEADER, SCHEMA_VERSION
 
@@ -75,8 +76,9 @@ class TestSweepCommand:
         assert len(lines) == 2  # one cell, one estimator
 
         obj = json.loads(json_p.read_text())
-        assert obj["schema_version"] == SCHEMA_VERSION == 2
+        assert obj["schema_version"] == SCHEMA_VERSION == 3
         assert "oracle_oversample" not in obj["config"]
+        assert "fir_half_width" not in obj["config"]
         assert obj["config"]["trials_per_point"] == 2
         assert obj["config"]["snr_db_list"] == [20.0]
         assert [r["estimator"] for r in obj["rows"]] == ["joint"]
@@ -146,14 +148,48 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match="unknown config key"):
             main(SWEEP_FAST + ["--config", str(cfg_p)])
 
+    def test_fir_half_width_flag_rejected(self, capsys, tmp_path):
+        """Every run used 16 taps a side; the knob and its key are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(SWEEP_FAST + ["--fir-half-width", "4"])
+        assert exc.value.code == 2
+        assert "--fir-half-width" in capsys.readouterr().err
+        cfg_p = tmp_path / "exp.cfg"
+        cfg_p.write_text("fir_half_width = 4\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            main(SWEEP_FAST + ["--config", str(cfg_p)])
+
 
 class TestValidateCommand:
     def test_exit_zero_and_report(self, capsys):
         rc = main(["validate", "--draws", "5", "--seed", "11"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert len(out) == 4
+        assert len(out) == 5
         assert all(line.startswith("PASS") for line in out)
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_rejects_draws_below_one(self, draws):
+        with pytest.raises(ValueError, match="draws must be >= 1"):
+            main(["validate", "--draws", draws])
+
+    def test_exit_one_when_a_check_fails(self, capsys, monkeypatch):
+        """An envelope model off by one bin fails its own check and no other."""
+
+        def shifted(grid, m_src, ch):
+            return np.roll(harness.exact_profile(grid, m_src, ch), 1)
+
+        monkeypatch.setattr(harness, "envelope_profile", shifted)
+        rc = main(["validate", "--draws", "5", "--seed", "11"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert [line.split(":")[0] for line in out] == [
+            "PASS transform-round-trip",
+            "PASS integer-channel-decode",
+            "FAIL envelope-fidelity",
+            "PASS gate-curve",
+            "PASS fir-vs-oracle",
+        ]
 
 
 def parse_dump(text):

@@ -265,12 +265,13 @@ class TestValidateMode:
         cfg = ExperimentConfig(master_seed=3)
         ok, lines = validate_mode(cfg, draws=6)
         assert ok, "\n".join(lines)
-        assert len(lines) == 4
+        assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
         names = [line.split(" ", 1)[1].split(":")[0] for line in lines]
         assert names == [
             "transform-round-trip",
             "integer-channel-decode",
             "envelope-fidelity",
+            "gate-curve",
             "fir-vs-oracle",
         ]

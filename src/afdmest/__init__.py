@@ -42,7 +42,6 @@ from .effective import (
 from .estimator import (
     Estimate,
     PilotLayout,
-    SearchConfig,
     build_pilot_frame,
     compensate,
     estimate_delay_frac,
@@ -93,7 +92,6 @@ __all__ = [
     "segment_index",
     "Estimate",
     "PilotLayout",
-    "SearchConfig",
     "build_pilot_frame",
     "compensate",
     "estimate_delay_frac",

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AfdmGrid, daft_demodulate, daft_modulate
+from .core import AfdmGrid, daft_modulate
 from .channel import LosChannel
 from .effective import effective_column
 from .estimator import (
     Estimate,
     PilotLayout,
-    compensate,
+    _peak,
+    _readout,
     integer_estimate,
-    profile_bins,
     pspr,
     read_profile,
     readout_bins,
@@ -42,16 +42,14 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     the rounding residual; there is no mechanism to do better, which is the
     error floor this baseline exists to exhibit.
     """
-    j = profile_bins(grid)
     p = read_profile(grid, y, layout)
     js, k, l_round, flagged = integer_estimate(grid, p)
-    pos = int(np.searchsorted(j, js))
     return Estimate(
         delay_int=l_round,
         delay_frac=0.0,
         doppler_int=k,
         doppler_frac=0.0,
-        pspr=pspr(p, pos, grid.n_seg),
+        pspr=pspr(p, int(_peak(grid, p)), grid.n_seg),
         peak_index=js % grid.n,
         flagged=flagged,
     )
@@ -78,7 +76,6 @@ def two_d_search(
     # estimator needs it
     from scipy.optimize import minimize
 
-    j = profile_bins(grid)
     bins = readout_bins(grid, layout)
     obs = y[bins]
     amp = layout.pilot_amplitude
@@ -112,20 +109,17 @@ def two_d_search(
     l_floor = int(np.floor(delay))
     k_floor = int(np.floor(doppler))
 
-    # quality metadata: re-read the profile with the found fractional Doppler
-    # compensated (the demodulation is unitary, so the time frame is just the
-    # forward transform of y)
-    r = daft_modulate(grid, y)
-    y_comp = daft_demodulate(grid, compensate(r, doppler - k_floor))
-    p = read_profile(grid, y_comp, layout)
+    # quality metadata: the pilot readout with the found fractional Doppler
+    # compensated, read off the frame body (the demodulation is unitary, so
+    # the body is just the forward transform of y)
+    p = _readout(grid, daft_modulate(grid, y), layout, doppler - k_floor)
     js, _, _, _ = integer_estimate(grid, p)
-    pos = int(np.searchsorted(j, js))
     return Estimate(
         delay_int=l_floor,
         delay_frac=delay - l_floor,
         doppler_int=k_floor,
         doppler_frac=doppler - k_floor,
-        pspr=pspr(p, pos, grid.n_seg),
+        pspr=pspr(p, int(_peak(grid, p)), grid.n_seg),
         peak_index=js % grid.n,
         flagged=not bool(res.success),
     )

@@ -8,11 +8,10 @@ Two channel implementations live here on purpose:
   the integer part is a shift, Doppler is a per-sample phasor, noise is
   AWGN. This is what Monte Carlo runs use.
 
-* :func:`oversampled_oracle` synthesizes the transmit waveform on a grid
-  O times finer directly from its continuous-time description, including
-  the per-segment frequency wrap terms, delays it there, and decimates.
-  It has no tap-count compromise and serves as the reference the FIR
-  model is measured against.
+* :func:`oversampled_oracle` evaluates the delayed transmit waveform from
+  its continuous-time description, per-segment frequency wraps included,
+  at the N receiver instants (the delay snapped to a clock O times finer).
+  It has no tap-count compromise and is the FIR model's reference.
 
 The FIR taps are complex. The chirp subcarriers sweep the band one-sided
 (instantaneous frequency runs 0..1 cycles/sample in every segment), so the
@@ -165,14 +164,14 @@ def oversampled_oracle(
 ) -> np.ndarray:
     """Reference channel output from the continuous-time waveform.
 
-    Synthesizes s(t) on a grid ``oversample`` times finer than the receiver
-    clock, directly from the segment-wise chirp description: within segment
-    q the subcarrier-m phase is c2*m^2 + c1*t^2 + m*t/N - q*t (the constant
-    per-segment offset is an exact integer number of cycles and drops out).
-    The delay is applied as a shift of round(oversample * delay) fine ticks
-    on the periodic extension of the synthesized train, Doppler as the
-    continuous phasor, and the result is decimated back to the N-sample
-    receiver grid. Noise-free by design; returns the frame body (no prefix).
+    Evaluates s(t) directly from the segment-wise chirp description: within
+    segment q the subcarrier-m phase is c2*m^2 + c1*t^2 + m*t/N - q*t (the
+    constant per-segment offset is an exact integer number of cycles and
+    drops out). The delay is snapped to round(oversample * delay) ticks of a
+    clock ``oversample`` times finer than the receiver's, and s(t) is taken
+    on the periodic extension of the chirp train at the N receiver instants
+    only; Doppler is the continuous phasor. O(N^2) time and memory at any
+    ``oversample``. Noise-free by design; returns the frame body (no prefix).
     """
     n, c = grid.n, grid.n_seg
     if x.shape != (n,):
@@ -180,24 +179,24 @@ def oversampled_oracle(
     if oversample < 4:
         raise ValueError("oversampling factor below 4 is too coarse to trust")
     no = n * oversample
-    j = np.arange(no)
+    # the fine ticks the receiver samples, and where each falls in the
+    # synthesized period of n * oversample ticks
+    src = oversample * np.arange(n) - int(round(oversample * ch.delay))
+    wrap = src // no
+    j = src % no
     t = j / oversample
     m = np.arange(n)[:, None]
     # integer segment index of subcarrier m at fine tick j, capped at C
     q = np.minimum(c, (c * j[None, :] + m * oversample) // no)
     phase = grid.c2 * m**2 + grid.c1 * t[None, :] ** 2 + m * t[None, :] / n - q * t[None, :]
-    s_fine = (np.asarray(x, dtype=complex)[:, None] * np.exp(2j * np.pi * phase)).sum(axis=0)
-    s_fine /= np.sqrt(n)
+    s = (np.asarray(x, dtype=complex)[:, None] * np.exp(2j * np.pi * phase)).sum(axis=0)
+    s /= np.sqrt(n)
 
-    shift = int(round(oversample * ch.delay))
-    src = j - shift
     # Chirp-train continuation between samples: one period back the waveform
     # is s(t)*exp(-i*2*pi*C*t) times the integer-position train sign (the
     # wrap count rides the instantaneous frequency, so the factor is unity
     # at integer t only). This is exactly the prefix rule off the sample grid.
-    wrap = src // no
-    t_body = (src % no) / oversample
-    r_fine = s_fine[src % no] * _train_sign(grid, wrap)
-    r_fine = r_fine * np.exp(2j * np.pi * c * wrap * t_body)
-    r_fine = r_fine * np.exp(-2j * np.pi * ch.doppler * t / n)
-    return ch.gain * r_fine[::oversample]
+    r = s * _train_sign(grid, wrap)
+    r = r * np.exp(2j * np.pi * c * wrap * t)
+    r = r * np.exp(-2j * np.pi * ch.doppler * np.arange(n) / n)
+    return ch.gain * r

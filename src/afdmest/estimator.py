@@ -11,15 +11,18 @@ Estimation runs in three stages on a received frame:
    best cell follows, one candidate at a time. Only the pilot region of the
    transform output is ever computed.
 
-2. integer decode: the peak position of the compensated readout sits on a
-   comb with spacing C; its position splits into an integer delay and an
-   integer Doppler by nearest-multiple rounding.
+2. integer decode: the peak (first largest bin of the decodeable range) of
+   the compensated readout sits on a comb with spacing C; its position
+   splits into an integer delay and an integer Doppler by rounding.
 
 3. fractional delay: the ratio in dB of the two comb taps bracketing the
    true delay is a monotone function of the delay fraction (see
    effective.elg_theory); reading it off the profile and inverting the
    curve gives the fraction, and picks the bracket's lower integer as the
    delay floor.
+
+Every stage, and both baselines, read the pilot region through one readout
+and pick its peak through one helper, so all stages see the same bin.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .effective import elg_invert
 
 __all__ = [
     "PilotLayout",
-    "SearchConfig",
     "Estimate",
     "build_pilot_frame",
     "profile_bins",
@@ -164,6 +166,12 @@ def _region_rows(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
     return rows
 
 
+def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: float) -> np.ndarray:
+    # pilot readout magnitudes over profile_bins of the frame body r with a
+    # fractional Doppler kappa compensated
+    return np.abs(_region_rows(grid, layout) @ compensate(r, kappa))
+
+
 @lru_cache(maxsize=8)
 def _coarse_grid(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # coarse candidates (i + 1/2)/steps and their N x steps compensation
@@ -181,14 +189,20 @@ def _inner_slice(grid: AfdmGrid) -> slice:
     return slice(grid.n_seg, -grid.n_seg)
 
 
+def _peak(grid: AfdmGrid, p: np.ndarray):
+    # position in the profile array of the first largest bin of the
+    # decodeable range; for a (profiles, bins) stack, one per row
+    inner = _inner_slice(grid)
+    return inner.start + np.argmax(p[..., inner], axis=-1)
+
+
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     """pspr of every row of a (candidates, bins) profile matrix, each taken
-    at its row's first largest bin inside the decodeable range, with the
-    window and the denom <= 0 -> inf rule of :func:`pspr` (the window sum
-    may associate differently, in the last bit)."""
+    at its row's :func:`_peak`, with the window and the denom <= 0 -> inf
+    rule of :func:`pspr` (the window sum may associate differently, in the
+    last bit)."""
     c, half = grid.n_seg, grid.n_seg // 2
-    inner = _inner_slice(grid)
-    pos = inner.start + np.argmax(p[:, inner], axis=1)
+    pos = _peak(grid, p)
     window = np.take_along_axis(p, pos[:, None] + np.arange(-half, c - half), axis=1)
     peak = p[np.arange(p.shape[0]), pos]
     denom = (np.sum(window**2, axis=1) - peak**2) / c
@@ -215,22 +229,16 @@ def integer_estimate(
     and a flag when the split lands outside the designed search ranges.
     """
     c = grid.n_seg
-    j = profile_bins(grid)
-    inner = _inner_slice(grid)
-    pos = inner.start + int(np.argmax(p[inner]))
-    js = int(j[pos])
+    js = int(profile_bins(grid)[_peak(grid, p)])
     l_round = int(np.round(js / c))
     k = js - c * l_round
     flagged = abs(k) > grid.k_max or not (0 <= l_round <= grid.l_max)
     return js, k, l_round, flagged
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the fractional Doppler search."""
-
-    coarse_steps: int = 64
-    refine_tol: float = 1e-3
+# fractional Doppler search: coarse cells over [0, 1), golden refine width
+_COARSE_STEPS = 64
+_REFINE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,6 @@ def estimate_doppler_frac(
     grid: AfdmGrid,
     r: np.ndarray,
     layout: PilotLayout,
-    cfg: SearchConfig = SearchConfig(),
 ) -> tuple[float, float, np.ndarray]:
     """Fractional Doppler by closed-loop PSPR maximization.
 
@@ -296,26 +303,17 @@ def estimate_doppler_frac(
         raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ValueError("received frame has non-finite samples")
-    rows = _region_rows(grid, layout)
-    n = grid.n
-    nn = np.arange(n)
-    inner = _inner_slice(grid)
-    c = grid.n_seg
-
-    def readout(kappa: float) -> np.ndarray:
-        return np.abs(rows @ (r * np.exp(2j * np.pi * kappa * nn / n)))
 
     def score(p: np.ndarray) -> float:
-        pos = inner.start + int(np.argmax(p[inner]))
-        return pspr(p, pos, c)
+        return pspr(p, int(_peak(grid, p)), grid.n_seg)
 
-    steps = cfg.coarse_steps
-    cand, scores = _coarse_scores(grid, rows, r, steps)
+    cand, scores = _coarse_scores(grid, _region_rows(grid, layout), r, _COARSE_STEPS)
     best = int(np.argmax(scores))
-    lo = cand[best] - 1.0 / steps
-    hi = cand[best] + 1.0 / steps
-    kappa = float(_golden_max(lambda k: score(readout(k)), lo, hi, cfg.refine_tol) % 1.0)
-    p = readout(kappa)
+    lo = cand[best] - 1.0 / _COARSE_STEPS
+    hi = cand[best] + 1.0 / _COARSE_STEPS
+    kappa = _golden_max(lambda k: score(_readout(grid, r, layout, k)), lo, hi, _REFINE_TOL)
+    kappa = float(kappa % 1.0)
+    p = _readout(grid, r, layout, kappa)
     return kappa, score(p), p
 
 
@@ -350,7 +348,6 @@ def joint_estimate(
     grid: AfdmGrid,
     r: np.ndarray,
     layout: PilotLayout,
-    cfg: SearchConfig = SearchConfig(),
 ) -> Estimate:
     """Full three-stage estimate from a received frame body (prefix stripped).
 
@@ -358,7 +355,7 @@ def joint_estimate(
     samples. A frame whose pilot readout is all zero (nothing received)
     carries no estimate: it comes back flagged, with zero in every field.
     """
-    kappa, score, p = estimate_doppler_frac(grid, r, layout, cfg)
+    kappa, score, p = estimate_doppler_frac(grid, r, layout)
     if not np.any(p):
         return Estimate(
             delay_int=0,
@@ -369,10 +366,8 @@ def joint_estimate(
             peak_index=0,
             flagged=True,
         )
-    j = profile_bins(grid)
     js, k, l_round, flagged = integer_estimate(grid, p)
-    peak_pos = int(np.searchsorted(j, js))
-    floor, iota, _ = estimate_delay_frac(grid, p, peak_pos, l_round)
+    floor, iota, _ = estimate_delay_frac(grid, p, int(_peak(grid, p)), l_round)
     return Estimate(
         delay_int=floor,
         delay_frac=iota,

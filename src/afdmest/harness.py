@@ -244,7 +244,10 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
         for ep in cfg.ep_ei_db_list
     ]
     rows = []
-    pool = _worker_pool(cfg.workers) if cfg.workers > 1 else None
+    # a cell maps its trials over the pool, so workers past the trial
+    # count would only start and sit idle
+    workers = min(cfg.workers, cfg.trials_per_point)
+    pool = _worker_pool(workers) if workers > 1 else None
     try:
         for cell_idx, (c, snr, ep) in enumerate(cells):
             grid = cfg.grid_for(c)
@@ -395,7 +398,8 @@ def check_envelope_fidelity(grids, rng, draws: int) -> tuple[bool, str]:
     Exact bins closer than 2*eps*N are a tie it cannot order, so there its
     peak may land on the exact runner-up; elsewhere it must hit the peak.
     Every one of ``draws`` channels per grid must agree, and the mean
-    profile correlation per grid must exceed 0.99.
+    profile correlation per grid must exceed 0.99. A flat profile has no
+    correlation; the check fails and names it.
     """
     t0 = time.perf_counter()
     passed = True
@@ -421,9 +425,14 @@ def check_envelope_fidelity(grids, rng, draws: int) -> tuple[bool, str]:
             tie_flip = peak == second and ex[top] - ex[second] < 2.0 * band
             flips += int(tie_flip)
             hits += int(err <= band and (peak == top or tie_flip))
-            corrs.append(np.corrcoef(ex, en)[0, 1])
-        mean_corr.append(float(np.mean(corrs)))
-        passed = passed and hits == draws and mean_corr[-1] > 0.99
+            # a constant profile has zero variance: corrcoef would be 0/0
+            if np.ptp(ex) > 0.0 and np.ptp(en) > 0.0:
+                corrs.append(np.corrcoef(ex, en)[0, 1])
+        flat = draws - len(corrs)
+        mean_corr.append(
+            f"none at C={c} ({flat}/{draws} flat profiles)" if flat else f"{np.mean(corrs):.4f}"
+        )
+        passed = passed and hits == draws and not flat and np.mean(corrs) > 0.99
         bands.append(
             f"C={c}: {hits}/{draws} ({flips} tie-band flips, worst "
             f"|exact-envelope|/(eps*N) {worst:.2f})"
@@ -433,7 +442,7 @@ def check_envelope_fidelity(grids, rng, draws: int) -> tuple[bool, str]:
         "peak and top-two error within the eps*N band per C "
         + ", ".join(bands)
         + f" (budget {draws}/{draws}); mean profile correlation "
-        + ", ".join(f"{r:.4f}" for r in mean_corr)
+        + ", ".join(mean_corr)
         + f" (budget 0.99); {dt:.0f} s (budget 120 s)"
     )
 

@@ -12,6 +12,8 @@ measured level; the acceptance suite carries the stricter headline figure
 separately.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,8 +196,8 @@ class TestAwgn:
 
 class TestOversampledOracle:
     def test_identity_channel_reduces_to_modulation(self):
-        """With no channel at all, decimating the synthesized fine-grid
-        waveform must give back the discrete modulator output: the segment
+        """With no channel at all, the waveform evaluated at the receiver
+        instants must give back the discrete modulator output: the segment
         wrap terms are whole cycles at integer sample times."""
         rng = np.random.default_rng(20)
         layout = PilotLayout()
@@ -266,6 +268,23 @@ class TestOversampledOracle:
         a = oversampled_oracle(GRID, x, LosChannel(delay=1.41, doppler=0.7), o)
         b = oversampled_oracle(GRID, x, LosChannel(delay=np.round(1.41 * o) / o, doppler=0.7), o)
         assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_memory_does_not_grow_with_oversampling(self):
+        """Only the N receiver instants are evaluated, so the finer clock
+        that snaps the delay costs no memory: the allocation peak at O = 64
+        stays within 10% of the peak at O = 4."""
+        rng = np.random.default_rng(25)
+        x = build_pilot_frame(GRID, PilotLayout(), rng)
+        ch = LosChannel(delay=1.37, doppler=0.6)
+        peaks = []
+        for o in (4, 64):
+            tracemalloc.start()
+            try:
+                oversampled_oracle(GRID, x, ch, o)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_rejects_coarse_oversampling(self):
         x = np.zeros(GRID.n, dtype=complex)

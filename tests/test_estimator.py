@@ -16,13 +16,13 @@ from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, s
 from afdmest.estimator import (
     Estimate,
     PilotLayout,
-    SearchConfig,
     _coarse_scores,
     _inner_slice,
     _pspr_rows,
     _region_rows,
     build_pilot_frame,
     compensate,
+    estimate_delay_frac,
     estimate_doppler_frac,
     integer_estimate,
     joint_estimate,
@@ -243,6 +243,59 @@ class TestIntegerDecode:
         assert flagged
 
 
+class TestDecodeProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(16, 320),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 4),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        kind=st.sampled_from(["random", "flat", "spike"]),
+        spike=st.integers(0, 10**6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_readout_decode_and_gate(self, n, k_max, pad, l_max, pilot, kind, spike, seed):
+        """Over N, the parity of C, the pilot position and zero search boxes,
+        on random positive, flat and lone-spike profiles: the readout bins,
+        the integer split of the first largest decodeable bin, and the
+        early/late gate's bracket and range."""
+        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        try:
+            grid.validate()
+        except ValueError:
+            assume(False)
+        c = grid.n_seg
+        layout = PilotLayout(pilot_index=pilot % n)
+        j = profile_bins(grid)
+        bins = readout_bins(grid, layout)
+        assert np.array_equal(bins, (layout.pilot_index - j) % n)
+        # the profile is C*(l_max + 3) bins; a longer one wraps the circular
+        # transform domain and reads some bins twice
+        if j.size <= n:
+            assert np.unique(bins).size == j.size
+
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            p = rng.uniform(1e-3, 1.0, j.size)
+        elif kind == "flat":
+            p = np.full(j.size, 0.7)
+        else:
+            p = np.zeros(j.size)
+            p[c + spike % (j.size - 2 * c)] = 3.0
+        inner = p[c:-c]
+        pos = c + int(np.flatnonzero(inner == inner.max())[0])
+        js, k, l_round, flagged = integer_estimate(grid, p)
+        assert js == j[pos]
+        assert k + c * l_round == js
+        assert flagged == (abs(k) > k_max or not 0 <= l_round <= l_max)
+
+        floor, iota, a_db = estimate_delay_frac(grid, p, pos, l_round)
+        assert floor in (l_round - 1, l_round)
+        assert iota == 0.0 or 0.01 <= iota <= 0.99
+        assert np.isfinite(a_db)
+
+
 class TestDopplerSearch:
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.9])
     def test_fraction_recovered(self, kappa):
@@ -252,13 +305,6 @@ class TestDopplerSearch:
         k_hat, score, _ = estimate_doppler_frac(GRID, r, LAYOUT)
         assert abs(k_hat - kappa) < 5e-3
         assert score > 50.0
-
-    def test_config_is_plumbed(self):
-        x = build_pilot_frame(GRID, LAYOUT, None)
-        ch = LosChannel(delay=1.0, doppler=2.3)
-        r = oversampled_oracle(GRID, x, ch, 20)
-        k_hat, _, _ = estimate_doppler_frac(GRID, r, LAYOUT, SearchConfig(coarse_steps=16, refine_tol=1e-2))
-        assert abs(k_hat - 0.3) < 2e-2
 
 
 class TestJointEstimate:

@@ -9,10 +9,12 @@ promise that worker count never changes the numbers.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from afdmest import harness
 from afdmest.core import AfdmGrid
 from afdmest.estimator import PilotLayout
 from afdmest.harness import (
@@ -212,6 +214,18 @@ class TestRunSweep:
                     continue
                 assert a[key] == b[key], key
 
+    def test_no_more_workers_than_trials(self, monkeypatch):
+        """One trial per cell runs in the calling process: no pool is
+        started, and the CSV is the one-worker CSV."""
+
+        def no_pool(workers):
+            raise AssertionError(f"pool of {workers} started for one trial")
+
+        serial = csv_lines(run_sweep(tiny_config(workers=1, trials_per_point=1)))
+        monkeypatch.setattr(harness, "_worker_pool", no_pool)
+        capped = csv_lines(run_sweep(tiny_config(workers=4, trials_per_point=1)))
+        assert strip_wall_ms(capped) == strip_wall_ms(serial)
+
 
 def strip_wall_ms(lines):
     return [",".join(line.split(",")[:-1]) for line in lines]
@@ -261,6 +275,19 @@ class TestSerialization:
 
 
 class TestValidateMode:
+    def test_flat_envelope_is_named_without_warnings(self, monkeypatch):
+        """A constant envelope profile has no correlation: the check fails
+        and its detail line says why, instead of printing nan with numpy
+        RuntimeWarnings."""
+        monkeypatch.setattr(harness, "envelope_profile", lambda grid, pilot, ch: np.ones(grid.n))
+        grids = (ExperimentConfig().grid_for(8),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, detail = harness.check_envelope_fidelity(grids, np.random.default_rng(1), 3)
+        assert not ok
+        assert "none at C=8 (3/3 flat profiles)" in detail
+        assert "nan" not in detail
+
     def test_all_checks_pass_on_default_model(self):
         cfg = ExperimentConfig(master_seed=3)
         ok, lines = validate_mode(cfg, draws=6)

@@ -97,6 +97,10 @@ class AfdmGrid:
             raise ValueError("segment count must be far below frame length")
         if 2 * self.guard_width >= self.n:
             raise ValueError("guard band swallows the whole frame")
+        # the estimator reads C*(l_max + 3) transform bins around the pilot;
+        # more than N of them would read some bins twice
+        if self.n_seg * (self.l_max + 3) > self.n:
+            raise ValueError("pilot readout longer than the frame")
         if self.n_prefix < self.l_max:
             raise ValueError("prefix shorter than the largest delay")
 

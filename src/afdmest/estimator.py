@@ -4,12 +4,15 @@ Estimation runs in three stages on a received frame:
 
 1. fractional Doppler: a scalar search over the compensation phase that
    maximizes the peak-to-sidelobe power ratio (PSPR) of the pilot region
-   readout. The coarse grid is scored in one pass: a single product of the
-   pilot readout rows (built once per grid and pilot position, see
-   core.region_rows) with a cached matrix of compensation phasors, then a
-   vectorised PSPR over all candidates. Golden-section refinement of the
-   best cell follows, one candidate at a time. Only the pilot region of the
-   transform output is ever computed.
+   readout. The readout at bin b with kappa compensated is
+   |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame body, so the
+   coarse candidates times the readout bins form one uniform frequency
+   grid. One cached Bluestein chirp-z transform (two FFTs) scores that grid
+   in one pass, then a vectorised PSPR covers all candidates.
+   Golden-section refinement of the best cell follows, one candidate at a
+   time, each a product of the pilot readout rows (built once per grid and
+   pilot position, see core.region_rows) with the compensated body. Only
+   the pilot region of the transform output is ever computed.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -27,12 +30,13 @@ and pick its peak through one helper, so all stages see the same bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, region_rows
+from .core import AfdmGrid, _chirps, region_rows
 from .effective import elg_invert
 
 __all__ = [
@@ -152,9 +156,17 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 
 
 def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
-    """Undo a fractional Doppler kappa on a received frame body."""
+    """Undo a fractional Doppler kappa on a received frame body.
+
+    The phasor exp(2 pi i kappa n / N) is the outer product of two tables of
+    about sqrt(N) entries, split as n = hi*B + lo, so it costs about
+    2*sqrt(N) exponentials instead of N.
+    """
     n = r.shape[0]
-    return r * np.exp(2j * np.pi * kappa * np.arange(n) / n)
+    b = math.isqrt(n) + 1
+    hi = np.exp(2j * np.pi * kappa * np.arange(0, n, b) / n)
+    lo = np.exp(2j * np.pi * kappa * np.arange(b) / n)
+    return r * np.multiply.outer(hi, lo).ravel()[:n]
 
 
 @lru_cache(maxsize=8)
@@ -170,17 +182,6 @@ def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: float) -
     # pilot readout magnitudes over profile_bins of the frame body r with a
     # fractional Doppler kappa compensated
     return np.abs(_region_rows(grid, layout) @ compensate(r, kappa))
-
-
-@lru_cache(maxsize=8)
-def _coarse_grid(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    # coarse candidates (i + 1/2)/steps and their N x steps compensation
-    # phasors, each column formed as in the scalar objective
-    cand = (np.arange(steps) + 0.5) / steps
-    phasors = np.exp(2j * np.pi * cand[None, :] * np.arange(n)[:, None] / n)
-    cand.flags.writeable = False
-    phasors.flags.writeable = False
-    return cand, phasors
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -212,11 +213,60 @@ def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coarse_scores(grid: AfdmGrid, rows: np.ndarray, r: np.ndarray, steps: int):
-    """PSPR of every coarse compensation candidate, as (candidates, scores)."""
-    cand, phasors = _coarse_grid(grid.n, steps)
-    y = (rows * r) @ phasors
-    return cand, _pspr_rows(grid, np.abs(y.T))
+@lru_cache(maxsize=8)
+def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
+    """Cached factors of the chirp-z transform that scores the coarse grid.
+
+    The readout at bin b with kappa compensated is |Z(b - kappa)|/sqrt(N),
+    where Z(f) = sum_n z[n] exp(-2 pi i n f / N) is the DTFT of the
+    dechirped body z = conj(e1)*r. The J readout bins b = pilot - j0 - a
+    (a = 0 .. J-1, j0 the first of profile_bins) step down by one and the
+    candidates are (i + 1/2)/steps, so every (candidate, bin) pair lies on
+    the one grid f_t = pilot - j0 - 1/(2 steps) - t/steps, t = a*steps + i.
+    Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum over that
+    grid into one linear convolution, with the chirp
+    w^(k^2) = exp(2 pi i k^2 / (2 steps N)), zero-padded to the power of two
+    at or above N + J*steps - 1. Returns (pre, kernel_fft, m): the input
+    pre-multiplier (conj(e1), the start-frequency phase, the input chirp and
+    1/sqrt(N)), the FFT of the kernel w^(-k^2), and the output count
+    m = J*steps. The output chirp w^(t^2) has unit modulus and is left out,
+    as only magnitudes are read. The cached arrays are shared, so they are
+    read-only.
+    """
+    n, period = grid.n, 2 * steps * grid.n
+    j = profile_bins(grid)
+    m = j.size * steps
+    size = 1 << (n + m - 2).bit_length()
+    # every phase is reduced in integers before it is exponentiated: the
+    # chirp index k^2 mod 2*steps*N and the pilot offset (pilot - j0)*n mod
+    # N; the 1/(2 steps) start offset adds n/(2 steps N) < 1/(2 steps)
+    k = np.arange(max(m, n), dtype=np.int64)
+    chirp = np.exp(2j * np.pi * (k * k % period) / period)
+    offset = (layout.pilot_index - int(j[0])) * k[:n] % n
+    e1, _ = _chirps(n, grid.c1, grid.c2)
+    pre = np.conj(e1) * chirp[:n] * np.exp(2j * np.pi * (k[:n] - 2 * steps * offset) / period)
+    pre /= np.sqrt(n)
+    # the kernel w^(-k^2) at the lags t - n in (-N, m), laid out circularly;
+    # it is even in the lag, so one table serves both signs
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    kernel_fft = np.fft.fft(kernel)
+    pre.flags.writeable = False
+    kernel_fft.flags.writeable = False
+    return pre, kernel_fft, m
+
+
+def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: int):
+    """PSPR of every coarse compensation candidate (i + 1/2)/steps, as
+    (candidates, scores), with all readouts from one chirp-z transform."""
+    pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
+    spec = np.zeros(kernel_fft.size, dtype=complex)
+    np.multiply(r, pre, out=spec[: grid.n])
+    spec = np.fft.fft(spec)
+    spec *= kernel_fft
+    p = np.abs(np.fft.ifft(spec)[:m]).reshape(-1, steps).T
+    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
 
 
 def integer_estimate(
@@ -307,7 +357,7 @@ def estimate_doppler_frac(
     def score(p: np.ndarray) -> float:
         return pspr(p, int(_peak(grid, p)), grid.n_seg)
 
-    cand, scores = _coarse_scores(grid, _region_rows(grid, layout), r, _COARSE_STEPS)
+    cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
     best = int(np.argmax(scores))
     lo = cand[best] - 1.0 / _COARSE_STEPS
     hi = cand[best] + 1.0 / _COARSE_STEPS

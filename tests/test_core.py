@@ -61,6 +61,14 @@ class TestAfdmGrid:
         with pytest.raises(ValueError):
             AfdmGrid(n=64, k_max=8, l_max=8).validate()  # guards swallow frame
 
+    def test_rejects_readout_longer_than_frame(self):
+        """The guards fit, but the C*(l_max + 3) = 40 readout bins of this
+        C=10 grid would wrap a 32-sample frame and read bins twice."""
+        g = AfdmGrid(n=32, k_max=3, l_max=1, doppler_pad=4)
+        assert 2 * g.guard_width < g.n
+        with pytest.raises(ValueError, match="readout longer than the frame"):
+            g.validate()
+
 
 class TestTransforms:
     def test_matrix_is_unitary(self):

@@ -6,6 +6,8 @@ nature and are held to the tolerances the pipeline is designed around:
 5e-3 on the Doppler fraction, 2e-2 on the delay fraction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, s
 from afdmest.estimator import (
     Estimate,
     PilotLayout,
+    _coarse_czt,
     _coarse_scores,
     _inner_slice,
     _pspr_rows,
@@ -154,6 +157,17 @@ class TestProfile:
         r = s * np.exp(-2j * np.pi * kappa * np.arange(GRID.n) / GRID.n)
         assert np.allclose(compensate(r, kappa), s, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [255, 256, 4096, 8193])
+    @pytest.mark.parametrize("kappa", [0.0, 0.37, 0.999, 1.5, -0.2])
+    def test_compensate_matches_direct_phasor(self, n, kappa):
+        """The phasor built from two sqrt(N) tables equals the one built with
+        N exponentials, for odd N, non-square N and N not a multiple of the
+        table length."""
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        direct = r * np.exp(2j * np.pi * kappa * np.arange(n) / n)
+        assert np.max(np.abs(compensate(r, kappa) - direct)) < 1e-13
+
     def test_region_rows_match_full_demodulation(self):
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
@@ -181,10 +195,10 @@ class TestCoarseScores:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_batched_scores_match_scalar_loop(self, n, k_max, pad, l_max, pilot, steps, spike, seed):
-        """One product over all candidates and the vectorised PSPR give the
-        scores of the candidate-by-candidate loop, over N, the parity of C,
-        the pilot position and zero search boxes; a flat profile and a lone
-        spike take the same path through the vectorised PSPR."""
+        """One chirp-z transform over all candidates and the vectorised PSPR
+        give the scores of the candidate-by-candidate loop, over N, the
+        parity of C, the pilot position and zero search boxes; a flat profile
+        and a lone spike take the same path through the vectorised PSPR."""
         grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         try:
             grid.validate()
@@ -195,11 +209,13 @@ class TestCoarseScores:
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rows = _region_rows(grid, layout)
         j = profile_bins(grid)
-        cand, scores = _coarse_scores(grid, rows, r, steps)
+        cand, scores = _coarse_scores(grid, layout, r, steps)
         assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
         profiles = np.array([np.abs(rows @ compensate(r, kappa)) for kappa in cand])
-        expect = [scalar_pspr(grid, p) for p in profiles]
-        # one GEMM against a matvec per candidate: equal up to summation order
+        expect = np.array([scalar_pspr(grid, p) for p in profiles])
+        # one chirp-z transform against a matvec per candidate: equal up to
+        # rounding, with +inf (no sidelobe power) in the same places
+        assert np.array_equal(np.isinf(scores), np.isinf(expect))
         np.testing.assert_allclose(scores, expect, rtol=1e-9)
 
         flat = np.full(j.size, 0.7)
@@ -214,6 +230,32 @@ class TestCoarseScores:
         # a one-bin window holds only the peak: no sidelobe power, like a spike
         assert got[-2] == (np.inf if c == 1 else pytest.approx(c / (c - 1)))
         assert got[-1] == np.inf
+
+    def test_czt_cache_is_read_only_and_memory_is_linear(self):
+        """At N=8192 the cached chirp-z factors are read-only, and building
+        them plus one scoring call stays within 4 complex vectors of the
+        padded FFT length L; the N x steps phasor matrix of a one-product
+        scoring (8 MiB here) would not fit."""
+        grid = AfdmGrid(n=8192)
+        steps = 64
+        r = daft_modulate(grid, build_pilot_frame(grid, LAYOUT, np.random.default_rng(2)))
+        _coarse_czt.cache_clear()
+        tracemalloc.start()
+        try:
+            _coarse_scores(grid, LAYOUT, r, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pre, kernel_fft, m = _coarse_czt(grid, LAYOUT, steps)
+        size = kernel_fft.size
+        # the padded length is the power of two at or above N + m - 1
+        assert size & (size - 1) == 0 and size // 2 < grid.n + m - 1 <= size
+        assert m == profile_bins(grid).size * steps
+        assert peak <= 4 * 16 * size < 16 * grid.n * steps
+        for a in (pre, kernel_fft):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestIntegerDecode:
@@ -270,10 +312,8 @@ class TestDecodeProperties:
         j = profile_bins(grid)
         bins = readout_bins(grid, layout)
         assert np.array_equal(bins, (layout.pilot_index - j) % n)
-        # the profile is C*(l_max + 3) bins; a longer one wraps the circular
-        # transform domain and reads some bins twice
-        if j.size <= n:
-            assert np.unique(bins).size == j.size
+        # validate keeps the C*(l_max + 3) profile bins within the frame
+        assert np.unique(bins).size == j.size
 
         rng = np.random.default_rng(seed)
         if kind == "random":

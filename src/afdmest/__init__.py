@@ -3,7 +3,7 @@
 Layers, bottom to top:
 
 * ``core``      grid parameters, forward/inverse transform, chirp prefix
-* ``channel``   LOS channel models: FIR production path and oversampled oracle
+* ``channel``   LOS channel models: FIR production path and continuous-time oracle
 * ``effective`` exact transform-domain channel and its closed-form envelope
 * ``estimator`` pilot frames, PSPR Doppler loop, early-late-gate delay
 * ``baselines`` integer-only decode and 2-D simplex comparator
@@ -36,7 +36,6 @@ from .effective import (
     exact_channel_sum,
     exact_profile,
     exact_spectrum,
-    segment_boundaries,
     segment_index,
 )
 from .estimator import (
@@ -88,7 +87,6 @@ __all__ = [
     "exact_channel_sum",
     "exact_profile",
     "exact_spectrum",
-    "segment_boundaries",
     "segment_index",
     "Estimate",
     "PilotLayout",

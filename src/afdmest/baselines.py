@@ -21,6 +21,7 @@ from .core import AfdmGrid, daft_modulate
 from .channel import LosChannel
 from .effective import effective_column
 from .estimator import (
+    _NO_ESTIMATE,
     Estimate,
     PilotLayout,
     _peak,
@@ -40,9 +41,12 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     Fractional parts are zero by definition. On a channel with fractional
     parts the decode lands on the nearest comb tap, so the delay error is
     the rounding residual; there is no mechanism to do better, which is the
-    error floor this baseline exists to exhibit.
+    error floor this baseline exists to exhibit. An all-zero pilot readout
+    gives the flagged no-estimate of ``joint_estimate``.
     """
     p = read_profile(grid, y, layout)
+    if not np.any(p):
+        return _NO_ESTIMATE
     js, k, l_round, flagged = integer_estimate(grid, p)
     return Estimate(
         delay_int=l_round,
@@ -70,7 +74,9 @@ def two_d_search(
     exact effective-channel response of the pilot at the readout bins.
     Starts from the integer decode unless ``init`` is given. If the simplex
     hits the iteration cap before its diameter drops below ``xatol`` the
-    best point so far is returned with the flag set.
+    best point so far is returned with the flag set. An all-zero pilot
+    readout gives the flagged no-estimate of ``joint_estimate``, and the
+    simplex does not run.
     """
     # scipy.optimize takes about half a second to import; only this
     # estimator needs it
@@ -78,6 +84,8 @@ def two_d_search(
 
     bins = readout_bins(grid, layout)
     obs = y[bins]
+    if not np.any(obs):
+        return _NO_ESTIMATE
     amp = layout.pilot_amplitude
 
     def neg_corr(theta: np.ndarray) -> float:

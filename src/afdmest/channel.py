@@ -10,8 +10,8 @@ Two channel implementations live here on purpose:
 
 * :func:`oversampled_oracle` evaluates the delayed transmit waveform from
   its continuous-time description, per-segment frequency wraps included,
-  at the N receiver instants (the delay snapped to a clock O times finer).
-  It has no tap-count compromise and is the FIR model's reference.
+  at the N source instants n - delay, for any real delay. It has no
+  tap-count compromise and is the FIR model's reference.
 
 The FIR taps are complex. The chirp subcarriers sweep the band one-sided
 (instantaneous frequency runs 0..1 cycles/sample in every segment), so the
@@ -29,12 +29,17 @@ import numpy as np
 from .core import AfdmGrid
 
 __all__ = [
+    "FIR_HALF_WIDTH",
     "LosChannel",
     "fir_taps",
     "apply_los_channel",
     "awgn",
     "oversampled_oracle",
 ]
+
+# FIR half-width every sweep and check uses; with the integer delay it sets
+# the prefix the channel needs (l + FIR_HALF_WIDTH samples)
+FIR_HALF_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,7 @@ class LosChannel:
         return self.doppler - np.floor(self.doppler)
 
 
-def fir_taps(delay_frac: float, half_width: int = 16) -> np.ndarray:
+def fir_taps(delay_frac: float, half_width: int = FIR_HALF_WIDTH) -> np.ndarray:
     """Fractional-delay interpolator taps over i = -half_width..half_width.
 
     Windowed sinc, raised-cosine window, modulated to the center of the
@@ -102,7 +107,7 @@ def apply_los_channel(
     grid: AfdmGrid,
     s_prefixed: np.ndarray,
     ch: LosChannel,
-    half_width: int = 16,
+    half_width: int = FIR_HALF_WIDTH,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Pass a prefixed frame through the LOS channel; returns a prefixed frame.
@@ -156,38 +161,28 @@ def awgn(s: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarra
     return s + scale * w
 
 
-def oversampled_oracle(
-    grid: AfdmGrid,
-    x: np.ndarray,
-    ch: LosChannel,
-    oversample: int = 16,
-) -> np.ndarray:
+def oversampled_oracle(grid: AfdmGrid, x: np.ndarray, ch: LosChannel) -> np.ndarray:
     """Reference channel output from the continuous-time waveform.
 
     Evaluates s(t) directly from the segment-wise chirp description: within
     segment q the subcarrier-m phase is c2*m^2 + c1*t^2 + m*t/N - q*t (the
     constant per-segment offset is an exact integer number of cycles and
-    drops out). The delay is snapped to round(oversample * delay) ticks of a
-    clock ``oversample`` times finer than the receiver's, and s(t) is taken
-    on the periodic extension of the chirp train at the N receiver instants
-    only; Doppler is the continuous phasor. O(N^2) time and memory at any
-    ``oversample``. Noise-free by design; returns the frame body (no prefix).
+    drops out), with q = floor((m + C*t)/N) the wrap count at the continuous
+    instant t. s(t) is taken on the periodic extension of the chirp train
+    at the N source instants t = n - delay, for any real delay, and Doppler
+    is the continuous phasor. O(N^2) time and memory. Noise-free by design;
+    returns the frame body (no prefix).
     """
     n, c = grid.n, grid.n_seg
     if x.shape != (n,):
         raise ValueError(f"frame must have shape ({n},)")
-    if oversample < 4:
-        raise ValueError("oversampling factor below 4 is too coarse to trust")
-    no = n * oversample
-    # the fine ticks the receiver samples, and where each falls in the
-    # synthesized period of n * oversample ticks
-    src = oversample * np.arange(n) - int(round(oversample * ch.delay))
-    wrap = src // no
-    j = src % no
-    t = j / oversample
+    # the source instants, and where each falls in the period of n samples
+    src = np.arange(n) - ch.delay
+    wrap = np.floor(src / n)
+    t = src - wrap * n
     m = np.arange(n)[:, None]
-    # integer segment index of subcarrier m at fine tick j, capped at C
-    q = np.minimum(c, (c * j[None, :] + m * oversample) // no)
+    # wrap count of subcarrier m at instant t; t < N and m < N keep it <= C
+    q = np.floor((c * t[None, :] + m) / n)
     phase = grid.c2 * m**2 + grid.c1 * t[None, :] ** 2 + m * t[None, :] / n - q * t[None, :]
     s = (np.asarray(x, dtype=complex)[:, None] * np.exp(2j * np.pi * phase)).sum(axis=0)
     s /= np.sqrt(n)
@@ -196,7 +191,7 @@ def oversampled_oracle(
     # is s(t)*exp(-i*2*pi*C*t) times the integer-position train sign (the
     # wrap count rides the instantaneous frequency, so the factor is unity
     # at integer t only). This is exactly the prefix rule off the sample grid.
-    r = s * _train_sign(grid, wrap)
+    r = s * _train_sign(grid, wrap.astype(np.int64))
     r = r * np.exp(2j * np.pi * c * wrap * t)
     r = r * np.exp(-2j * np.pi * ch.doppler * np.arange(n) / n)
     return ch.gain * r

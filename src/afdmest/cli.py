@@ -5,7 +5,7 @@ Three subcommands:
 * ``sweep``        Monte Carlo RMSE grid, CSV/JSON out.
 * ``validate``     model self-checks, exit code 1 on any failure: the
                    shared checks of acceptance criteria 1, 2, 3 and 9
-                   on the config's grids, plus FIR against the oracle.
+                   on the config's grids.
 * ``profile-dump`` pilot readout profile of one channel next to the exact
                    sum and the closed-form envelope, for plotting.
 

@@ -24,7 +24,6 @@ from .channel import LosChannel
 from .core import AfdmGrid
 
 __all__ = [
-    "segment_boundaries",
     "segment_index",
     "exact_channel_sum",
     "exact_spectrum",
@@ -38,28 +37,21 @@ __all__ = [
 ]
 
 
-def segment_boundaries(grid: AfdmGrid, sub: int) -> np.ndarray:
-    """Last sample index of each frequency-wrap segment for one subcarrier.
-
-    Subcarrier ``sub`` wraps C times across the frame; segment q (q = 0..C)
-    ends at sample floor((q*N - sub)/C) for q >= 1, and the returned array
-    holds those C integers in increasing order. Segment 0 starts at sample 0
-    and the final boundary is N - 1 - floor(sub/C) shy of the frame end only
-    through the residual segment C.
-    """
-    c, n = grid.n_seg, grid.n
-    q = np.arange(1, c + 1)
-    return (q * n - sub) // c
-
-
 def segment_index(grid: AfdmGrid, sub: int, u) -> np.ndarray:
     """Frequency-wrap count of subcarrier ``sub`` at sample position ``u``.
 
-    ``u`` may be fractional (the channel delays by non-integer amounts);
-    the count is the number of segment boundaries strictly below u.
+    ``u`` may be fractional (the channel delays by non-integer amounts).
+    The count is floor((sub + C*k - 1)/N), clipped to [0, C], at the sample
+    k = ceil(u): subcarrier ``sub`` wraps for the q-th time at the sample
+    floor((q*N - sub)/C), and the count is the number of those boundaries
+    strictly below u.
     """
-    bounds = segment_boundaries(grid, sub)
-    return np.searchsorted(bounds, np.atleast_1d(u), side="left").reshape(np.shape(u))
+    # The continuous rule floor((sub + C*t)/N), which the oracle applies at
+    # t = u itself, counted strictly before the sample ceil(u). This ceil is
+    # where the exact model departs from the oracle; which of the two is
+    # the model is ROADMAP item 3's decision.
+    k = np.ceil(np.asarray(u, dtype=float)).astype(np.int64)
+    return np.clip((grid.n_seg * k + sub - 1) // grid.n, 0, grid.n_seg)
 
 
 def _wrap_phase(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:

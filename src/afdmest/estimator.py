@@ -213,6 +213,23 @@ def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _smooth_length(target: int) -> int:
+    # smallest 2^a 3^b 5^c at or above target: numpy's FFT runs such lengths
+    # about as fast as powers of two, and they pad far less
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < target:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @lru_cache(maxsize=8)
 def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     """Cached factors of the chirp-z transform that scores the coarse grid.
@@ -225,18 +242,18 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     the one grid f_t = pilot - j0 - 1/(2 steps) - t/steps, t = a*steps + i.
     Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum over that
     grid into one linear convolution, with the chirp
-    w^(k^2) = exp(2 pi i k^2 / (2 steps N)), zero-padded to the power of two
-    at or above N + J*steps - 1. Returns (pre, kernel_fft, m): the input
-    pre-multiplier (conj(e1), the start-frequency phase, the input chirp and
-    1/sqrt(N)), the FFT of the kernel w^(-k^2), and the output count
-    m = J*steps. The output chirp w^(t^2) has unit modulus and is left out,
-    as only magnitudes are read. The cached arrays are shared, so they are
-    read-only.
+    w^(k^2) = exp(2 pi i k^2 / (2 steps N)), zero-padded to the smallest
+    5-smooth length (no prime factor above 5) at or above N + J*steps - 1.
+    Returns (pre, kernel_fft, m): the input pre-multiplier (conj(e1), the
+    start-frequency phase, the input chirp and 1/sqrt(N)), the FFT of the
+    kernel w^(-k^2), and the output count m = J*steps. The output chirp
+    w^(t^2) has unit modulus and is left out, as only magnitudes are read.
+    The cached arrays are shared, so they are read-only.
     """
     n, period = grid.n, 2 * steps * grid.n
     j = profile_bins(grid)
     m = j.size * steps
-    size = 1 << (n + m - 2).bit_length()
+    size = _smooth_length(n + m - 1)
     # every phase is reduced in integers before it is exponentiated: the
     # chirp index k^2 mod 2*steps*N and the pilot offset (pilot - j0)*n mod
     # N; the 1/(2 steps) start offset adds n/(2 steps N) < 1/(2 steps)
@@ -244,14 +261,22 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     chirp = np.exp(2j * np.pi * (k * k % period) / period)
     offset = (layout.pilot_index - int(j[0])) * k[:n] % n
     e1, _ = _chirps(n, grid.c1, grid.c2)
-    pre = np.conj(e1) * chirp[:n] * np.exp(2j * np.pi * (k[:n] - 2 * steps * offset) / period)
+    # pre is built and the kernel transformed in place, and the index arrays
+    # are dropped before the kernel: with a 5-smooth L, length-N temporaries
+    # weigh about as much as the length-L kernel
+    start = 2j * np.pi * (k[:n] - 2 * steps * offset)
+    start /= period
+    pre = np.conj(e1)
+    pre *= chirp[:n]
+    pre *= np.exp(start, out=start)
     pre /= np.sqrt(n)
+    del k, offset, start
     # the kernel w^(-k^2) at the lags t - n in (-N, m), laid out circularly;
     # it is even in the lag, so one table serves both signs
     kernel = np.zeros(size, dtype=complex)
     kernel[:m] = np.conj(chirp[:m])
     kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    kernel_fft = np.fft.fft(kernel)
+    kernel_fft = np.fft.fft(kernel, out=kernel)
     pre.flags.writeable = False
     kernel_fft.flags.writeable = False
     return pre, kernel_fft, m
@@ -263,9 +288,10 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
     spec = np.zeros(kernel_fft.size, dtype=complex)
     np.multiply(r, pre, out=spec[: grid.n])
-    spec = np.fft.fft(spec)
+    np.fft.fft(spec, out=spec)
     spec *= kernel_fft
-    p = np.abs(np.fft.ifft(spec)[:m]).reshape(-1, steps).T
+    np.fft.ifft(spec, out=spec)
+    p = np.abs(spec[:m]).reshape(-1, steps).T
     return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
 
 
@@ -315,6 +341,19 @@ class Estimate:
     @property
     def doppler(self) -> float:
         return self.doppler_int + self.doppler_frac
+
+
+# what a frame whose pilot readout is all zero (nothing received) yields:
+# no estimate, flagged, zero in every field
+_NO_ESTIMATE = Estimate(
+    delay_int=0,
+    delay_frac=0.0,
+    doppler_int=0,
+    doppler_frac=0.0,
+    pspr=0.0,
+    peak_index=0,
+    flagged=True,
+)
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:
@@ -407,15 +446,7 @@ def joint_estimate(
     """
     kappa, score, p = estimate_doppler_frac(grid, r, layout)
     if not np.any(p):
-        return Estimate(
-            delay_int=0,
-            delay_frac=0.0,
-            doppler_int=0,
-            doppler_frac=0.0,
-            pspr=0.0,
-            peak_index=0,
-            flagged=True,
-        )
+        return _NO_ESTIMATE
     js, k, l_round, flagged = integer_estimate(grid, p)
     floor, iota, _ = estimate_delay_frac(grid, p, int(_peak(grid, p)), l_round)
     return Estimate(

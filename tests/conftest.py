@@ -1,6 +1,13 @@
-"""Shared test fixtures: the acceptance checklist recorder."""
+"""Shared test fixtures: the acceptance checklist recorder, and the
+hypothesis profile the suite runs under."""
 
 import pytest
+from hypothesis import settings
+
+# The same examples on every run, so two runs of one tree print the same
+# log; ``--hypothesis-profile=default`` brings back random exploration.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _CHECKLIST = []
 

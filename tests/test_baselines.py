@@ -23,9 +23,9 @@ GRID = AfdmGrid()
 LAYOUT = PilotLayout()
 
 
-def received_frame(ch, oversample=20):
+def received_frame(ch):
     x = build_pilot_frame(GRID, LAYOUT, None)
-    return oversampled_oracle(GRID, x, ch, oversample)
+    return oversampled_oracle(GRID, x, ch)
 
 
 class TestIntegerOnly:
@@ -103,6 +103,20 @@ class TestTwoDSearch:
         assert 0.0 <= est.delay_frac < 1.0
         assert est.doppler_int == -3
         assert 0.0 <= est.doppler_frac < 1.0
+
+
+@pytest.mark.parametrize("pad", [1, 2, 4])
+def test_all_zero_frame_gives_the_flagged_no_estimate(pad):
+    """Nothing received: both baselines return what joint_estimate does, a
+    flagged estimate with zero in every field, instead of an unflagged one
+    read off an empty readout."""
+    grid = AfdmGrid(doppler_pad=pad)
+    r = np.zeros(grid.n, dtype=complex)
+    y = daft_demodulate(grid, r)
+    expect = joint_estimate(grid, r, LAYOUT)
+    assert expect.flagged
+    assert integer_only(grid, y, LAYOUT) == expect
+    assert two_d_search(grid, y, LAYOUT) == expect
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():

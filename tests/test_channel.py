@@ -12,8 +12,6 @@ measured level; the acceptance suite carries the stricter headline figure
 separately.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -202,7 +200,7 @@ class TestOversampledOracle:
         rng = np.random.default_rng(20)
         layout = PilotLayout()
         x = build_pilot_frame(GRID, layout, rng)
-        ora = oversampled_oracle(GRID, x, LosChannel(), 8)
+        ora = oversampled_oracle(GRID, x, LosChannel())
         s = daft_modulate(GRID, x)
         assert np.max(np.abs(ora - s)) < 1e-9
 
@@ -210,7 +208,7 @@ class TestOversampledOracle:
         rng = np.random.default_rng(21)
         x = build_pilot_frame(GRID, PilotLayout(), rng)
         ch = LosChannel(gain=np.exp(0.4j), delay=2.0, doppler=1.0)
-        ora = oversampled_oracle(GRID, x, ch, 16)
+        ora = oversampled_oracle(GRID, x, ch)
         fir = strip_prefix(
             GRID, apply_los_channel(GRID, add_prefix(GRID, daft_modulate(GRID, x)), ch)
         )
@@ -224,69 +222,9 @@ class TestOversampledOracle:
         rng = np.random.default_rng(22)
         x = build_pilot_frame(GRID, PilotLayout(), rng)
         ch = LosChannel(delay=1.37, doppler=2.6)
-        ora = oversampled_oracle(GRID, x, ch, 16)
+        ora = oversampled_oracle(GRID, x, ch)
         fir = strip_prefix(
             GRID, apply_los_channel(GRID, add_prefix(GRID, daft_modulate(GRID, x)), ch, 16)
         )
         rel = np.linalg.norm(ora - fir) / np.linalg.norm(ora)
         assert rel < 0.35
-
-    def test_error_shrinks_from_coarse_to_fine(self):
-        """Mean FIR-vs-oracle error at (W, O) = (4, 4) must exceed the finer
-        settings. The drop comes from the reference, which moves with O
-        through delay snapping and is coarsest at O = 4; against one fixed
-        reference the FIR error grows with W toward the band-limited limit.
-        So only the coarse-to-fine drop is asserted, not a full ordering."""
-        rng = np.random.default_rng(23)
-        errs = []
-        for w, o in ((4, 4), (8, 8), (16, 16)):
-            draws = []
-            rr = np.random.default_rng(100)
-            for _ in range(20):
-                x = build_pilot_frame(GRID, PilotLayout(), rng)
-                ch = LosChannel(
-                    gain=np.exp(2j * np.pi * rr.uniform()),
-                    delay=rr.uniform(0, GRID.l_max),
-                    doppler=rr.uniform(-GRID.k_max, GRID.k_max),
-                )
-                ora = oversampled_oracle(GRID, x, ch, o)
-                fir = strip_prefix(
-                    GRID,
-                    apply_los_channel(GRID, add_prefix(GRID, daft_modulate(GRID, x)), ch, w),
-                )
-                draws.append(np.linalg.norm(ora - fir) / np.linalg.norm(ora))
-            errs.append(float(np.mean(draws)))
-        assert errs[0] > errs[1]
-        assert errs[0] > errs[2]
-
-    def test_oracle_delay_snaps_to_fine_grid(self):
-        """Delays are applied as round(O*L) fine ticks: L and its snapped
-        value produce identical oracle outputs."""
-        rng = np.random.default_rng(24)
-        x = build_pilot_frame(GRID, PilotLayout(), rng)
-        o = 16
-        a = oversampled_oracle(GRID, x, LosChannel(delay=1.41, doppler=0.7), o)
-        b = oversampled_oracle(GRID, x, LosChannel(delay=np.round(1.41 * o) / o, doppler=0.7), o)
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_memory_does_not_grow_with_oversampling(self):
-        """Only the N receiver instants are evaluated, so the finer clock
-        that snaps the delay costs no memory: the allocation peak at O = 64
-        stays within 10% of the peak at O = 4."""
-        rng = np.random.default_rng(25)
-        x = build_pilot_frame(GRID, PilotLayout(), rng)
-        ch = LosChannel(delay=1.37, doppler=0.6)
-        peaks = []
-        for o in (4, 64):
-            tracemalloc.start()
-            try:
-                oversampled_oracle(GRID, x, ch, o)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
-
-    def test_rejects_coarse_oversampling(self):
-        x = np.zeros(GRID.n, dtype=complex)
-        with pytest.raises(ValueError):
-            oversampled_oracle(GRID, x, LosChannel(), 2)

@@ -165,7 +165,7 @@ class TestValidateCommand:
         rc = main(["validate", "--draws", "5", "--seed", "11"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert len(out) == 5
+        assert len(out) == 4
         assert all(line.startswith("PASS") for line in out)
 
     @pytest.mark.parametrize("draws", ["0", "-3"])
@@ -188,7 +188,6 @@ class TestValidateCommand:
             "PASS integer-channel-decode",
             "FAIL envelope-fidelity",
             "PASS gate-curve",
-            "PASS fir-vs-oracle",
         ]
 
 

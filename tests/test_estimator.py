@@ -182,6 +182,14 @@ def scalar_pspr(grid, p):
     return pspr(p, inner.start + int(np.argmax(p[inner])), grid.n_seg)
 
 
+def smooth(size):
+    """True when ``size`` has no prime factor above 5."""
+    for f in (2, 3, 5):
+        while size % f == 0:
+            size //= f
+    return size == 1
+
+
 class TestCoarseScores:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -248,8 +256,9 @@ class TestCoarseScores:
             tracemalloc.stop()
         pre, kernel_fft, m = _coarse_czt(grid, LAYOUT, steps)
         size = kernel_fft.size
-        # the padded length is the power of two at or above N + m - 1
-        assert size & (size - 1) == 0 and size // 2 < grid.n + m - 1 <= size
+        # the padded length is the smallest 5-smooth one at or above N + m - 1
+        assert grid.n + m - 1 <= size and smooth(size)
+        assert not any(smooth(v) for v in range(grid.n + m - 1, size))
         assert m == profile_bins(grid).size * steps
         assert peak <= 4 * 16 * size < 16 * grid.n * steps
         for a in (pre, kernel_fft):
@@ -341,7 +350,7 @@ class TestDopplerSearch:
     def test_fraction_recovered(self, kappa):
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=1.5, doppler=1.0 + kappa)
-        r = oversampled_oracle(GRID, x, ch, 20)
+        r = oversampled_oracle(GRID, x, ch)
         k_hat, score, _ = estimate_doppler_frac(GRID, r, LAYOUT)
         assert abs(k_hat - kappa) < 5e-3
         assert score > 50.0
@@ -365,7 +374,7 @@ class TestJointEstimate:
         sides of the argmax; both must resolve to the same true delay."""
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=delay, doppler=-2.55)
-        est = joint_estimate(GRID, oversampled_oracle(GRID, x, ch, 20), LAYOUT)
+        est = joint_estimate(GRID, oversampled_oracle(GRID, x, ch), LAYOUT)
         assert abs(est.delay - delay) < 2e-2
         assert abs(est.doppler - ch.doppler) < 5e-3
         assert not est.flagged

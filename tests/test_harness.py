@@ -71,6 +71,8 @@ class TestConfig:
             dict(estimators=("joint", "psychic")),
             dict(c_list=(6,)),  # needs C > 2*k_max = 6
             dict(workers=0),
+            dict(c_list=(8, 200)),  # C = 200 has no valid grid at N = 256
+            dict(n_prefix=10),  # below l_max + the FIR half-width
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -292,7 +294,7 @@ class TestValidateMode:
         cfg = ExperimentConfig(master_seed=3)
         ok, lines = validate_mode(cfg, draws=6)
         assert ok, "\n".join(lines)
-        assert len(lines) == 5
+        assert len(lines) == 4
         assert all(line.startswith("PASS") for line in lines)
         names = [line.split(" ", 1)[1].split(":")[0] for line in lines]
         assert names == [
@@ -300,5 +302,4 @@ class TestValidateMode:
             "integer-channel-decode",
             "envelope-fidelity",
             "gate-curve",
-            "fir-vs-oracle",
         ]

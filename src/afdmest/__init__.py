@@ -16,7 +16,6 @@ from .core import (
     add_prefix,
     daft_demodulate,
     daft_modulate,
-    region_rows,
     strip_prefix,
 )
 from .channel import (
@@ -71,7 +70,6 @@ __all__ = [
     "add_prefix",
     "daft_demodulate",
     "daft_modulate",
-    "region_rows",
     "strip_prefix",
     "LosChannel",
     "apply_los_channel",

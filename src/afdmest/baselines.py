@@ -8,7 +8,8 @@ rounding residual).
 
 ``two_d_search`` is a continuous comparator: a Nelder-Mead simplex over
 (delay, Doppler) maximizing the magnitude correlation between the observed
-pilot readout and the exact effective-channel model column. It represents
+pilot readout and the effective-channel model column, summed exactly under
+the floor wrap convention of ``effective.segment_index``. It represents
 the family of 2-D maximum-correlation searches without reproducing any
 specific published variant.
 """
@@ -33,6 +34,9 @@ from .estimator import (
 )
 
 __all__ = ["integer_only", "two_d_search"]
+
+# simplex diameter, in (samples, bins), below which two_d_search stops
+_XATOL = 1e-3
 
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
@@ -64,16 +68,17 @@ def two_d_search(
     y: np.ndarray,
     layout: PilotLayout,
     init: tuple[float, float] | None = None,
-    xatol: float = 1e-3,
     maxiter: int = 200,
 ) -> Estimate:
     """Continuous (delay, Doppler) search by downhill simplex.
 
     Maximizes |<readout, model column>| / ||model column|| over
     (L, K) in [0, l_max] x [-k_max, k_max], where the model column is the
-    exact effective-channel response of the pilot at the readout bins.
+    effective-channel response of the pilot at the readout bins, under the
+    floor wrap convention of ``effective.segment_index`` (which departs from
+    the oracle's; see ``effective``).
     Starts from the integer decode unless ``init`` is given. If the simplex
-    hits the iteration cap before its diameter drops below ``xatol`` the
+    hits the iteration cap before its diameter drops below 1e-3 the
     best point so far is returned with the flag set. An all-zero pilot
     readout gives the flagged no-estimate of ``joint_estimate``, and the
     simplex does not run.
@@ -110,7 +115,7 @@ def two_d_search(
         x0,
         method="Nelder-Mead",
         bounds=[(0.0, grid.l_max), (-grid.k_max, grid.k_max)],
-        options={"xatol": xatol, "fatol": 1e-9, "maxiter": maxiter},
+        options={"xatol": _XATOL, "fatol": 1e-9, "maxiter": maxiter},
     )
     delay = float(res.x[0])
     doppler = float(res.x[1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AfdmGrid
+from .core import AfdmGrid, _train_sign
 
 __all__ = [
     "FIR_HALF_WIDTH",
@@ -92,15 +92,6 @@ def fir_taps(delay_frac: float, half_width: int = FIR_HALF_WIDTH) -> np.ndarray:
     win = 0.5 + 0.5 * np.cos(np.pi * i / (half_width + 1))
     h = np.sinc(i - delay_frac) * win * np.exp(1j * np.pi * (i - delay_frac))
     return h / np.linalg.norm(h)
-
-
-def _train_sign(grid: AfdmGrid, wrap_count: np.ndarray) -> np.ndarray:
-    # The modulated frame extends to an infinite chirp train that repeats
-    # every N samples up to a sign: sample n0 + j*N equals the frame body
-    # at n0 times (-1)^(C*N*j). For the usual even C*N this is just +1.
-    if (grid.n_seg * grid.n) % 2 == 0:
-        return np.ones_like(wrap_count, dtype=float)
-    return np.where(wrap_count % 2 == 0, 1.0, -1.0)
 
 
 def apply_los_channel(
@@ -170,12 +161,15 @@ def oversampled_oracle(grid: AfdmGrid, x: np.ndarray, ch: LosChannel) -> np.ndar
     drops out), with q = floor((m + C*t)/N) the wrap count at the continuous
     instant t. s(t) is taken on the periodic extension of the chirp train
     at the N source instants t = n - delay, for any real delay, and Doppler
-    is the continuous phasor. O(N^2) time and memory. Noise-free by design;
-    returns the frame body (no prefix).
+    is the continuous phasor. O(N^2) time and memory. Noise-free by design:
+    raises ValueError for a channel with ``noise_var > 0`` rather than
+    return a noise-free output for it. Returns the frame body (no prefix).
     """
     n, c = grid.n, grid.n_seg
     if x.shape != (n,):
         raise ValueError(f"frame must have shape ({n},)")
+    if ch.noise_var > 0:
+        raise ValueError("the oracle is noise-free; pass a channel with noise_var = 0")
     # the source instants, and where each falls in the period of n samples
     src = np.arange(n) - ch.delay
     wrap = np.floor(src / n)

@@ -7,9 +7,8 @@ spreading term. Modulation and demodulation are unitary.
 
 The transform is computed as a chirp multiply, an N-point FFT and a second
 chirp multiply (U = diag(e1) . IDFT . diag(e2)), in O(N log N) time and
-O(N) memory; the two chirp vectors are cached per grid. :func:`region_rows`
-builds only the few inverse-transform rows the estimator reads, from the
-same chirp factors. No N x N matrix is formed.
+O(N) memory; the two chirp vectors are cached per grid. No N x N matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "AfdmGrid",
     "daft_modulate",
     "daft_demodulate",
-    "region_rows",
     "add_prefix",
     "strip_prefix",
 ]
@@ -120,17 +118,6 @@ def _frac_quad_cycles(coef: float, idx: np.ndarray) -> np.ndarray:
     return np.mod(np.mod(hi * sq, 1.0) + lo * sq, 1.0)
 
 
-def _chirp_columns(n: int, c1: float, c2: float, carriers: np.ndarray) -> np.ndarray:
-    # columns `carriers` of U, shape (n, carriers.size), each element formed
-    # directly from its phase
-    idx = np.arange(n)
-    f1 = _frac_quad_cycles(c1, idx)
-    f2 = _frac_quad_cycles(c2, carriers)
-    cross = (np.outer(idx, carriers) % n) / n
-    ph = f1[:, None] + f2[None, :] + cross
-    return np.exp(2j * np.pi * ph) / np.sqrt(n)
-
-
 @lru_cache(maxsize=8)
 def _chirps(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
     # the chirp factors e1 = exp(2 pi i c1 n^2) and e2 = exp(2 pi i c2 m^2)
@@ -166,36 +153,25 @@ def daft_demodulate(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
     return np.conj(e2) * np.fft.fft(np.conj(e1) * r) / np.sqrt(grid.n)
 
 
-def region_rows(grid: AfdmGrid, bins: np.ndarray) -> np.ndarray:
-    """Rows ``bins`` of the inverse transform U^H, shape (len(bins), N).
-
-    ``region_rows(grid, bins) @ r`` is ``daft_demodulate(grid, r)[bins]``.
-    The rows come from the chirp factors in O(len(bins) * N) time and
-    memory, each element formed directly as conj(U[n, m]) for m in
-    ``bins``, so no N x N matrix is formed.
-    """
-    bins = np.asarray(bins, dtype=np.int64) % grid.n
-    return np.ascontiguousarray(np.conj(_chirp_columns(grid.n, grid.c1, grid.c2, bins)).T)
+def _train_sign(grid: AfdmGrid, wrap_count) -> np.ndarray:
+    # The modulated frame extends to an infinite chirp train that repeats
+    # every N samples up to a sign: sample n0 + j*N equals the frame body at
+    # n0 times (-1)^(C*N*j), since c1*((n0 + j*N)^2 - n0^2) is C*N*j^2/2 plus
+    # an integer number of cycles. For the usual even C*N this is just +1.
+    return np.where(np.asarray(wrap_count) * (grid.n_seg * grid.n) % 2 == 0, 1.0, -1.0)
 
 
 def add_prefix(grid: AfdmGrid, s: np.ndarray) -> np.ndarray:
     """Prepend the chirp-periodic prefix.
 
     The prefix sample at position n (counting n = -n_prefix .. -1) is the
-    tail sample s[N + n] rotated by exp(-i*2*pi*c1*(N^2 + 2*N*n)), which
-    keeps the chirp phase progression continuous across the frame start.
-    When C*N is even the rotation is exactly 1 and this degenerates to a
-    plain cyclic prefix.
+    tail sample s[N + n] one period back on the chirp train, that is times
+    the train sign (-1)^(C*N), which keeps the chirp phase progression
+    continuous across the frame start. When C*N is even this is a plain
+    cyclic prefix.
     """
-    n = grid.n
-    ncp = grid.n_prefix
-    tail_n = np.arange(-ncp, 0)
-    # reduce to fractional cycles before exponentiating; for the rational
-    # c1 = C/(2N) the cycle count is a half-integer and the reduction makes
-    # the rotation exact instead of exp() of a huge argument
-    cycles = np.mod(grid.c1 * (n**2 + 2 * n * tail_n), 1.0)
-    rot = np.exp(-2j * np.pi * cycles)
-    return np.concatenate([s[n + tail_n] * rot, s])
+    n, ncp = grid.n, grid.n_prefix
+    return np.concatenate([s[n - ncp :] * _train_sign(grid, -1), s])
 
 
 def strip_prefix(grid: AfdmGrid, s_cp: np.ndarray) -> np.ndarray:

@@ -4,11 +4,16 @@ closed-form magnitude envelope the estimator is built on.
 For a single path with full delay L (integer l, fraction iota) and full
 Doppler K (integer k, fraction kappa), the demodulated pilot energy lands
 on a comb of taps spaced C apart on the output axis. ``exact_channel_sum``
-evaluates the defining N-term sum with no approximation and is the oracle
-everything else is checked against. ``envelope_magnitude`` is the
-two-factor closed form (a Dirichlet-style comb factor times a broad
-sinc width factor) that predicts |exact sum| to within eps*N at the leading
-bins, eps = 2*(l+1)/N + (pi*C/N)^2/6 (see ``envelope_magnitude``).
+evaluates the defining N-term sum with no approximation, under the floor
+wrap convention of ``segment_index``: subcarrier m wraps for the q-th time
+at the sample floor((q*N - m)/C). ``channel.oversampled_oracle`` wraps at
+the continuous instant (q*N - m)/C instead. The two agree only where C
+divides q*N - m; elsewhere their pilot readouts differ by up to 3.7e-1
+(relative, N=256, C=26). Which of the two is the model is ROADMAP item 3.
+``envelope_magnitude`` is the two-factor closed form (a Dirichlet-style
+comb factor times a broad sinc width factor) that predicts |exact sum| to
+within eps*N at the leading bins, eps = 2*(l+1)/N + (pi*C/N)^2/6 (see
+``envelope_magnitude``).
 
 The early-late-gate helpers at the bottom turn the ratio of two comb taps
 adjacent in delay into a dB discriminator that is exactly
@@ -48,8 +53,10 @@ def segment_index(grid: AfdmGrid, sub: int, u) -> np.ndarray:
     """
     # The continuous rule floor((sub + C*t)/N), which the oracle applies at
     # t = u itself, counted strictly before the sample ceil(u). This ceil is
-    # where the exact model departs from the oracle; which of the two is
-    # the model is ROADMAP item 3's decision.
+    # the floor wrap convention, and where this model departs from the
+    # oracle: they agree only where C divides q*N - sub, and otherwise differ
+    # at the pilot readout by up to 3.7e-1 (N=256, C=26). Which of the two
+    # is the model is ROADMAP item 3's decision.
     k = np.ceil(np.asarray(u, dtype=float)).astype(np.int64)
     return np.clip((grid.n_seg * k + sub - 1) // grid.n, 0, grid.n_seg)
 
@@ -70,7 +77,9 @@ def exact_channel_sum(grid: AfdmGrid, m_out: int, m_src: int, ch: LosChannel) ->
     F = sum_n exp(i*2*pi*(n*(m_src - m_out - l_eq)/N + iota*q((n - L) mod N)))
 
     where l_eq = K + C*L is the equivalent shift on the output axis and q is
-    the wrap count of the source subcarrier at the delayed sample position.
+    the wrap count of the source subcarrier at the delayed sample position,
+    under the floor convention of :func:`segment_index` (not the oracle's
+    continuous one; see the module docstring).
     |F| never exceeds N and equals N exactly for an integer channel on its
     peak bin.
     """

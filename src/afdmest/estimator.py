@@ -10,9 +10,10 @@ Estimation runs in three stages on a received frame:
    grid. One cached Bluestein chirp-z transform (two FFTs) scores that grid
    in one pass, then a vectorised PSPR covers all candidates.
    Golden-section refinement of the best cell follows, one candidate at a
-   time, each a product of the pilot readout rows (built once per grid and
-   pilot position, see core.region_rows) with the compensated body. Only
-   the pilot region of the transform output is ever computed.
+   time, each a product of the pilot readout rows (the DFT rows of the
+   readout bins times the dechirp, built once per grid and pilot position)
+   with the compensated body. Only the pilot region of the transform output
+   is ever computed.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, _chirps, region_rows
+from .core import AfdmGrid, _chirps
 from .effective import elg_invert
 
 __all__ = [
@@ -171,9 +172,18 @@ def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _region_rows(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
-    # demodulation restricted to the pilot readout bins, built once per grid
-    # and layout; the cached array is shared, so it is made read-only
-    rows = region_rows(grid, readout_bins(grid, layout))
+    # demodulation restricted to the pilot readout bins b, built once per
+    # grid and layout: exp(-2 pi i (b*n mod N)/N) * conj(e1[n]) / sqrt(N),
+    # the DFT row of b times the dechirp. That is row b of U^H without its
+    # unit-modulus factor conj(e2[b]), which no magnitude sees. The cached
+    # array is shared, so it is made read-only
+    n = grid.n
+    e1, _ = _chirps(n, grid.c1, grid.c2)
+    idx = np.arange(n)
+    cross = np.outer(readout_bins(grid, layout), idx)
+    cross %= n
+    rows = np.exp(-2j * np.pi * idx / n)[cross]
+    rows *= np.conj(e1) / np.sqrt(n)
     rows.flags.writeable = False
     return rows
 

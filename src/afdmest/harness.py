@@ -104,6 +104,9 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # np.random.SeedSequence would reject it later, in a pool worker
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
     def grid_for(self, c: int) -> AfdmGrid:
         g = AfdmGrid(

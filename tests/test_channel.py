@@ -17,13 +17,12 @@ import pytest
 
 from afdmest.channel import (
     LosChannel,
-    _train_sign,
     apply_los_channel,
     awgn,
     fir_taps,
     oversampled_oracle,
 )
-from afdmest.core import AfdmGrid, add_prefix, daft_modulate, strip_prefix
+from afdmest.core import AfdmGrid, _train_sign, add_prefix, daft_modulate, strip_prefix
 from afdmest.estimator import PilotLayout, build_pilot_frame
 
 GRID = AfdmGrid()
@@ -203,6 +202,13 @@ class TestOversampledOracle:
         ora = oversampled_oracle(GRID, x, LosChannel())
         s = daft_modulate(GRID, x)
         assert np.max(np.abs(ora - s)) < 1e-9
+
+    def test_rejects_noisy_channel(self):
+        """The oracle adds no noise, so a channel that asks for some is an
+        error rather than a silently noise-free output."""
+        x = build_pilot_frame(GRID, PilotLayout())
+        with pytest.raises(ValueError, match="noise"):
+            oversampled_oracle(GRID, x, LosChannel(delay=1.5, noise_var=5.0))
 
     def test_integer_channel_matches_fir_path(self):
         rng = np.random.default_rng(21)

@@ -11,7 +11,6 @@ from afdmest.core import (
     add_prefix,
     daft_demodulate,
     daft_modulate,
-    region_rows,
     strip_prefix,
 )
 
@@ -20,7 +19,10 @@ def dense_daft(g: AfdmGrid) -> np.ndarray:
     """Reference synthesis matrix U, U[n, m] the m-th chirp at sample n,
     every element formed directly from its phase. Test use only: it is
     N x N, which the library never builds."""
-    return core._chirp_columns(g.n, g.c1, g.c2, np.arange(g.n))
+    idx = np.arange(g.n)
+    f = core._frac_quad_cycles(g.c1, idx)[:, None] + core._frac_quad_cycles(g.c2, idx)[None, :]
+    cross = (np.outer(idx, idx) % g.n) / g.n
+    return np.exp(2j * np.pi * (f + cross)) / np.sqrt(g.n)
 
 
 class TestAfdmGrid:
@@ -165,21 +167,6 @@ class TestTransforms:
         rhs = a * daft_modulate(g, x1) + b * daft_modulate(g, x2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    @pytest.mark.parametrize(
-        "n,pad,pilot",
-        [(256, 2, 0), (255, 3, 0), (255, 3, 40), (128, 3, 100)],
-        ids=["even-CN", "odd-CN", "odd-CN-pilot40", "even-CN-pilot100"],
-    )
-    def test_region_rows_match_matrix_rows(self, n, pad, pilot):
-        """Readout rows built from the chirp factors equal the rows of U^H;
-        bins below zero wrap as they do when indexing the matrix."""
-        g = AfdmGrid(n=n, doppler_pad=pad)
-        bins = pilot - np.arange(-12, 36)
-        rows = region_rows(g, bins)
-        ref = dense_daft(g).conj().T[bins % n]
-        assert rows.shape == (bins.size, n)
-        assert np.max(np.abs(rows - ref)) <= 1e-12
-
     def test_length_mismatch_raises(self):
         g = AfdmGrid()
         with pytest.raises(ValueError):
@@ -191,14 +178,18 @@ class TestTransforms:
 class TestPrefix:
     def test_prefix_phase_rule(self):
         """Each prefix sample is the matching tail sample rotated by
-        exp(-i 2 pi c1 (N^2 + 2 N n)), n = -n_prefix..-1."""
-        g = AfdmGrid()
+        exp(-i 2 pi c1 (N^2 + 2 N n)), n = -n_prefix..-1, at even C*N
+        (N=256, C=8) and odd C*N (N=255, C=9), where the rotation is -1."""
         rng = np.random.default_rng(5)
-        s = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        sp = add_prefix(g, s)
-        for n in range(-g.n_prefix, 0):
-            rot = np.exp(-2j * np.pi * np.mod(g.c1 * (g.n**2 + 2 * g.n * n), 1.0))
-            assert sp[g.n_prefix + n] == pytest.approx(s[g.n + n] * rot, abs=1e-12)
+        for g in (AfdmGrid(), AfdmGrid(n=255, doppler_pad=3)):
+            s = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            sp = add_prefix(g, s)
+            for n in range(-g.n_prefix, 0):
+                rot = np.exp(-2j * np.pi * np.mod(g.c1 * (g.n**2 + 2 * g.n * n), 1.0))
+                assert sp[g.n_prefix + n] == pytest.approx(s[g.n + n] * rot, abs=1e-12)
+        # at odd C*N the prefix is the negated tail, with no rounding residue
+        assert (g.n_seg * g.n) % 2 == 1
+        assert np.array_equal(sp[: g.n_prefix], -s[-g.n_prefix :])
 
     def test_even_product_degenerates_to_cyclic(self):
         """With C*N even the rotation is exactly +1: a plain cyclic prefix."""

@@ -22,6 +22,7 @@ from afdmest.estimator import (
     _coarse_scores,
     _inner_slice,
     _pspr_rows,
+    _readout,
     _region_rows,
     build_pilot_frame,
     compensate,
@@ -169,11 +170,39 @@ class TestProfile:
         assert np.max(np.abs(compensate(r, kappa) - direct)) < 1e-13
 
     def test_region_rows_match_full_demodulation(self):
+        """The readout rows drop U^H's unit-modulus row phase conj(e2[b]), so
+        they give the demodulated pilot bins in magnitude."""
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         rows = _region_rows(GRID, LAYOUT)
         full = daft_demodulate(GRID, r)[readout_bins(GRID, LAYOUT)]
-        assert np.max(np.abs(rows @ r - full)) < 1e-10
+        assert np.max(np.abs(np.abs(rows @ r) - np.abs(full))) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(32, 320),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 4),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        kappa=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_readout_matches_full_demodulation(self, n, k_max, pad, l_max, pilot, kappa, seed):
+        """The pilot readout equals read_profile of the full demodulation of
+        the compensated body, to 1e-12 of its peak, over N, the parity of
+        C*N, the pilot position and the compensation."""
+        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        try:
+            grid.validate()
+        except ValueError:
+            assume(False)
+        layout = PilotLayout(pilot_index=pilot % n)
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expect = read_profile(grid, daft_demodulate(grid, compensate(r, kappa)), layout)
+        got = _readout(grid, r, layout, kappa)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
 
 def scalar_pspr(grid, p):

@@ -73,6 +73,7 @@ class TestConfig:
             dict(workers=0),
             dict(c_list=(8, 200)),  # C = 200 has no valid grid at N = 256
             dict(n_prefix=10),  # below l_max + the FIR half-width
+            dict(master_seed=-1),  # np.random.SeedSequence takes no negative seed
         ],
     )
     def test_rejects_bad_values(self, bad):

@@ -125,7 +125,7 @@ def two_d_search(
     # quality metadata: the pilot readout with the found fractional Doppler
     # compensated, read off the frame body (the demodulation is unitary, so
     # the body is just the forward transform of y)
-    p = _readout(grid, daft_modulate(grid, y), layout, doppler - k_floor)
+    p = _readout(grid, daft_modulate(grid, y), layout)(doppler - k_floor)
     js, _, _, _ = integer_estimate(grid, p)
     return Estimate(
         delay_int=l_floor,

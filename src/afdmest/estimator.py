@@ -10,10 +10,12 @@ Estimation runs in three stages on a received frame:
    grid. One cached Bluestein chirp-z transform (two FFTs) scores that grid
    in one pass, then a vectorised PSPR covers all candidates.
    Golden-section refinement of the best cell follows, one candidate at a
-   time, each a product of the pilot readout rows (the DFT rows of the
-   readout bins times the dechirp, built once per grid and pilot position)
-   with the compensated body. Only the pilot region of the transform output
-   is ever computed.
+   time, each a pruned DFT of the body: with N = P*M and P the smallest
+   divisor of N at or above the J readout bins, the dechirped body is read
+   as M rows of P, the compensation phasor is folded into their P-point
+   FFTs and the readout bins are summed over the rows, in O(N log P + N)
+   time with O(N) tables built once per grid and pilot position. Only the
+   pilot region of the transform output is ever computed.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -161,7 +163,9 @@ def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
 
     The phasor exp(2 pi i kappa n / N) is the outer product of two tables of
     about sqrt(N) entries, split as n = hi*B + lo, so it costs about
-    2*sqrt(N) exponentials instead of N.
+    2*sqrt(N) exponentials instead of N. The estimator's pilot readout
+    applies the same phasor without calling this: it factors it over the
+    (P, M) split of its pruned DFT and folds it into the transform.
     """
     n = r.shape[0]
     b = math.isqrt(n) + 1
@@ -171,27 +175,63 @@ def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _region_rows(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
-    # demodulation restricted to the pilot readout bins b, built once per
-    # grid and layout: exp(-2 pi i (b*n mod N)/N) * conj(e1[n]) / sqrt(N),
-    # the DFT row of b times the dechirp. That is row b of U^H without its
-    # unit-modulus factor conj(e2[b]), which no magnitude sees. The cached
-    # array is shared, so it is made read-only
+def _pruned_dft(grid: AfdmGrid, layout: PilotLayout):
+    """Cached tables of the pruned DFT that reads the pilot region.
+
+    P is the smallest divisor of N at or above the readout length J (a prime
+    N gives P = N, one full FFT). With N = P*M and n = q*M + m (q < P,
+    m < M), the readout at bin b of the
+    dechirped body with kappa compensated is
+    sum_m exp(2 pi i kappa m/N) tw[m, b mod P] * FFT_q(z[m, q] exp(2 pi i
+    kappa q/P))[b mod P], where z[m, q] = r[qM + m] conj(e1[qM + m])/sqrt(N)
+    and tw[m, b mod P] = exp(-2 pi i (b m mod N)/N). The J readout bins are
+    contiguous and J <= P, so their residues mod P are distinct. Returns
+    (pre, tw, rates, cols): the (M, P) dechirp, the (M, P) twiddle table
+    (zero off the readout columns), the P + M phase rates 2 pi i q/P and
+    2 pi i m/N, and the readout columns b mod P in profile_bins order. The
+    cached arrays are shared, so they are read-only.
+    """
     n = grid.n
+    bins = readout_bins(grid, layout)
+    p = next(d for d in range(bins.size, n + 1) if n % d == 0)
+    m = n // p
     e1, _ = _chirps(n, grid.c1, grid.c2)
-    idx = np.arange(n)
-    cross = np.outer(readout_bins(grid, layout), idx)
-    cross %= n
-    rows = np.exp(-2j * np.pi * idx / n)[cross]
-    rows *= np.conj(e1) / np.sqrt(n)
-    rows.flags.writeable = False
-    return rows
+    pre = np.conj(e1.reshape(p, m).T, order="C")
+    pre /= np.sqrt(n)
+    cols = bins % p
+    tw = np.zeros((m, p), dtype=complex)
+    # b*m reduced mod N in integers before it is exponentiated
+    tw[:, cols] = np.exp(-2j * np.pi * (np.multiply.outer(np.arange(m), bins) % n) / n)
+    rates = 2j * np.pi * np.concatenate([np.arange(p) / p, np.arange(m) / n])
+    for a in (pre, tw, rates, cols):
+        a.flags.writeable = False
+    return pre, tw, rates, cols
 
 
-def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: float) -> np.ndarray:
-    # pilot readout magnitudes over profile_bins of the frame body r with a
-    # fractional Doppler kappa compensated
-    return np.abs(_region_rows(grid, layout) @ compensate(r, kappa))
+def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
+    """Pilot readout of the frame body r, as read(kappa): the magnitudes over
+    profile_bins with a fractional Doppler kappa compensated.
+
+    The dechirp is applied once per frame; each read folds the phasor of
+    :func:`compensate`, factored over the (P, M) split of
+    :func:`_pruned_dft`, into P-point FFTs of the M rows, so it costs
+    O(N log P + N) with O(N) tables.
+    """
+    pre, tw, rates, cols = _pruned_dft(grid, layout)
+    m, p = pre.shape
+    z = np.multiply(r.reshape(p, m).T, pre, order="C")
+    # every read reuses one work array: at large N a fresh (M, P) array per
+    # read costs as much as the transform
+    y = np.empty_like(z)
+
+    def read(kappa: float) -> np.ndarray:
+        ab = np.exp(rates * kappa)
+        np.multiply(z, ab[:p], out=y)
+        np.fft.fft(y, axis=-1, out=y)
+        np.multiply(y, tw, out=y)
+        return np.abs((ab[p:] @ y)[cols])
+
+    return read
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -410,9 +450,10 @@ def estimate_doppler_frac(
     best = int(np.argmax(scores))
     lo = cand[best] - 1.0 / _COARSE_STEPS
     hi = cand[best] + 1.0 / _COARSE_STEPS
-    kappa = _golden_max(lambda k: score(_readout(grid, r, layout, k)), lo, hi, _REFINE_TOL)
+    read = _readout(grid, r, layout)
+    kappa = _golden_max(lambda k: score(read(k)), lo, hi, _REFINE_TOL)
     kappa = float(kappa % 1.0)
-    p = _readout(grid, r, layout, kappa)
+    p = read(kappa)
     return kappa, score(p), p
 
 

@@ -22,8 +22,8 @@ from afdmest.estimator import (
     _coarse_scores,
     _inner_slice,
     _pspr_rows,
+    _pruned_dft,
     _readout,
-    _region_rows,
     build_pilot_frame,
     compensate,
     estimate_delay_frac,
@@ -169,14 +169,59 @@ class TestProfile:
         direct = r * np.exp(2j * np.pi * kappa * np.arange(n) / n)
         assert np.max(np.abs(compensate(r, kappa) - direct)) < 1e-13
 
-    def test_region_rows_match_full_demodulation(self):
-        """The readout rows drop U^H's unit-modulus row phase conj(e2[b]), so
-        they give the demodulated pilot bins in magnitude."""
+    def test_readout_matches_full_demodulation_at_zero(self):
+        """Uncompensated, the readout drops only U^H's unit-modulus row phase
+        conj(e2[b]), so it gives the demodulated pilot bins in magnitude."""
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
-        rows = _region_rows(GRID, LAYOUT)
         full = daft_demodulate(GRID, r)[readout_bins(GRID, LAYOUT)]
-        assert np.max(np.abs(np.abs(rows @ r) - np.abs(full))) < 1e-10
+        assert np.max(np.abs(_readout(GRID, r, LAYOUT)(0.0) - np.abs(full))) < 1e-10
+
+    @pytest.mark.parametrize("n", [4096, 16384, 4093])
+    @pytest.mark.parametrize("pilot", [0, 40])
+    def test_readout_matches_full_demodulation_at_large_n(self, n, pilot):
+        """Fixed cases above the property's range, where P < N matters most,
+        and a prime N, where P = N and the readout is one full FFT."""
+        grid = AfdmGrid(n=n)
+        layout = PilotLayout(pilot_index=pilot)
+        rng = np.random.default_rng(n + pilot)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        read = _readout(grid, r, layout)
+        for kappa in (0.0, 0.37, 0.999, -0.004):
+            expect = read_profile(grid, daft_demodulate(grid, compensate(r, kappa)), layout)
+            assert np.max(np.abs(read(kappa) - expect)) <= 1e-12 * np.max(expect)
+
+    @pytest.mark.parametrize(
+        "n,k_max,split",
+        [(4096, 3, 64), (256, 5, 128), (256, 3, 64), (4093, 3, 4093)],
+    )
+    def test_split_is_smallest_divisor_at_or_above_readout_length(self, n, k_max, split):
+        """P is the smallest divisor of N with P >= J: 64 at N=4096 (C=8,
+        J=48), 128 at N=256 (C=12, J=72), and N itself for a prime N."""
+        grid = AfdmGrid(n=n, k_max=k_max)
+        pre, tw, _, cols = _pruned_dft(grid, LAYOUT)
+        assert pre.shape == tw.shape == (n // split, split)
+        # the readout columns are distinct, and the twiddle table is zero
+        # off them
+        assert np.unique(cols).size == cols.size == profile_bins(grid).size
+        assert not np.any(np.delete(tw, cols, axis=1))
+
+    def test_first_readout_memory_is_linear_in_n(self):
+        """The first readout at N=16384, C=8 builds its tables and reads the
+        region within 8 arrays of N complex samples (2 MiB); a J x N table of
+        readout rows alone would take 12 MiB."""
+        n = 16384
+        grid = AfdmGrid(n=n)
+        rng = np.random.default_rng(5)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        _pruned_dft.cache_clear()
+        tracemalloc.start()
+        try:
+            _readout(grid, r, LAYOUT)(0.37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 16
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -201,7 +246,7 @@ class TestProfile:
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         expect = read_profile(grid, daft_demodulate(grid, compensate(r, kappa)), layout)
-        got = _readout(grid, r, layout, kappa)
+        got = _readout(grid, r, layout)(kappa)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
 
@@ -244,14 +289,14 @@ class TestCoarseScores:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        rows = _region_rows(grid, layout)
+        read = _readout(grid, r, layout)
         j = profile_bins(grid)
         cand, scores = _coarse_scores(grid, layout, r, steps)
         assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
-        profiles = np.array([np.abs(rows @ compensate(r, kappa)) for kappa in cand])
+        profiles = np.array([read(kappa) for kappa in cand])
         expect = np.array([scalar_pspr(grid, p) for p in profiles])
-        # one chirp-z transform against a matvec per candidate: equal up to
-        # rounding, with +inf (no sidelobe power) in the same places
+        # one chirp-z transform against a pruned readout per candidate: equal
+        # up to rounding, with +inf (no sidelobe power) in the same places
         assert np.array_equal(np.isinf(scores), np.isinf(expect))
         np.testing.assert_allclose(scores, expect, rtol=1e-9)
 

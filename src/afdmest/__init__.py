@@ -27,12 +27,10 @@ from .channel import (
 )
 from .effective import (
     effective_column,
-    effective_gain,
     elg_invert,
     elg_theory,
     envelope_magnitude,
     envelope_profile,
-    exact_channel_sum,
     exact_profile,
     exact_spectrum,
     segment_index,
@@ -77,12 +75,10 @@ __all__ = [
     "fir_taps",
     "oversampled_oracle",
     "effective_column",
-    "effective_gain",
     "elg_invert",
     "elg_theory",
     "envelope_magnitude",
     "envelope_profile",
-    "exact_channel_sum",
     "exact_profile",
     "exact_spectrum",
     "segment_index",

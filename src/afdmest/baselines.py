@@ -9,9 +9,10 @@ rounding residual).
 ``two_d_search`` is a continuous comparator: a Nelder-Mead simplex over
 (delay, Doppler) maximizing the magnitude correlation between the observed
 pilot readout and the effective-channel model column, summed exactly under
-the floor wrap convention of ``effective.segment_index``. It represents
-the family of 2-D maximum-correlation searches without reproducing any
-specific published variant.
+the floor wrap convention of ``effective.segment_index`` by closed-form run
+sums at the readout bins, so no simplex step costs more than O(C*J) model
+work, whatever N is. It represents the family of 2-D maximum-correlation
+searches without reproducing any specific published variant.
 """
 
 from __future__ import annotations

@@ -108,12 +108,16 @@ def _frac_quad_cycles(coef: float, idx: np.ndarray) -> np.ndarray:
 
     Forming the raw product first would cost its ulp (~1e-11 cycles at
     N=256, where c2*m^2 reaches 9e4) and cap the transform's unitarity
-    near 1e-10. Splitting the coefficient into a 27-bit head and a small
-    tail keeps the head product exact in doubles for idx^2 up to 2^26
-    (N up to 8192), so the reduction loses nothing.
+    near 1e-10. Splitting the coefficient into a head of 26 fractional bits
+    and a small tail keeps the head product exact in doubles for idx^2 up
+    to 2^26 (N up to 8192), so the reduction loses nothing. Past that the
+    head keeps 52 - b fractional bits, b the bit length of the largest
+    idx^2, so its product stays exact (a fixed 26 would lose up to 3e-8
+    cycles at N=16384).
     """
     sq = np.asarray(idx, dtype=np.float64) ** 2
-    hi = np.float64(round(coef * (1 << 26))) / (1 << 26)
+    shift = min(26, 52 - int(sq.max()).bit_length())
+    hi = np.float64(round(coef * (1 << shift))) / (1 << shift)
     lo = coef - hi
     return np.mod(np.mod(hi * sq, 1.0) + lo * sq, 1.0)
 

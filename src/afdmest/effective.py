@@ -3,17 +3,20 @@ closed-form magnitude envelope the estimator is built on.
 
 For a single path with full delay L (integer l, fraction iota) and full
 Doppler K (integer k, fraction kappa), the demodulated pilot energy lands
-on a comb of taps spaced C apart on the output axis. ``exact_channel_sum``
+on a comb of taps spaced C apart on the output axis. ``exact_spectrum``
 evaluates the defining N-term sum with no approximation, under the floor
 wrap convention of ``segment_index``: subcarrier m wraps for the q-th time
 at the sample floor((q*N - m)/C). ``channel.oversampled_oracle`` wraps at
 the continuous instant (q*N - m)/C instead. The two agree only where C
 divides q*N - m; elsewhere their pilot readouts differ by up to 3.7e-1
 (relative, N=256, C=26). Which of the two is the model is ROADMAP item 3.
-``envelope_magnitude`` is the two-factor closed form (a Dirichlet-style
-comb factor times a broad sinc width factor) that predicts |exact sum| to
-within eps*N at the leading bins, eps = 2*(l+1)/N + (pi*C/N)^2/6 (see
-``envelope_magnitude``).
+The wrap count is constant on at most C + 2 runs of samples, so the sum
+is evaluated in closed form as that many geometric series per output bin;
+``effective_column`` reads only the bins it is asked for, in work
+independent of N. ``envelope_magnitude`` is the two-factor closed form (a
+Dirichlet-style comb factor times a broad sinc width factor) that predicts
+|exact sum| to within eps*N at the leading bins, eps = 2*(l+1)/N +
+(pi*C/N)^2/6 (see ``envelope_magnitude``).
 
 The early-late-gate helpers at the bottom turn the ratio of two comb taps
 adjacent in delay into a dB discriminator that is exactly
@@ -23,17 +26,19 @@ through a table.
 
 from __future__ import annotations
 
+import cmath
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .channel import LosChannel
-from .core import AfdmGrid
+from .core import AfdmGrid, _chirps
 
 __all__ = [
     "segment_index",
-    "exact_channel_sum",
     "exact_spectrum",
     "exact_profile",
-    "effective_gain",
     "effective_column",
     "envelope_magnitude",
     "envelope_profile",
@@ -61,68 +66,103 @@ def segment_index(grid: AfdmGrid, sub: int, u) -> np.ndarray:
     return np.clip((grid.n_seg * k + sub - 1) // grid.n, 0, grid.n_seg)
 
 
-def _wrap_phase(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
-    # e^(i*2*pi*(-l_eq*n/N + iota*q_n)) for n = 0..N-1, the inner factor of
-    # the exact sum that does not depend on the output bin.
+@lru_cache(maxsize=64)
+def _wrap_runs(grid: AfdmGrid, m_src: int, lo: int, hi: int):
+    """Runs of constant wrap count in the exact sum, as (count, start, length)
+    columns of shape (R, 1).
+
+    The count at sample n is segment_index(m_src, (n - L) mod N). Its ceil
+    is (n - hi) mod N + (hi - lo) for any delay L with floor lo and ceil hi,
+    so one pass of ``segment_index`` at a delay with that floor and ceil
+    (lo itself, or lo + 1/2) gives the runs for all of them. The count takes
+    the C + 1 values 0..C, and the delay splits one of them in two, so R is
+    at most C + 2 for any N while C*hi < N. The arrays are shared and
+    read-only.
+    """
     n = grid.n
+    rep = lo if lo == hi else lo + 0.5
+    q = segment_index(grid, m_src, (np.arange(n) - rep) % n)
+    start = np.flatnonzero(np.diff(q, prepend=-1))
+    runs = (q[start, None], start[:, None], np.diff(start, append=n)[:, None])
+    for a in runs:
+        a.flags.writeable = False
+    return runs
+
+
+@lru_cache(maxsize=8)
+def _half_turns(n: int) -> np.ndarray:
+    # exp(-i*pi*k/N) for k = 0..2N-1, the phasors of the run sums' integer
+    # phase products; shared, so read-only
+    w = np.exp(-1j * np.pi * np.arange(2 * n) / n)
+    w.flags.writeable = False
+    return w
+
+
+def _run_sums(grid: AfdmGrid, m_src: int, ch: LosChannel, offsets: np.ndarray) -> np.ndarray:
+    # The exact sum F at the output bins m_src + offsets (mod N):
+    #   F = sum_n exp(i*2*pi*(iota*q_n - (t + l_eq)*n/N)),  t = offset.
+    # On a run of `length` samples from `start` with count q the sum over n
+    # is geometric; in Dirichlet form it is
+    #   exp(i*2*pi*iota*q - i*pi*x*(2*start + length - 1)/N)
+    #     * sin(pi*x*length/N) / sin(pi*x/N),  x = t + l_eq,
+    # which is well conditioned at the bin where x is near a multiple of N,
+    # and tends to `length` where x is one. The sum is N-periodic in t, so x
+    # is split into an integer u, reduced to [-N/2, N/2), and a fraction
+    # f in [-1/2, 1/2]. The phases of u times an integer are reduced mod 2N
+    # in integers and read from a table, so none loses bits to a large
+    # argument; only the fraction's phases are exponentiated, once per run.
+    n = grid.n
+    w = _half_turns(n)
+    q, start, length = _wrap_runs(grid, m_src, math.floor(ch.delay), math.ceil(ch.delay))
+    mid = 2 * start + length - 1
     l_eq = ch.doppler + grid.n_seg * ch.delay
-    nn = np.arange(n)
-    q = segment_index(grid, m_src, (nn - ch.delay) % n)
-    return np.exp(2j * np.pi * (-l_eq * nn / n + ch.delay_frac * q))
+    li = round(l_eq)
+    f = l_eq - li
+    u = (offsets + (li + n // 2)) % n - n // 2
+    head = np.exp(2j * np.pi * (ch.delay_frac * q - f * mid / (2 * n))) * w[u * mid % (2 * n)]
+    num = (np.exp(1j * np.pi * f * length / n) * w[-u * length % (2 * n)]).imag
+    den = np.sin((u + f) * (np.pi / n))
+    if f == 0.0:
+        # integer l_eq: the bin u = 0 is the removable singularity
+        num = np.where(u == 0, length, num)
+        den = np.where(u == 0, 1.0, den)
+    return (head * (num / den)).sum(axis=0)
 
 
-def exact_channel_sum(grid: AfdmGrid, m_out: int, m_src: int, ch: LosChannel) -> complex:
-    """Exact inner sum of the effective channel entry (m_out, m_src).
+def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
+    """Exact inner sum of the effective channel entry (m, m_src), every m.
 
-    F = sum_n exp(i*2*pi*(n*(m_src - m_out - l_eq)/N + iota*q((n - L) mod N)))
+    F = sum_n exp(i*2*pi*(n*(m_src - m - l_eq)/N + iota*q((n - L) mod N)))
 
     where l_eq = K + C*L is the equivalent shift on the output axis and q is
     the wrap count of the source subcarrier at the delayed sample position,
     under the floor convention of :func:`segment_index` (not the oracle's
-    continuous one; see the module docstring).
+    continuous one; see the module docstring). The count is constant on at
+    most C + 2 runs of samples, so each bin is a sum of that many geometric
+    series in closed form: O(C*N) work, no FFT.
     |F| never exceeds N and equals N exactly for an integer channel on its
     peak bin.
     """
-    g = _wrap_phase(grid, m_src, ch)
-    nn = np.arange(grid.n)
-    return complex(np.sum(g * np.exp(2j * np.pi * nn * (m_src - m_out) / grid.n)))
-
-
-def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
-    """exact_channel_sum(m, m_src) for every output bin m at once, via one FFT."""
-    g = _wrap_phase(grid, m_src, ch)
-    spec = np.fft.fft(g)
-    m = np.arange(grid.n)
-    return spec[(m - m_src) % grid.n]
+    return _run_sums(grid, int(m_src), ch, np.arange(grid.n) - m_src)
 
 
 def exact_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
-    """|exact_channel_sum(m, m_src)| for every output bin m."""
+    """|exact_spectrum(grid, m_src, ch)| for every output bin m."""
     return np.abs(exact_spectrum(grid, m_src, ch))
-
-
-def effective_gain(grid: AfdmGrid, m_out: int, m_src: int, ch: LosChannel) -> complex:
-    """Full effective-channel entry, leading phase included.
-
-    gain/N * exp(i*2*pi*(c1*L^2 - c2*(m_out^2 - m_src^2) - L*m_src/N)) * F
-    """
-    n = grid.n
-    lead = np.exp(
-        2j
-        * np.pi
-        * (
-            grid.c1 * ch.delay**2
-            - grid.c2 * (m_out**2 - m_src**2)
-            - ch.delay * m_src / n
-        )
-    )
-    return ch.gain / n * lead * exact_channel_sum(grid, m_out, m_src, ch)
 
 
 def effective_column(
     grid: AfdmGrid, m_src: int, ch: LosChannel, bins: np.ndarray
 ) -> np.ndarray:
-    """effective_gain at several output bins, sharing one spectrum pass.
+    """Full effective-channel entries (b, m_src) at the output bins b.
+
+    gain/N * exp(i*2*pi*(c1*L^2 - c2*(b^2 - m_src^2) - L*m_src/N)) * F(b)
+
+    with F the exact sum of :func:`exact_spectrum`, evaluated at the
+    requested bins only by the same run sums: O(C*len(bins)) work,
+    whatever N is. The c2 terms are read from the transform's chirp table,
+    whose phases are reduced mod 1 to 1e-15 cycles, not formed as
+    raw products (c2*b^2 reaches 2.4e7 cycles at N=4096).
 
     This is the model response a single source symbol produces across the
     requested output bins; the 2-D search baseline correlates measured pilot
@@ -130,16 +170,11 @@ def effective_column(
     """
     n = grid.n
     bins = np.asarray(bins) % n
-    lead = np.exp(
-        2j
-        * np.pi
-        * (
-            grid.c1 * ch.delay**2
-            - grid.c2 * (bins.astype(float) ** 2 - float(m_src) ** 2)
-            - ch.delay * m_src / n
-        )
+    _, e2 = _chirps(n, grid.c1, grid.c2)
+    lead = ch.gain / n * e2[m_src] * cmath.exp(
+        2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
     )
-    return ch.gain / n * lead * exact_spectrum(grid, m_src, ch)[bins]
+    return lead * np.conj(e2[bins]) * _run_sums(grid, int(m_src), ch, bins - m_src)
 
 
 def _comb_factor(x: np.ndarray, c: int, n: int) -> np.ndarray:
@@ -159,7 +194,7 @@ def _comb_factor(x: np.ndarray, c: int, n: int) -> np.ndarray:
 
 
 def envelope_magnitude(grid: AfdmGrid, m_out, m_src: int, ch: LosChannel) -> np.ndarray:
-    """Closed-form prediction of |exact_channel_sum| at the given output bins.
+    """Closed-form prediction of |exact_spectrum| at the given output bins.
 
     Product of two factors in the bin offset u = m_src - m_out (taken modulo
     N, re-centered so the window of width N is symmetric about the comb):

@@ -1,6 +1,7 @@
 """Transform layer: grid construction, unitarity, prefix phase rule."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestTransforms:
             assert not e.flags.writeable
             with pytest.raises(ValueError):
                 e[0] = 0.0
+
+    @pytest.mark.parametrize("n", [256, 8192, 16384])
+    def test_chirp_phase_is_reduced_exactly(self, n):
+        """The chirp phases c*m^2 mod 1 agree with an exact rational
+        reduction of the coefficient's binary value at the top indices,
+        where m^2 is largest, past N=8192 too."""
+        idx = np.arange(n - 64, n)
+        for coef in (AfdmGrid(n=n).c1, AfdmGrid(n=n).c2):
+            exact = np.array([float(Fraction(coef) * int(m) ** 2 % 1) for m in idx])
+            err = (core._frac_quad_cycles(coef, idx) - exact + 0.5) % 1.0 - 0.5
+            assert np.max(np.abs(err)) < 1e-15
 
     def test_linearity(self):
         g = AfdmGrid()

@@ -1,35 +1,75 @@
 """Transform-domain effective channel: wrap-segment geometry, the exact
-entry sum with its frozen golden values, the closed-form envelope, and the
-early-late-gate curve.
+entry sum with its frozen golden values, the run sums that evaluate it,
+the closed-form envelope, and the early-late-gate curve.
 
 The exact sum is this package's internal reference for everything the
 estimator assumes about where pilot energy lands, so the goldens here were
-frozen from a separate brute-force evaluation and must never drift.
+frozen from a separate brute-force evaluation and must never drift. The
+direct N-term sums below are the references the library's run sums are
+held to.
 """
+
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.effective import (
+    _half_turns,
+    _wrap_runs,
     effective_column,
-    effective_gain,
     elg_invert,
     elg_theory,
     envelope_magnitude,
     envelope_profile,
-    exact_channel_sum,
     exact_profile,
     exact_spectrum,
     segment_index,
 )
+from afdmest.estimator import PilotLayout, readout_bins
 
 GRID = AfdmGrid()
 
 # Frozen reference channel used throughout: delay 1.3, Doppler 2.4, so
 # l = 1, iota = 0.3, k = 2, kappa = 0.4 and the equivalent shift is 12.8.
 CH = LosChannel(delay=1.3, doppler=2.4)
+
+
+def exact_channel_sum(grid, m_out, m_src, ch):
+    """The exact inner sum of entry (m_out, m_src), term by term:
+
+    F = sum_n exp(i*2*pi*(n*(m_src - m_out - l_eq)/N + iota*q((n - L) mod N)))
+
+    with l_eq = K + C*L and q the wrap count of ``segment_index`` at each
+    delayed sample. The integer phase n*(m_src - m_out) is reduced mod N
+    before it is scaled."""
+    n = grid.n
+    nn = np.arange(n)
+    q = segment_index(grid, m_src, (nn - ch.delay) % n)
+    l_eq = ch.doppler + grid.n_seg * ch.delay
+    cycles = ((nn * (m_src - m_out)) % n - l_eq * nn) / n + ch.delay_frac * q
+    return complex(np.sum(np.exp(2j * np.pi * cycles)))
+
+
+def effective_gain(grid, m_out, m_src, ch):
+    """The full effective-channel entry, term by term:
+
+    gain/N * exp(i*2*pi*(c1*L^2 - c2*(m_out^2 - m_src^2) - L*m_src/N)) * F
+
+    with the lead phase reduced mod 1 exactly, in rationals, from the
+    binary values of c1, c2 and L."""
+    c1, c2, delay = Fraction(grid.c1), Fraction(grid.c2), Fraction(ch.delay)
+    lead = (c1 * delay**2 - c2 * (m_out**2 - m_src**2) - delay * m_src / grid.n) % 1
+    return (
+        ch.gain / grid.n
+        * np.exp(2j * np.pi * float(lead))
+        * exact_channel_sum(grid, m_out, m_src, ch)
+    )
 
 
 def last_samples(grid, sub):
@@ -183,6 +223,103 @@ class TestEffectiveGain:
         model = effective_column(GRID, m_src, ch, np.arange(GRID.n))
         rel = np.linalg.norm(y - model) / np.linalg.norm(y)
         assert 0.2 < rel < 0.5
+
+
+# offsets from an integer that put a delay or Doppler on, or just beside,
+# the points where the run sums change form: an integer delay changes the
+# runs, and an integer equivalent shift K + C*L puts one bin on the
+# Dirichlet kernel's removable singularity
+_EDGES = st.sampled_from([0.0, 1e-9, -1e-9, 1e-12, 0.5])
+
+
+class TestRunSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(32, 320),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 6),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        l=st.integers(0, 3),
+        k=st.integers(-3, 3),
+        iota=st.one_of(_EDGES, st.floats(0.0, 1.0, exclude_max=True)),
+        kappa=st.one_of(_EDGES, st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    def test_column_matches_direct_sum(self, n, k_max, pad, l_max, pilot, l, k, iota, kappa):
+        """effective_column equals the direct N-term sum at every bin, to
+        1e-12 of the column's peak, over N, odd C*N, C not dividing N, the
+        pilot position, integer delays and Dopplers and their near
+        neighbours."""
+        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        try:
+            grid.validate()
+        except ValueError:
+            assume(False)
+        pilot %= n
+        ch = LosChannel(gain=np.exp(0.3j), delay=max(l + iota, 0.0), doppler=k + kappa)
+        col = effective_column(grid, pilot, ch, np.arange(n))
+        ref = np.array([effective_gain(grid, b, pilot, ch) for b in range(n)])
+        assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @pytest.mark.parametrize(
+        "pilot,delay,doppler", [(None, 1.37, 0.61), (0, 2.0, -1.0), (40, 1 - 1e-9, 2.5)]
+    )
+    def test_large_n_readout_bins(self, n, pilot, delay, doppler):
+        """On the pilot readout bins at N=4096 and 16384 the column equals
+        the direct sum with its lead phase reduced exactly, to 1e-12 of its
+        peak. The lead phase c2*(b^2 - m^2) reaches 2.4e7 cycles at N=4096:
+        formed as a raw product, it misses by 2.9e-8 there and 4.6e-7 at
+        N=16384."""
+        grid = AfdmGrid(n=n)
+        layout = PilotLayout() if pilot is None else PilotLayout(pilot_index=pilot)
+        bins = readout_bins(grid, layout)
+        ch = LosChannel(gain=np.exp(0.7j), delay=delay, doppler=doppler)
+        col = effective_column(grid, layout.pilot_index, ch, bins)
+        ref = np.array([effective_gain(grid, int(b), layout.pilot_index, ch) for b in bins])
+        assert np.max(np.abs(col - ref)) <= 1e-12 * np.max(np.abs(col))
+
+    @pytest.mark.parametrize("sub", [0, 5, 133])
+    @pytest.mark.parametrize("delays", [(1.3, 1.7), (0.2, 0.9999), (2.0,), (0.0,)])
+    def test_runs_match_per_sample_counts(self, sub, delays):
+        """Delays with one floor and one ceil share one set of runs, and the
+        runs spell out the count segment_index gives at every sample."""
+        g = AfdmGrid(doppler_pad=4)  # C = 10, does not divide 256
+        for delay in delays:
+            q, start, length = _wrap_runs(g, sub, int(np.floor(delay)), int(np.ceil(delay)))
+            assert start[0, 0] == 0 and length.sum() == g.n
+            assert np.array_equal(start[1:, 0], np.cumsum(length[:-1, 0]))
+            assert q.size <= g.n_seg + 2
+            per_sample = segment_index(g, sub, (np.arange(g.n) - delay) % g.n)
+            assert np.array_equal(np.repeat(q[:, 0], length[:, 0]), per_sample)
+
+    def test_column_cost_is_independent_of_n(self):
+        """With its tables built, a column of the 48 readout bins at N=16384
+        and a delay fraction not seen before allocates under 64 KiB at its
+        peak; one N-sample complex array would take 256 KiB."""
+        grid = AfdmGrid(n=16384)
+        bins = readout_bins(grid, PilotLayout(pilot_index=40))
+        effective_column(grid, 40, LosChannel(delay=1.25, doppler=0.3), bins)
+        tracemalloc.start()
+        try:
+            effective_column(grid, 40, LosChannel(delay=1.8125, doppler=-0.7), bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_cold_and_warm_calls_agree_bitwise(self):
+        """A column computed with empty caches and the same column computed
+        from them are the same bits, so a repeated search reproduces its
+        estimate."""
+        grid = AfdmGrid(n=4096, doppler_pad=3)
+        bins = readout_bins(grid, PilotLayout(pilot_index=40))
+        ch = LosChannel(gain=np.exp(1.1j), delay=2.4, doppler=-1.35)
+        _wrap_runs.cache_clear()
+        _half_turns.cache_clear()
+        cold = effective_column(grid, 40, ch, bins)
+        warm = effective_column(grid, 40, ch, bins)
+        assert cold.tobytes() == warm.tobytes()
 
 
 class TestEnvelope:

@@ -13,6 +13,13 @@ the floor wrap convention of ``effective.segment_index`` by closed-form run
 sums at the readout bins, so no simplex step costs more than O(C*J) model
 work, whatever N is. It represents the family of 2-D maximum-correlation
 searches without reproducing any specific published variant.
+
+It runs on numpy alone. Its simplex, ``_nelder_mead``, is the bounded,
+non-adaptive Nelder-Mead method (Nelder and Mead, Comput. J. 1965) as
+scipy 1.17's ``minimize(method="Nelder-Mead")`` implements it, step for
+step, so it returns scipy's bits without the half second and 48 MiB that
+importing scipy.optimize costs. Each search caches its model column's
+tables across simplex steps (see ``two_d_search``).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .core import AfdmGrid, daft_modulate
 from .channel import LosChannel
-from .effective import effective_column
+from .effective import _column
 from .estimator import (
     _NO_ESTIMATE,
     Estimate,
@@ -36,8 +43,70 @@ from .estimator import (
 
 __all__ = ["integer_only", "two_d_search"]
 
-# simplex diameter, in (samples, bins), below which two_d_search stops
+# two_d_search stops once its simplex spans at most _XATOL in (samples,
+# bins) and its objective at most _FATOL across the vertices
 _XATOL = 1e-3
+_FATOL = 1e-9
+
+
+def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
+    """Minimize f over the box [lo, hi] in two dimensions: (x, f(x), ok).
+
+    scipy 1.17's bounded, non-adaptive ``_minimize_neldermead`` for N=2,
+    operation for operation, so it returns the same bits: reflection 1,
+    expansion 2, contraction and shrink 1/2; a start simplex that scales
+    each coordinate of x0 by 1.05 (0.00025 for a zero), reflects vertices
+    above ``hi`` into the interior and clips; every trial point clipped;
+    the vertices stably re-sorted by f after each iteration. It stops when
+    every vertex lies within ``xatol`` of the best in each coordinate and
+    within ``fatol`` of it in f. ``ok`` is false when the iteration count
+    reached ``maxiter``, as scipy's ``success`` is.
+    """
+    (lo0, lo1), (hi0, hi1) = lo, hi
+
+    def clip(x, y):
+        # numpy's clip: max then min, a tie taking the bound
+        return min(hi0, max(lo0, x)), min(hi1, max(lo1, y))
+
+    def step(c, w, s):  # (1 + s)*c - s*w, on the ray from w through c
+        return clip((1 + s) * c[0] - s * w[0], (1 + s) * c[1] - s * w[1])
+
+    def by_f(*vertices):  # stable, as scipy's argsort of three is
+        return sorted(vertices, key=lambda v: v[0])
+
+    x, y = clip(*x0)
+    start = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
+    start = [clip(2 * hi0 - x if x > hi0 else x, 2 * hi1 - y if y > hi1 else y) for x, y in start]
+    (fb, b), (fg, g), (fw, w) = by_f(*((f(p), p) for p in start))
+    it = 1
+    while it < maxiter and not (
+        max(abs(g[0] - b[0]), abs(g[1] - b[1]), abs(w[0] - b[0]), abs(w[1] - b[1])) <= xatol
+        and max(abs(fb - fg), abs(fb - fw)) <= fatol
+    ):
+        c = ((b[0] + g[0]) / 2, (b[1] + g[1]) / 2)
+        xr = step(c, w, 1)
+        fr = f(xr)
+        if fr < fb:
+            xe = step(c, w, 2)
+            fe = f(xe)
+            fw, w = (fe, xe) if fe < fr else (fr, xr)
+        elif fr < fg:
+            fw, w = fr, xr
+        else:
+            # contract outside if xr beats the worst vertex, else inside
+            outside = fr < fw
+            xc = step(c, w, 0.5 if outside else -0.5)
+            fc = f(xc)
+            if (fc <= fr) if outside else (fc < fw):
+                fw, w = fc, xc
+            else:  # shrink toward the best vertex
+                g = clip(b[0] + 0.5 * (g[0] - b[0]), b[1] + 0.5 * (g[1] - b[1]))
+                fg = f(g)
+                w = clip(b[0] + 0.5 * (w[0] - b[0]), b[1] + 0.5 * (w[1] - b[1]))
+                fw = f(w)
+        it += 1
+        (fb, b), (fg, g), (fw, w) = by_f((fb, b), (fg, g), (fw, w))
+    return b, fb, it < maxiter
 
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
@@ -83,43 +152,43 @@ def two_d_search(
     best point so far is returned with the flag set. An all-zero pilot
     readout gives the flagged no-estimate of ``joint_estimate``, and the
     simplex does not run.
-    """
-    # scipy.optimize takes about half a second to import; only this
-    # estimator needs it
-    from scipy.optimize import minimize
 
+    Runs on numpy alone: the simplex is ``_nelder_mead``, scipy's bounded
+    Nelder-Mead step for step. The model column is one ``effective._column``
+    closure per search, which reads the bins' chirp factors once and caches
+    the run-sum integer tables (runs, offsets and their table phasors) per
+    (floor(L), ceil(L), round(K + C*L)), so a simplex step that revisits a
+    key computes only the fraction's phases.
+    """
     bins = readout_bins(grid, layout)
     obs = y[bins]
     if not np.any(obs):
         return _NO_ESTIMATE
     amp = layout.pilot_amplitude
+    col = _column(grid, layout.pilot_index, bins)
 
-    def neg_corr(theta: np.ndarray) -> float:
+    def neg_corr(theta) -> float:
         cand = LosChannel(gain=1.0, delay=float(theta[0]), doppler=float(theta[1]))
-        model = amp * effective_column(grid, layout.pilot_index, cand, bins)
+        model = amp * col(cand)
         nrm = np.linalg.norm(model)
         if nrm == 0.0:
             return 0.0
-        return -abs(np.vdot(model, obs)) / nrm
+        return float(-abs(np.vdot(model, obs)) / nrm)
 
     if init is None:
         start = integer_only(grid, y, layout)
         init = (float(start.delay_int), float(start.doppler_int))
-    x0 = np.array(
-        [
-            np.clip(init[0], 0.0, grid.l_max),
-            np.clip(init[1], -grid.k_max, grid.k_max),
-        ]
-    )
-    res = minimize(
+    x, _, ok = _nelder_mead(
         neg_corr,
-        x0,
-        method="Nelder-Mead",
-        bounds=[(0.0, grid.l_max), (-grid.k_max, grid.k_max)],
-        options={"xatol": _XATOL, "fatol": 1e-9, "maxiter": maxiter},
+        (float(init[0]), float(init[1])),
+        (0.0, float(-grid.k_max)),
+        (float(grid.l_max), float(grid.k_max)),
+        _XATOL,
+        _FATOL,
+        maxiter,
     )
-    delay = float(res.x[0])
-    doppler = float(res.x[1])
+    delay = float(x[0])
+    doppler = float(x[1])
     l_floor = int(np.floor(delay))
     k_floor = int(np.floor(doppler))
 
@@ -135,5 +204,5 @@ def two_d_search(
         doppler_frac=doppler - k_floor,
         pspr=pspr(p, int(_peak(grid, p)), grid.n_seg),
         peak_index=js % grid.n,
-        flagged=not bool(res.success),
+        flagged=not ok,
     )

@@ -13,7 +13,9 @@ divides q*N - m; elsewhere their pilot readouts differ by up to 3.7e-1
 The wrap count is constant on at most C + 2 runs of samples, so the sum
 is evaluated in closed form as that many geometric series per output bin;
 ``effective_column`` reads only the bins it is asked for, in work
-independent of N. ``envelope_magnitude`` is the two-factor closed form (a
+independent of N, and a search that evaluates many channels on the same
+bins builds one ``_column`` closure and reuses its tables.
+``envelope_magnitude`` is the two-factor closed form (a
 Dirichlet-style comb factor times a broad sinc width factor) that predicts
 |exact sum| to within eps*N at the leading bins, eps = 2*(l+1)/N +
 (pi*C/N)^2/6 (see ``envelope_magnitude``).
@@ -98,10 +100,16 @@ def _half_turns(n: int) -> np.ndarray:
     return w
 
 
-def _run_sums(grid: AfdmGrid, m_src: int, ch: LosChannel, offsets: np.ndarray) -> np.ndarray:
-    # The exact sum F at the output bins m_src + offsets (mod N):
-    #   F = sum_n exp(i*2*pi*(iota*q_n - (t + l_eq)*n/N)),  t = offset.
+def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
+    """``sums(ch)``: the exact sum F of ``exact_spectrum`` at the output bins
+    m_src + offsets (mod N), for any channel.
+
+    The integer tables a channel's sums read (u, the table phasors of u*mid
+    and -u*length, the runs and mid) depend on the channel only through
+    (floor(L), ceil(L), round(l_eq)), and are cached per key in the closure,
+    so a search that revisits a key pays only the fraction's phases."""
     # On a run of `length` samples from `start` with count q the sum over n
+    #   F = sum_n exp(i*2*pi*(iota*q_n - (t + l_eq)*n/N)),  t = offset,
     # is geometric; in Dirichlet form it is
     #   exp(i*2*pi*iota*q - i*pi*x*(2*start + length - 1)/N)
     #     * sin(pi*x*length/N) / sin(pi*x/N),  x = t + l_eq,
@@ -113,20 +121,52 @@ def _run_sums(grid: AfdmGrid, m_src: int, ch: LosChannel, offsets: np.ndarray) -
     # argument; only the fraction's phases are exponentiated, once per run.
     n = grid.n
     w = _half_turns(n)
-    q, start, length = _wrap_runs(grid, m_src, math.floor(ch.delay), math.ceil(ch.delay))
-    mid = 2 * start + length - 1
-    l_eq = ch.doppler + grid.n_seg * ch.delay
-    li = round(l_eq)
-    f = l_eq - li
-    u = (offsets + (li + n // 2)) % n - n // 2
-    head = np.exp(2j * np.pi * (ch.delay_frac * q - f * mid / (2 * n))) * w[u * mid % (2 * n)]
-    num = (np.exp(1j * np.pi * f * length / n) * w[-u * length % (2 * n)]).imag
-    den = np.sin((u + f) * (np.pi / n))
-    if f == 0.0:
-        # integer l_eq: the bin u = 0 is the removable singularity
-        num = np.where(u == 0, length, num)
-        den = np.where(u == 0, 1.0, den)
-    return (head * (num / den)).sum(axis=0)
+    tables = {}
+
+    def sums(ch: LosChannel) -> np.ndarray:
+        lo, hi = math.floor(ch.delay), math.ceil(ch.delay)
+        l_eq = ch.doppler + grid.n_seg * ch.delay
+        li = round(l_eq)
+        t = tables.get((lo, hi, li))
+        if t is None:
+            q, start, length = _wrap_runs(grid, m_src, lo, hi)
+            mid = 2 * start + length - 1
+            u = (offsets + (li + n // 2)) % n - n // 2
+            t = tables[lo, hi, li] = (
+                q, mid, length, u, w[u * mid % (2 * n)], w[-u * length % (2 * n)]
+            )
+        q, mid, length, u, w_mid, w_length = t
+        f = l_eq - li
+        head = np.exp(2j * np.pi * (ch.delay_frac * q - f * mid / (2 * n))) * w_mid
+        num = (np.exp(1j * np.pi * f * length / n) * w_length).imag
+        den = np.sin((u + f) * (np.pi / n))
+        if f == 0.0:
+            # integer l_eq: the bin u = 0 is the removable singularity
+            num = np.where(u == 0, length, num)
+            den = np.where(u == 0, 1.0, den)
+        return (head * (num / den)).sum(axis=0)
+
+    return sums
+
+
+def _column(grid: AfdmGrid, m_src: int, bins: np.ndarray):
+    """``col(ch)``: ``effective_column(grid, m_src, ch, bins)`` for any
+    channel, with the bins' chirp factors read once and the run-sum tables
+    cached across calls (see ``_run_sums``)."""
+    n = grid.n
+    bins = np.asarray(bins) % n
+    _, e2 = _chirps(n, grid.c1, grid.c2)
+    e2_src = e2[m_src]
+    e2_bins = np.conj(e2[bins])
+    sums = _run_sums(grid, int(m_src), bins - m_src)
+
+    def col(ch: LosChannel) -> np.ndarray:
+        lead = ch.gain / n * e2_src * cmath.exp(
+            2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
+        )
+        return lead * e2_bins * sums(ch)
+
+    return col
 
 
 def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
@@ -143,7 +183,7 @@ def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
     |F| never exceeds N and equals N exactly for an integer channel on its
     peak bin.
     """
-    return _run_sums(grid, int(m_src), ch, np.arange(grid.n) - m_src)
+    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch)
 
 
 def exact_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
@@ -168,13 +208,7 @@ def effective_column(
     requested output bins; the 2-D search baseline correlates measured pilot
     readouts against it.
     """
-    n = grid.n
-    bins = np.asarray(bins) % n
-    _, e2 = _chirps(n, grid.c1, grid.c2)
-    lead = ch.gain / n * e2[m_src] * cmath.exp(
-        2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
-    )
-    return lead * np.conj(e2[bins]) * _run_sums(grid, int(m_src), ch, bins - m_src)
+    return _column(grid, m_src, bins)(ch)
 
 
 def _comb_factor(x: np.ndarray, c: int, n: int) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 integer_only is deliberately crude; its tests pin the rounding floor, not
 accuracy. two_d_search is accurate when started in the right basin, and
-its tests also pin the failure mode when it is not.
+its tests also pin the failure mode when it is not. Its simplex is held
+bit for bit to scipy's bounded Nelder-Mead, and its estimates to values
+recorded when it still called scipy.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +17,88 @@ import numpy as np
 import pytest
 
 import afdmest
-from afdmest.baselines import integer_only, two_d_search
+from afdmest.baselines import _nelder_mead, integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.estimator import PilotLayout, build_pilot_frame, joint_estimate
 
 GRID = AfdmGrid()
 LAYOUT = PilotLayout()
+
+
+def rosen(p):
+    return 100.0 * (p[1] - p[0] ** 2) ** 2 + (1.0 - p[0]) ** 2
+
+
+def bumpy(p):
+    return math.sin(7.0 * p[0]) * math.cos(5.0 * p[1]) + 0.1 * (p[0] ** 2 + p[1] ** 2)
+
+
+def sawtooth(p):
+    return (7.3 * p[0] + 3.1 * p[1]) % 1.0 + 0.01 * (p[0] ** 2 + p[1] ** 2)
+
+
+def terraced(p):
+    return float(math.floor(3.0 * p[0]) + math.floor(3.0 * p[1]))
+
+
+def far(p):
+    return (p[0] - 5.0) ** 2 + (p[1] + 5.0) ** 2
+
+
+def bowl(p):
+    return p[0] ** 2 + p[1] ** 2
+
+
+# (objective, x0, lo, hi, xatol, fatol, maxiter). Between them they take
+# every branch of the simplex: expansion kept and refused, reflection,
+# outside and inside contraction, shrink after either contraction fails
+# (sawtooth, terraced), equal f on distinct vertices, at the choice of
+# contraction and at either acceptance (terraced), trial points clipped to
+# the box (far), a zero start coordinate, a start on the upper bound, a
+# start on a -0.0 bound (bowl: the clip keeps the bound on a tie), and the
+# iteration cap.
+SIMPLEX_CASES = [
+    (rosen, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0), 1e-8, 1e-8, 400),
+    (rosen, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0), 1e-8, 1e-8, 1),
+    (rosen, (-1.2, 1.0), (-2.0, -2.0), (2.0, 2.0), 1e-8, 1e-8, 7),
+    (bumpy, (0.0, 0.5), (-1.0, -1.0), (1.0, 1.0), 1e-3, 1e-9, 200),
+    (bumpy, (2.0, -1.0), (0.0, -3.0), (2.0, 3.0), 1e-3, 1e-9, 200),
+    (sawtooth, (-0.4, 0.6), (-1.0, -1.0), (1.0, 1.0), 1e-3, 1e-9, 200),
+    (terraced, (0.3, 0.7), (-1.0, -1.0), (1.0, 1.0), 1e-3, 1e-9, 200),
+    (far, (0.0, 0.0), (-1.0, -1.0), (1.0, 1.0), 1e-6, 1e-9, 200),
+    (far, (1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), 1e-6, 1e-9, 200),
+    (bowl, (0.0, 0.0), (-0.0, -0.0), (1.0, 1.0), 1e-6, 1e-9, 200),
+]
+
+
+@pytest.mark.parametrize("case", SIMPLEX_CASES, ids=lambda c: f"{c[0].__name__}-{c[1]}-{c[6]}")
+def test_simplex_matches_scipy_bit_for_bit(case):
+    """_nelder_mead evaluates the objective at scipy's points, in scipy's
+    order, and returns scipy's x, f and success flag, to the bit."""
+    optimize = pytest.importorskip("scipy.optimize")
+    f, x0, lo, hi, xatol, fatol, maxiter = case
+    seen = {"scipy": [], "ours": []}
+
+    def logged(trail):
+        def g(p):
+            trail.append(np.array(p, dtype=float).tobytes())
+            return f(p)
+
+        return g
+
+    res = optimize.minimize(
+        logged(seen["scipy"]),
+        np.array(x0),
+        method="Nelder-Mead",
+        bounds=list(zip(lo, hi)),
+        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+    )
+    x, fun, ok = _nelder_mead(logged(seen["ours"]), x0, lo, hi, xatol, fatol, maxiter)
+    assert seen["ours"] == seen["scipy"]
+    assert np.array(x).tobytes() == res.x.tobytes()
+    assert fun == res.fun
+    assert ok == res.success
 
 
 def received_frame(ch):
@@ -105,6 +183,47 @@ class TestTwoDSearch:
         assert 0.0 <= est.doppler_frac < 1.0
 
 
+def searched_frames():
+    """8 seeded loaded frames through the FIR channel at 0/10/20/30 dB, four
+    at N=256 and four at N=4096, as two_d_search receives them."""
+    rng = np.random.default_rng(23)
+    for i in range(8):
+        grid = AfdmGrid(n=(256, 4096)[i // 4])
+        snr_db = (0.0, 10.0, 20.0, 30.0)[i % 4]
+        n_data = LAYOUT.data_slots(grid).size
+        ch = LosChannel(
+            gain=np.exp(2j * np.pi * rng.uniform()),
+            delay=rng.uniform(0, grid.l_max),
+            doppler=rng.uniform(-grid.k_max, grid.k_max),
+            noise_var=(LAYOUT.pilot_amplitude**2 + n_data) / grid.n / 10.0 ** (snr_db / 10.0),
+        )
+        s = add_prefix(grid, daft_modulate(grid, build_pilot_frame(grid, LAYOUT, rng)))
+        r = strip_prefix(grid, apply_los_channel(grid, s, ch, rng=rng))
+        yield grid, daft_demodulate(grid, r)
+
+
+# (delay_int, delay_frac, doppler_int, doppler_frac, pspr, peak_index,
+# flagged) per searched frame, recorded with scipy.optimize.minimize as
+# the simplex
+SEARCHED = [
+    (2, 0.18598942099401938, -3, 0.7375271039364515, 44.35370539610398, 13, False),
+    (2, 0.7601312428200666, 1, 0.9131827789225377, 69.91748176149447, 25, False),
+    (1, 0.1498095503026904, -1, 0.6054074864888459, 462.0039091136109, 7, False),
+    (1, 0.8776500286074578, 2, 0.05674260982882373, 1418.3697077067593, 18, False),
+    (2, 0.37811569156585234, -1, 0.3189507965767995, 7.199430106990556, 15, False),
+    (2, 0.8250766192958476, -1, 0.6806965333427782, 84.4577145245221, 23, False),
+    (0, 0.988991931548453, 0, 0.6056094882835414, 815.8909029931992, 8, False),
+    (1, 0.5644091592382603, -1, 0.2577323683284365, 118.90654874748243, 15, False),
+]
+
+
+def test_two_d_search_estimates_pinned_bitwise():
+    for (grid, y), expect in zip(searched_frames(), SEARCHED, strict=True):
+        est = two_d_search(grid, y, LAYOUT)
+        got = (est.delay_int, est.delay_frac, est.doppler_int, est.doppler_frac)
+        assert got + (est.pspr, est.peak_index, est.flagged) == expect
+
+
 @pytest.mark.parametrize("pad", [1, 2, 4])
 def test_all_zero_frame_gives_the_flagged_no_estimate(pad):
     """Nothing received: both baselines return what joint_estimate does, a
@@ -119,17 +238,18 @@ def test_all_zero_frame_gives_the_flagged_no_estimate(pad):
     assert two_d_search(grid, y, LAYOUT) == expect
 
 
-def test_package_import_leaves_scipy_optimize_unloaded():
-    """Only two_d_search needs scipy.optimize; importing the package, as
-    every sweep worker does, must not pay for it. The joint estimator and
-    integer_only run on numpy alone, so they load no scipy module at all."""
+def test_package_and_every_estimator_load_no_scipy():
+    """Importing the package, as every sweep worker does, and running all
+    three estimators, two_d_search included, load no scipy module: the
+    library runs on numpy alone."""
     code = (
         "import sys, afdmest\n"
-        "print('scipy.optimize' in sys.modules)\n"
         "g, lay = afdmest.AfdmGrid(), afdmest.PilotLayout()\n"
         "r = afdmest.daft_modulate(g, afdmest.build_pilot_frame(g, lay))\n"
+        "y = afdmest.daft_demodulate(g, r)\n"
         "afdmest.joint_estimate(g, r, lay)\n"
-        "afdmest.integer_only(g, afdmest.daft_demodulate(g, r), lay)\n"
+        "afdmest.integer_only(g, y, lay)\n"
+        "afdmest.two_d_search(g, y, lay)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(afdmest.__file__).resolve().parent.parent)
@@ -141,4 +261,4 @@ def test_package_import_leaves_scipy_optimize_unloaded():
         timeout=60,
         check=True,
     )
-    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+    assert proc.stdout == "[]\n"

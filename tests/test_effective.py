@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.effective import (
+    _column,
     _half_turns,
     _wrap_runs,
     effective_column,
@@ -307,6 +308,24 @@ class TestRunSums:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_search_closure_matches_fresh_columns_bitwise(self):
+        """One _column closure, walked as a search walks it, gives at every
+        point the bits a fresh effective_column gives. The path crosses the
+        integer delay 1 (and stops on it), moves round(K + C*L) through
+        several values, and comes back over keys whose tables are cached."""
+        grid = AfdmGrid(n=4096)
+        bins = readout_bins(grid, PilotLayout(pilot_index=40))
+        col = _column(grid, 40, bins)
+        out = [(0.8, 0.3), (0.95, -2.2), (1.0, 0.1), (1.05, 2.4), (1.3, -1.7), (1.3, -1.65)]
+        path = out + [(d + 1e-3, k - 2e-3) for d, k in reversed(out)]
+        keys = []
+        for d, k in path:
+            ch = LosChannel(gain=np.exp(0.4j), delay=d, doppler=k)
+            keys.append((np.floor(d), np.ceil(d), round(k + grid.n_seg * d)))
+            assert col(ch).tobytes() == effective_column(grid, 40, ch, bins).tobytes()
+        assert len({key[:2] for key in keys}) == 3 and len({key[2] for key in keys}) >= 4
+        assert len(set(keys)) < len(keys)
 
     def test_cold_and_warm_calls_agree_bitwise(self):
         """A column computed with empty caches and the same column computed

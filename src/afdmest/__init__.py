@@ -39,7 +39,6 @@ from .estimator import (
     Estimate,
     PilotLayout,
     build_pilot_frame,
-    compensate,
     estimate_delay_frac,
     estimate_doppler_frac,
     integer_estimate,
@@ -85,7 +84,6 @@ __all__ = [
     "Estimate",
     "PilotLayout",
     "build_pilot_frame",
-    "compensate",
     "estimate_delay_frac",
     "estimate_doppler_frac",
     "integer_estimate",

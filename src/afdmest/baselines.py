@@ -33,6 +33,7 @@ from .estimator import (
     _NO_ESTIMATE,
     Estimate,
     PilotLayout,
+    _check_frame,
     _peak,
     _readout,
     integer_estimate,
@@ -44,9 +45,11 @@ from .estimator import (
 __all__ = ["integer_only", "two_d_search"]
 
 # two_d_search stops once its simplex spans at most _XATOL in (samples,
-# bins) and its objective at most _FATOL across the vertices
+# bins) and its objective at most _FATOL across the vertices, or flags its
+# estimate after _MAXITER iterations
 _XATOL = 1e-3
 _FATOL = 1e-9
+_MAXITER = 200
 
 
 def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
@@ -116,8 +119,10 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     parts the decode lands on the nearest comb tap, so the delay error is
     the rounding residual; there is no mechanism to do better, which is the
     error floor this baseline exists to exhibit. An all-zero pilot readout
-    gives the flagged no-estimate of ``joint_estimate``.
+    gives the flagged no-estimate of ``joint_estimate``. Raises ValueError
+    as ``joint_estimate`` does.
     """
+    y = _check_frame(grid, y, layout)
     p = read_profile(grid, y, layout)
     if not np.any(p):
         return _NO_ESTIMATE
@@ -133,13 +138,7 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     )
 
 
-def two_d_search(
-    grid: AfdmGrid,
-    y: np.ndarray,
-    layout: PilotLayout,
-    init: tuple[float, float] | None = None,
-    maxiter: int = 200,
-) -> Estimate:
+def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
     """Continuous (delay, Doppler) search by downhill simplex.
 
     Maximizes |<readout, model column>| / ||model column|| over
@@ -147,11 +146,11 @@ def two_d_search(
     effective-channel response of the pilot at the readout bins, under the
     floor wrap convention of ``effective.segment_index`` (which departs from
     the oracle's; see ``effective``).
-    Starts from the integer decode unless ``init`` is given. If the simplex
-    hits the iteration cap before its diameter drops below 1e-3 the
-    best point so far is returned with the flag set. An all-zero pilot
-    readout gives the flagged no-estimate of ``joint_estimate``, and the
-    simplex does not run.
+    Starts from the integer decode. If the simplex hits the iteration cap
+    (``_MAXITER``) before its diameter drops below 1e-3 the best point so
+    far is returned with the flag set. An all-zero pilot readout gives the
+    flagged no-estimate of ``joint_estimate``, and the simplex does not
+    run. Raises ValueError as ``joint_estimate`` does.
 
     Runs on numpy alone: the simplex is ``_nelder_mead``, scipy's bounded
     Nelder-Mead step for step. The model column is one ``effective._column``
@@ -160,6 +159,7 @@ def two_d_search(
     (floor(L), ceil(L), round(K + C*L)), so a simplex step that revisits a
     key computes only the fraction's phases.
     """
+    y = _check_frame(grid, y, layout)
     bins = readout_bins(grid, layout)
     obs = y[bins]
     if not np.any(obs):
@@ -175,17 +175,15 @@ def two_d_search(
             return 0.0
         return float(-abs(np.vdot(model, obs)) / nrm)
 
-    if init is None:
-        start = integer_only(grid, y, layout)
-        init = (float(start.delay_int), float(start.doppler_int))
+    start = integer_only(grid, y, layout)
     x, _, ok = _nelder_mead(
         neg_corr,
-        (float(init[0]), float(init[1])),
+        (float(start.delay_int), float(start.doppler_int)),
         (0.0, float(-grid.k_max)),
         (float(grid.l_max), float(grid.k_max)),
         _XATOL,
         _FATOL,
-        maxiter,
+        _MAXITER,
     )
     delay = float(x[0])
     doppler = float(x[1])

@@ -12,14 +12,14 @@ Three subcommands:
 Every experiment knob can come from a flat key=value config file
 (``--config``) and be overridden by a command line flag. Keys match the
 ExperimentConfig field names; list-valued fields take comma-separated
-values, e.g. ``snr_db_list=0,10,20``.
+values, e.g. ``snr_db_list=0,10,20``. A subcommand takes only the flags of
+the fields it reads; it reads those keys of a shared config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -27,14 +27,25 @@ from .channel import LosChannel, apply_los_channel
 from .core import add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from .effective import envelope_profile, exact_profile
 from .estimator import PilotLayout, build_pilot_frame, profile_bins, read_profile
-from .harness import ExperimentConfig, csv_lines, emit, run_sweep, validate_mode
+from .harness import ESTIMATORS, ExperimentConfig, csv_lines, emit, run_sweep, validate_mode
 
-_LIST_FIELDS = {
-    "c_list": int,
-    "snr_db_list": float,
-    "ep_ei_db_list": float,
-    "estimators": str,
+# ExperimentConfig field -> (flag, help); list fields take comma lists
+_FLAGS = {
+    "n": ("--n", "frame length"),
+    "k_max": ("--k-max", "max |integer Doppler|"),
+    "l_max": ("--l-max", "max integer delay"),
+    "n_prefix": ("--n-prefix", "prefix length"),
+    "c_list": ("--c", "comma list of wrap counts C"),
+    "snr_db_list": ("--snr-db", "comma list of SNR points (dB)"),
+    "ep_ei_db_list": ("--ep-ei-db", "comma list of pilot-to-data ratios (dB)"),
+    "trials_per_point": ("--trials", "trials per cell"),
+    "estimates_per_trial": ("--frames", "frames averaged per trial"),
+    "estimators": ("--estimators", "comma list: " + ",".join(ESTIMATORS)),
+    "master_seed": ("--seed", "master seed"),
+    "workers": ("--workers", "worker processes"),
 }
+# the fields validate reads; profile-dump also reads the pilot ratio
+_VALIDATE_FIELDS = ("n", "k_max", "l_max", "n_prefix", "c_list", "master_seed")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -53,69 +64,38 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, raw: str):
-    if key in _LIST_FIELDS:
-        conv = _LIST_FIELDS[key]
-        return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-    for f in fields(ExperimentConfig):
-        if f.name == key:
-            return type(getattr(ExperimentConfig(), key))(raw)
-    raise ValueError(f"unknown config key {key!r}")
+    """A field's value from text, of its default's type; a list field takes
+    comma-separated elements of its default's element type."""
+    if key not in _FLAGS:
+        raise ValueError(f"unknown config key {key!r}")
+    default = getattr(ExperimentConfig(), key)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return type(default)(raw)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, keys: tuple) -> None:
+    p.add_argument("--config", help="flat key=value config file")
+    for key in keys:
+        flag, text = _FLAGS[key]
+        # on a ValueError from type, argparse names the flag and exits 2
+        p.add_argument(flag, dest=key, help=text, type=lambda raw, key=key: _coerce(key, raw))
+    p.set_defaults(config_keys=keys)
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The subcommand's fields from the config file, overridden by the flags
+    the user set; the file's other keys are checked but not read."""
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _parse_config_file(args.config).items():
             values[key] = _coerce(key, raw)
-    # CLI flags override the file; only flags the user actually set (non-None)
-    for key in (f.name for f in fields(ExperimentConfig)):
-        cli = getattr(args, key, None)
-        if cli is not None:
-            values[key] = tuple(cli) if key in _LIST_FIELDS else cli
-    cfg = ExperimentConfig(**values)
+    for key in args.config_keys:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k in args.config_keys})
     cfg.validate()
     return cfg
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--n", type=int, dest="n", help="frame length")
-    p.add_argument("--k-max", type=int, dest="k_max", help="max |integer Doppler|")
-    p.add_argument("--l-max", type=int, dest="l_max", help="max integer delay")
-    p.add_argument("--n-prefix", type=int, dest="n_prefix", help="prefix length")
-    p.add_argument(
-        "--c",
-        dest="c_list",
-        type=lambda s: [int(t) for t in s.split(",")],
-        help="comma list of wrap counts C",
-    )
-    p.add_argument(
-        "--snr-db",
-        dest="snr_db_list",
-        type=lambda s: [float(t) for t in s.split(",")],
-        help="comma list of SNR points (dB)",
-    )
-    p.add_argument(
-        "--ep-ei-db",
-        dest="ep_ei_db_list",
-        type=lambda s: [float(t) for t in s.split(",")],
-        help="comma list of pilot-to-data ratios (dB)",
-    )
-    p.add_argument("--trials", type=int, dest="trials_per_point")
-    p.add_argument(
-        "--frames",
-        type=int,
-        dest="estimates_per_trial",
-        help="frames averaged per trial",
-    )
-    p.add_argument(
-        "--estimators",
-        dest="estimators",
-        type=lambda s: [t.strip() for t in s.split(",")],
-        help="comma list: joint,integer_only,two_d_search",
-    )
-    p.add_argument("--seed", type=int, dest="master_seed")
-    p.add_argument("--workers", type=int, dest="workers")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -144,6 +124,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_profile_dump(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    if len(cfg.c_list) > 1 or len(cfg.ep_ei_db_list) > 1:
+        raise ValueError("profile-dump takes one C and one pilot ratio (--c, --ep-ei-db)")
     grid = cfg.grid_for(cfg.c_list[0])
     layout = PilotLayout(pilot_index=0, ep_ei_db=cfg.ep_ei_db_list[0])
     ch = LosChannel(
@@ -182,23 +164,25 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo RMSE sweep")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, tuple(_FLAGS))
     p_sweep.add_argument("--out-csv", help="CSV output path (default: stdout)")
     p_sweep.add_argument("--out-json", help="JSON output path")
     p_sweep.add_argument("--quiet", action="store_true", help="no progress lines")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="model self-checks")
-    _add_config_flags(p_val)
+    _add_config_flags(p_val, _VALIDATE_FIELDS)
     p_val.add_argument(
-        "--draws", type=int, default=25, help="random draws per check and grid (>= 1)"
+        "--draws", type=int, default=25,
+        help="random draws (>= 1): per grid in round-trip and envelope-fidelity, "
+        "once in gate-curve, none in integer-decode",
     )
     p_val.set_defaults(func=_cmd_validate)
 
     p_dump = sub.add_parser(
         "profile-dump", help="pilot readout vs exact model vs envelope"
     )
-    _add_config_flags(p_dump)
+    _add_config_flags(p_dump, _VALIDATE_FIELDS + ("ep_ei_db_list",))
     p_dump.add_argument("--delay", type=float, default=1.5, help="channel delay (samples)")
     p_dump.add_argument(
         "--doppler", type=float, default=2.25, help="channel Doppler (subcarriers)"

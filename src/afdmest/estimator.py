@@ -27,13 +27,13 @@ Estimation runs in three stages on a received frame:
    curve gives the fraction, and picks the bracket's lower integer as the
    delay floor.
 
-Every stage, and both baselines, read the pilot region through one readout
-and pick its peak through one helper, so all stages see the same bin.
+Every estimator checks its frame through one helper and picks the readout
+peak through another, so all see the same bin. integer_only reads the
+demodulated frame's pilot bins; every other readout is the pruned DFT.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +50,6 @@ __all__ = [
     "readout_bins",
     "read_profile",
     "pspr",
-    "compensate",
     "integer_estimate",
     "estimate_doppler_frac",
     "estimate_delay_frac",
@@ -158,20 +157,17 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     return float(sq[half] / denom)
 
 
-def compensate(r: np.ndarray, kappa: float) -> np.ndarray:
-    """Undo a fractional Doppler kappa on a received frame body.
-
-    The phasor exp(2 pi i kappa n / N) is the outer product of two tables of
-    about sqrt(N) entries, split as n = hi*B + lo, so it costs about
-    2*sqrt(N) exponentials instead of N. The estimator's pilot readout
-    applies the same phasor without calling this: it factors it over the
-    (P, M) split of its pruned DFT and folds it into the transform.
-    """
-    n = r.shape[0]
-    b = math.isqrt(n) + 1
-    hi = np.exp(2j * np.pi * kappa * np.arange(0, n, b) / n)
-    lo = np.exp(2j * np.pi * kappa * np.arange(b) / n)
-    return r * np.multiply.outer(hi, lo).ravel()[:n]
+def _check_frame(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
+    """The input check of every estimator, before any table is built: raises
+    ValueError for a pilot index outside [0, N), a frame that is not of
+    shape (N,) or one with non-finite samples. Returns r as an array."""
+    layout.validate(grid)
+    r = np.asarray(r)
+    if r.shape != (grid.n,):
+        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("received frame has non-finite samples")
+    return r
 
 
 @lru_cache(maxsize=8)
@@ -212,8 +208,8 @@ def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
     """Pilot readout of the frame body r, as read(kappa): the magnitudes over
     profile_bins with a fractional Doppler kappa compensated.
 
-    The dechirp is applied once per frame; each read folds the phasor of
-    :func:`compensate`, factored over the (P, M) split of
+    The dechirp is applied once per frame; each read folds the compensation
+    phasor exp(2 pi i kappa n / N), factored over the (P, M) split of
     :func:`_pruned_dft`, into P-point FFTs of the M rows, so it costs
     O(N log P + N) with O(N) tables.
     """
@@ -435,13 +431,9 @@ def estimate_doppler_frac(
     pspr_at_opt, profile_at_opt), the last being the pilot readout
     magnitudes over profile_bins with kappa_hat compensated. The PSPR
     objective is evaluated on the pilot readout region only. Raises
-    ValueError for a frame of the wrong shape or with non-finite samples.
+    ValueError as :func:`_check_frame` does.
     """
-    r = np.asarray(r)
-    if r.shape != (grid.n,):
-        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("received frame has non-finite samples")
+    r = _check_frame(grid, r, layout)
 
     def score(p: np.ndarray) -> float:
         return pspr(p, int(_peak(grid, p)), grid.n_seg)
@@ -491,8 +483,8 @@ def joint_estimate(
 ) -> Estimate:
     """Full three-stage estimate from a received frame body (prefix stripped).
 
-    Raises ValueError for a frame of the wrong shape or with non-finite
-    samples. A frame whose pilot readout is all zero (nothing received)
+    Raises ValueError as :func:`_check_frame` does (its first stage checks
+    the frame). A frame whose pilot readout is all zero (nothing received)
     carries no estimate: it comes back flagged, with zero in every field.
     """
     kappa, score, p = estimate_doppler_frac(grid, r, layout)

@@ -1,10 +1,10 @@
 """Reference estimators: the integer-only decode and the 2-D simplex search.
 
 integer_only is deliberately crude; its tests pin the rounding floor, not
-accuracy. two_d_search is accurate when started in the right basin, and
-its tests also pin the failure mode when it is not. Its simplex is held
-bit for bit to scipy's bounded Nelder-Mead, and its estimates to values
-recorded when it still called scipy.
+accuracy. two_d_search is accurate when started in the right basin. Its
+simplex is held bit for bit to scipy's bounded Nelder-Mead, and its
+estimates to values recorded when it still called scipy. Both take the
+joint estimator's input check.
 """
 
 import math
@@ -17,10 +17,17 @@ import numpy as np
 import pytest
 
 import afdmest
+from afdmest import baselines
 from afdmest.baselines import _nelder_mead, integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
-from afdmest.estimator import PilotLayout, build_pilot_frame, joint_estimate
+from afdmest.estimator import (
+    PilotLayout,
+    _coarse_czt,
+    _pruned_dft,
+    build_pilot_frame,
+    joint_estimate,
+)
 
 GRID = AfdmGrid()
 LAYOUT = PilotLayout()
@@ -149,22 +156,11 @@ class TestTwoDSearch:
         assert abs(est.doppler - k) < 1e-2
         assert not est.flagged
 
-    def test_initial_point_rescues_bad_basin(self):
-        """kappa = 0.9 splits the uncompensated peak, so the integer decode
-        seeds the simplex in the wrong basin and it strands near a bound.
-        Seeding at the truth lands it."""
-        ch = LosChannel(delay=0.3, doppler=2.9)
-        y = daft_demodulate(GRID, received_frame(ch))
-        blind = two_d_search(GRID, y, LAYOUT)
-        seeded = two_d_search(GRID, y, LAYOUT, init=(0.3, 2.9))
-        assert abs(seeded.delay - 0.3) < 1e-3
-        assert abs(seeded.doppler - 2.9) < 1e-3
-        assert abs(blind.doppler - 2.9) > abs(seeded.doppler - 2.9)
-
-    def test_iteration_cap_flags(self):
+    def test_iteration_cap_flags(self, monkeypatch):
         ch = LosChannel(delay=1.25, doppler=0.4)
         y = daft_demodulate(GRID, received_frame(ch))
-        est = two_d_search(GRID, y, LAYOUT, maxiter=1)
+        monkeypatch.setattr(baselines, "_MAXITER", 1)
+        est = two_d_search(GRID, y, LAYOUT)
         assert est.flagged
 
     def test_noise_input_stays_in_bounds(self):
@@ -236,6 +232,26 @@ def test_all_zero_frame_gives_the_flagged_no_estimate(pad):
     assert expect.flagged
     assert integer_only(grid, y, LAYOUT) == expect
     assert two_d_search(grid, y, LAYOUT) == expect
+
+
+BAD_INPUTS = {
+    "nan-sample": (np.r_[np.nan, np.ones(GRID.n - 1)], LAYOUT, "non-finite"),
+    "length-n-plus-5": (np.ones(GRID.n + 5, dtype=complex), LAYOUT, r"shape \(256,\)"),
+    "pilot-300": (np.ones(GRID.n, dtype=complex), PilotLayout(pilot_index=300), "pilot_index 300"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])
+def test_every_estimator_checks_its_input(estimate, case):
+    """A NaN sample, a frame of length N + 5 and a pilot index outside the
+    frame raise joint_estimate's ValueError from all three estimators,
+    before any readout table is built."""
+    frame, layout, match = BAD_INPUTS[case]
+    built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
+    with pytest.raises(ValueError, match=match):
+        estimate(GRID, frame, layout)
+    assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
 
 
 def test_package_and_every_estimator_load_no_scipy():

@@ -6,13 +6,14 @@ seconds.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from afdmest import harness
-from afdmest.cli import _coerce, _parse_config_file, main
-from afdmest.harness import CSV_HEADER, SCHEMA_VERSION
+from afdmest import cli, harness
+from afdmest.cli import _FLAGS, _coerce, _parse_config_file, main
+from afdmest.harness import CSV_HEADER, SCHEMA_VERSION, ExperimentConfig, RmseReport
 
 
 class TestConfigFile:
@@ -160,6 +161,78 @@ class TestSweepCommand:
             main(SWEEP_FAST + ["--config", str(cfg_p)])
 
 
+# per field: a flag value and the value it parses to
+SAMPLES = {
+    "n": ("512", 512),
+    "k_max": ("2", 2),
+    "l_max": ("2", 2),
+    "n_prefix": ("40", 40),
+    "c_list": ("8,12", (8, 12)),
+    "snr_db_list": ("1.5,7", (1.5, 7.0)),
+    "ep_ei_db_list": ("12,14", (12.0, 14.0)),
+    "trials_per_point": ("3", 3),
+    "estimates_per_trial": ("2", 2),
+    "estimators": ("two_d_search,joint", ("two_d_search", "joint")),
+    "master_seed": ("7", 7),
+    "workers": ("2", 2),
+}
+READS = {
+    "sweep": set(_FLAGS),
+    "validate": {"n", "k_max", "l_max", "n_prefix", "c_list", "master_seed"},
+    "profile-dump": {"n", "k_max", "l_max", "n_prefix", "c_list", "master_seed", "ep_ei_db_list"},
+}
+
+
+class TestFlagTable:
+    def test_covers_every_config_field(self):
+        assert set(_FLAGS) == {f.name for f in fields(ExperimentConfig)} == set(SAMPLES)
+
+    @pytest.mark.parametrize("key", _FLAGS)
+    def test_flag_and_config_key_parse_alike(self, key, tmp_path, monkeypatch):
+        """sweep parses a field's flag and its config-file key to the same
+        value, with the same element types."""
+        seen = []
+        monkeypatch.setattr(
+            cli, "run_sweep", lambda cfg, progress: seen.append(cfg) or RmseReport(cfg, [])
+        )
+        raw, parsed = SAMPLES[key]
+        cfg_p = tmp_path / "exp.cfg"
+        cfg_p.write_text(f"{key} = {raw}\n")
+        assert main(["sweep", "--quiet", _FLAGS[key][0], raw]) == 0
+        assert main(["sweep", "--quiet", "--config", str(cfg_p)]) == 0
+        by_flag, by_file = (getattr(cfg, key) for cfg in seen)
+        assert repr(by_flag) == repr(by_file) == repr(parsed)
+
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for c in READS for k in _FLAGS if k not in READS[c]]
+    )
+    def test_rejects_flags_it_does_not_read(self, command, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, _FLAGS[key][0], SAMPLES[key][0]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {_FLAGS[key][0]}" in capsys.readouterr().err
+
+    def test_bad_value_exits_two_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--c", "8,x"])
+        assert exc.value.code == 2
+        assert "argument --c" in capsys.readouterr().err
+
+    def test_config_file_keeps_keys_the_command_does_not_read(self, tmp_path, monkeypatch):
+        """A config file shared by the subcommands may set every field; each
+        reads its own, and a key that is no field is still an error."""
+        seen = []
+        monkeypatch.setattr(cli, "validate_mode", lambda cfg, draws: seen.append(cfg) or (True, []))
+        cfg_p = tmp_path / "exp.cfg"
+        cfg_p.write_text("".join(f"{k} = {raw}\n" for k, (raw, _) in SAMPLES.items()))
+        assert main(["validate", "--config", str(cfg_p)]) == 0
+        expect = {k: parsed for k, (_, parsed) in SAMPLES.items() if k in READS["validate"]}
+        assert seen == [ExperimentConfig(**expect)]
+        cfg_p.write_text("trials = 3\n")
+        with pytest.raises(ValueError, match="unknown config key 'trials'"):
+            main(["validate", "--config", str(cfg_p)])
+
+
 class TestValidateCommand:
     def test_exit_zero_and_report(self, capsys):
         rc = main(["validate", "--draws", "5", "--seed", "11"])
@@ -234,6 +307,11 @@ class TestProfileDump:
         assert measured[k] == pytest.approx(256.0, rel=1e-6)
         assert exact[k] == pytest.approx(256.0, abs=1e-9)
         assert env[k] == pytest.approx(256.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["--c", "--ep-ei-db"])
+    def test_one_c_and_one_pilot_ratio(self, flag):
+        with pytest.raises(ValueError, match="one C and one pilot ratio"):
+            main(["profile-dump", flag, "8,12"])
 
     def test_with_data_still_peaks_on_pilot(self, capsys):
         """Data symbols leak into the readout region but must not bury the

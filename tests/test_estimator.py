@@ -25,7 +25,6 @@ from afdmest.estimator import (
     _pruned_dft,
     _readout,
     build_pilot_frame,
-    compensate,
     estimate_delay_frac,
     estimate_doppler_frac,
     integer_estimate,
@@ -43,6 +42,12 @@ LAYOUT = PilotLayout()
 def pipeline(grid, x, ch, rng=None):
     s = add_prefix(grid, daft_modulate(grid, x))
     return strip_prefix(grid, apply_los_channel(grid, s, ch, rng=rng))
+
+
+def compensated(r, kappa):
+    """The body r with a fractional Doppler kappa undone by the defining
+    phasor exp(2 pi i kappa n / N)."""
+    return r * np.exp(2j * np.pi * kappa * np.arange(r.size) / r.size)
 
 
 class TestPilotLayout:
@@ -152,22 +157,29 @@ class TestProfile:
         assert pspr(p, 20, 8) > pspr(messy, 20, 8)
 
     def test_compensate_inverts_channel_phasor(self):
+        """The readout with kappa compensated reads a body that carries the
+        channel phasor exp(-2 pi i kappa n / N) as the uncompensated readout
+        reads the body without it."""
         rng = np.random.default_rng(4)
         s = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         kappa = 0.37
         r = s * np.exp(-2j * np.pi * kappa * np.arange(GRID.n) / GRID.n)
-        assert np.allclose(compensate(r, kappa), s, atol=1e-12)
+        got = _readout(GRID, r, LAYOUT)(kappa)
+        assert np.allclose(got, _readout(GRID, s, LAYOUT)(0.0), atol=1e-12)
 
     @pytest.mark.parametrize("n", [255, 256, 4096, 8193])
     @pytest.mark.parametrize("kappa", [0.0, 0.37, 0.999, 1.5, -0.2])
     def test_compensate_matches_direct_phasor(self, n, kappa):
-        """The phasor built from two sqrt(N) tables equals the one built with
-        N exponentials, for odd N, non-square N and N not a multiple of the
-        table length."""
-        rng = np.random.default_rng(n)
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direct = r * np.exp(2j * np.pi * kappa * np.arange(n) / n)
-        assert np.max(np.abs(compensate(r, kappa) - direct)) < 1e-13
+        """The compensation phasor the readout folds in, exp(2 pi i kappa
+        q/P) on the P columns times exp(2 pi i kappa m/N) on the M rows of
+        n = q*M + m, equals the one built with N exponentials, for odd N,
+        non-square N and kappa outside [0, 1)."""
+        pre, _, rates, _ = _pruned_dft(AfdmGrid(n=n), LAYOUT)
+        p = pre.shape[1]
+        ab = np.exp(rates * kappa)
+        folded = np.multiply.outer(ab[:p], ab[p:]).ravel()
+        direct = np.exp(2j * np.pi * kappa * np.arange(n) / n)
+        assert np.max(np.abs(folded - direct)) < 1e-13
 
     def test_readout_matches_full_demodulation_at_zero(self):
         """Uncompensated, the readout drops only U^H's unit-modulus row phase
@@ -188,7 +200,7 @@ class TestProfile:
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         read = _readout(grid, r, layout)
         for kappa in (0.0, 0.37, 0.999, -0.004):
-            expect = read_profile(grid, daft_demodulate(grid, compensate(r, kappa)), layout)
+            expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
             assert np.max(np.abs(read(kappa) - expect)) <= 1e-12 * np.max(expect)
 
     @pytest.mark.parametrize(
@@ -245,7 +257,7 @@ class TestProfile:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        expect = read_profile(grid, daft_demodulate(grid, compensate(r, kappa)), layout)
+        expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
         got = _readout(grid, r, layout)(kappa)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
@@ -461,7 +473,7 @@ class TestJointEstimate:
         r = pipeline(GRID, x, LosChannel(delay=1.3, doppler=-0.7))
         kappa, score, p = estimate_doppler_frac(GRID, r, LAYOUT)
         assert type(kappa) is float
-        expect = read_profile(GRID, daft_demodulate(GRID, compensate(r, kappa)), LAYOUT)
+        expect = read_profile(GRID, daft_demodulate(GRID, compensated(r, kappa)), LAYOUT)
         assert np.max(np.abs(p - expect)) < 1e-10
         assert score == scalar_pspr(GRID, p)
 

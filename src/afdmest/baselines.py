@@ -146,11 +146,11 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     effective-channel response of the pilot at the readout bins, under the
     floor wrap convention of ``effective.segment_index`` (which departs from
     the oracle's; see ``effective``).
-    Starts from the integer decode. If the simplex hits the iteration cap
-    (``_MAXITER``) before its diameter drops below 1e-3 the best point so
-    far is returned with the flag set. An all-zero pilot readout gives the
-    flagged no-estimate of ``joint_estimate``, and the simplex does not
-    run. Raises ValueError as ``joint_estimate`` does.
+    Starts from ``integer_only``'s decode of the readout it gathers. If the
+    simplex hits the iteration cap (``_MAXITER``) before its diameter drops
+    below 1e-3 the best point so far is returned with the flag set. An
+    all-zero pilot readout gives the flagged no-estimate of ``joint_estimate``,
+    and the simplex does not run. Raises ValueError as ``joint_estimate`` does.
 
     Runs on numpy alone: the simplex is ``_nelder_mead``, scipy's bounded
     Nelder-Mead step for step. The model column is one ``effective._column``
@@ -175,10 +175,10 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
             return 0.0
         return float(-abs(np.vdot(model, obs)) / nrm)
 
-    start = integer_only(grid, y, layout)
+    _, k0, l0, _ = integer_estimate(grid, np.abs(obs))
     x, _, ok = _nelder_mead(
         neg_corr,
-        (float(start.delay_int), float(start.doppler_int)),
+        (float(l0), float(k0)),
         (0.0, float(-grid.k_max)),
         (float(grid.l_max), float(grid.k_max)),
         _XATOL,

@@ -93,9 +93,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in args.config_keys:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    cfg = ExperimentConfig(**{k: v for k, v in values.items() if k in args.config_keys})
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**{k: v for k, v in values.items() if k in args.config_keys})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

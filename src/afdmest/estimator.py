@@ -159,8 +159,9 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 
 def _check_frame(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """The input check of every estimator, before any table is built: raises
-    ValueError for a pilot index outside [0, N), a frame that is not of
-    shape (N,) or one with non-finite samples. Returns r as an array."""
+    ValueError for an invalid grid, a pilot index outside [0, N), a frame
+    not of shape (N,) or one with non-finite samples. Returns r as an array."""
+    grid.validate()
     layout.validate(grid)
     r = np.asarray(r)
     if r.shape != (grid.n,):

@@ -19,6 +19,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -66,7 +67,8 @@ ESTIMATORS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, explicit description of one experiment."""
+    """Complete, explicit description of one experiment. Building one runs
+    ``validate``, so a config that exists is valid and no consumer checks it."""
 
     n: int = 256
     k_max: int = 3
@@ -80,6 +82,9 @@ class ExperimentConfig:
     estimators: tuple[str, ...] = ("joint", "integer_only")
     master_seed: int = 1234
     workers: int = 1
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.trials_per_point < 1:
@@ -156,8 +161,8 @@ def run_trial(
     """One channel draw, ``frames`` received frames, every estimator on each.
 
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
-    mean_pspr, seconds)}) where the hats are plain means of the per-frame
-    composite estimates.
+    mean_pspr, seconds)}): plain means over the estimator's kept per-frame
+    ``Estimate``s, in frame order, and its summed seconds in the estimator.
     """
     rng = np.random.default_rng(seed_seq)
     delay = rng.uniform(0.0, grid.l_max)
@@ -165,7 +170,8 @@ def run_trial(
     gain = np.exp(2j * np.pi * rng.uniform())
     ch = LosChannel(gain=gain, delay=delay, doppler=doppler, noise_var=noise_var)
 
-    acc = {name: {"delay": [], "doppler": [], "pspr": [], "sec": 0.0} for name in estimators}
+    kept = {name: [] for name in estimators}
+    seconds = {name: 0.0 for name in estimators}
     for _ in range(frames):
         x = build_pilot_frame(grid, layout, rng)
         s = add_prefix(grid, daft_modulate(grid, x))
@@ -173,34 +179,20 @@ def run_trial(
         body = strip_prefix(grid, r)
         for name in estimators:
             t0 = time.perf_counter()
-            est = ESTIMATORS[name](grid, body, layout)
-            acc[name]["sec"] += time.perf_counter() - t0
-            acc[name]["delay"].append(est.delay)
-            acc[name]["doppler"].append(est.doppler)
-            acc[name]["pspr"].append(est.pspr)
+            kept[name].append(ESTIMATORS[name](grid, body, layout))
+            seconds[name] += time.perf_counter() - t0
 
     out = {}
-    for name in estimators:
-        out[name] = (
-            float(np.mean(acc[name]["delay"])),
-            float(np.mean(acc[name]["doppler"])),
-            float(np.mean(acc[name]["pspr"])),
-            acc[name]["sec"],
-        )
+    for name, ests in kept.items():
+        delay_hat = float(np.mean([e.delay for e in ests]))
+        doppler_hat = float(np.mean([e.doppler for e in ests]))
+        mean_pspr = float(np.mean([e.pspr for e in ests]))
+        out[name] = (delay_hat, doppler_hat, mean_pspr, seconds[name])
     return (delay, doppler), out
 
 
-def _trial_worker(args):
-    (
-        grid,
-        layout,
-        noise_var,
-        estimators,
-        frames,
-        master_seed,
-        cell_idx,
-        trial_idx,
-    ) = args
+def _trial(grid, layout, noise_var, estimators, frames, master_seed, cell_idx, trial_idx):
+    """``run_trial`` on the seed spawned for (cell_idx, trial_idx)."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(cell_idx, trial_idx))
     return run_trial(grid, layout, noise_var, estimators, frames, ss)
 
@@ -238,7 +230,6 @@ def _wrap_doppler(e: np.ndarray) -> np.ndarray:
 
 def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
     """Run the full experiment grid and aggregate RMSE per cell."""
-    cfg.validate()
     cells = [
         (c, snr, ep)
         for c in cfg.c_list
@@ -255,24 +246,15 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
             grid = cfg.grid_for(c)
             layout = PilotLayout(pilot_index=0, ep_ei_db=ep)
             nv = noise_variance(grid, layout, snr)
-            args = [
-                (
-                    grid,
-                    layout,
-                    nv,
-                    tuple(cfg.estimators),
-                    cfg.estimates_per_trial,
-                    cfg.master_seed,
-                    cell_idx,
-                    t,
-                )
-                for t in range(cfg.trials_per_point)
-            ]
+            trial = partial(
+                _trial, grid, layout, nv, tuple(cfg.estimators),
+                cfg.estimates_per_trial, cfg.master_seed, cell_idx,
+            )
             t0 = time.perf_counter()
             if pool is not None:
-                results = pool.map(_trial_worker, args)
+                results = pool.map(trial, range(cfg.trials_per_point))
             else:
-                results = [_trial_worker(a) for a in args]
+                results = [trial(t) for t in range(cfg.trials_per_point)]
             overhead_ms = (time.perf_counter() - t0) * 1e3
 
             for name in cfg.estimators:
@@ -477,11 +459,10 @@ def validate_mode(cfg: ExperimentConfig, draws: int = 25) -> tuple[bool, list]:
 
     The checks are acceptance criteria 1, 2, 3 and 9, here with ``draws``
     draws each from one rng seeded by ``cfg.master_seed``. Raises
-    ValueError for an invalid config or ``draws`` below 1.
+    ValueError for ``draws`` below 1.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    cfg.validate()
     grids = tuple(cfg.grid_for(c) for c in cfg.c_list)
     rng = np.random.default_rng(cfg.master_seed)
     results = [(name, *check(grids, rng, draws)) for name, check in MODEL_CHECKS]

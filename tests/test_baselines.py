@@ -254,6 +254,34 @@ def test_every_estimator_checks_its_input(estimate, case):
     assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
 
 
+# grids that fail AfdmGrid.validate: at the frame lengths 16 and 48 the 54
+# guard slots of the default box fill the frame (at 16 the 48-bin readout is
+# also longer than it); the C=10 grid's guards fit but its 40-bin readout
+# wraps the 32-sample frame
+BAD_GRIDS = {
+    "n16": (AfdmGrid(n=16), "guard band swallows the whole frame"),
+    "n48": (AfdmGrid(n=48), "guard band swallows the whole frame"),
+    "n32-c10": (
+        AfdmGrid(n=32, k_max=3, l_max=1, doppler_pad=4),
+        "pilot readout longer than the frame",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRIDS)
+@pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])
+def test_every_estimator_rejects_an_invalid_grid(estimate, case):
+    """A grid that fails its own check raises that ValueError from all three
+    estimators, before any readout table is built, instead of a bare
+    StopIteration from the readout's divisor search or an estimate read off
+    bins that repeat or lie under the guards."""
+    grid, match = BAD_GRIDS[case]
+    built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
+    with pytest.raises(ValueError, match=match):
+        estimate(grid, np.ones(grid.n, dtype=complex), LAYOUT)
+    assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+
+
 def test_package_and_every_estimator_load_no_scipy():
     """Importing the package, as every sweep worker does, and running all
     three estimators, two_d_search included, load no scipy module: the

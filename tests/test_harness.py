@@ -248,6 +248,34 @@ class TestSerialization:
         b = csv_lines(run_sweep(tiny_config()))
         assert strip_wall_ms(a) == strip_wall_ms(b)
 
+    def test_small_sweep_rows_pinned(self):
+        """Every column but wall_ms of a three-estimator sweep, as recorded
+        before the trial plumbing was last rewritten: a change to the draws,
+        the estimators or the aggregation moves some number here."""
+        cfg = tiny_config(
+            snr_db_list=(0.0, 20.0),
+            estimators=("joint", "integer_only", "two_d_search"),
+            master_seed=2024,
+        )
+        # (estimator, snr_db, ep_ei_db, C, delay_rmse, doppler_rmse, trials, mean_pspr)
+        expect = [
+            ("joint", 0.0, 10.0, 8, 0.8767779075718949, 0.25899665686446666, 3, 18.592887965096292),
+            ("integer_only", 0.0, 10.0, 8, 0.25290372574699665, 0.2918853550509565, 3, 10.491467841199706),
+            ("two_d_search", 0.0, 10.0, 8, 0.07517782860291755, 0.1260689960132108, 3, 16.398117156954743),
+            ("joint", 20.0, 10.0, 8, 0.03084883547922517, 0.007749059219147947, 3, 333.7280052013742),
+            ("integer_only", 20.0, 10.0, 8, 0.32187225231723543, 0.17848242829341746, 3, 82.76301430017607),
+            ("two_d_search", 20.0, 10.0, 8, 0.03823845931541414, 0.007432267844738708, 3, 329.77830318580544),
+        ]
+        cols = CSV_HEADER.split(",")[:-1]
+        rows = run_sweep(cfg).rows
+        assert len(rows) == len(expect)
+        for row, want in zip(rows, expect):
+            for col, value in zip(cols, want):
+                if isinstance(value, float):
+                    assert row[col] == pytest.approx(value, rel=1e-12, abs=0.0), col
+                else:
+                    assert row[col] == value, col
+
     def test_empty_rows_yield_header_only(self):
         report = RmseReport(config=tiny_config(), rows=[])
         assert csv_lines(report) == [CSV_HEADER]

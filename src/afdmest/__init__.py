@@ -9,98 +9,26 @@ Layers, bottom to top:
 * ``baselines`` integer-only decode and 2-D simplex comparator
 * ``harness``   Monte Carlo sweeps, validation mode, CSV/JSON reports
 * ``cli``       `afdmest` command line entry point
+
+The package exports what each of the first six layers lists in its
+``__all__``, and ``__version__``.
 """
 
-from .core import (
-    AfdmGrid,
-    add_prefix,
-    daft_demodulate,
-    daft_modulate,
-    strip_prefix,
-)
-from .channel import (
-    LosChannel,
-    apply_los_channel,
-    awgn,
-    fir_taps,
-    oversampled_oracle,
-)
-from .effective import (
-    effective_column,
-    elg_invert,
-    elg_theory,
-    envelope_magnitude,
-    envelope_profile,
-    exact_profile,
-    exact_spectrum,
-    segment_index,
-)
-from .estimator import (
-    Estimate,
-    PilotLayout,
-    build_pilot_frame,
-    estimate_delay_frac,
-    estimate_doppler_frac,
-    integer_estimate,
-    joint_estimate,
-    profile_bins,
-    pspr,
-    read_profile,
-    readout_bins,
-)
-from .baselines import integer_only, two_d_search
-from .harness import (
-    CSV_HEADER,
-    ExperimentConfig,
-    RmseReport,
-    emit,
-    noise_variance,
-    run_sweep,
-    run_trial,
-    validate_mode,
-)
+from . import baselines, channel, core, effective, estimator, harness
+from .core import *  # noqa: F401,F403
+from .channel import *  # noqa: F401,F403
+from .effective import *  # noqa: F401,F403
+from .estimator import *  # noqa: F401,F403
+from .baselines import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AfdmGrid",
-    "add_prefix",
-    "daft_demodulate",
-    "daft_modulate",
-    "strip_prefix",
-    "LosChannel",
-    "apply_los_channel",
-    "awgn",
-    "fir_taps",
-    "oversampled_oracle",
-    "effective_column",
-    "elg_invert",
-    "elg_theory",
-    "envelope_magnitude",
-    "envelope_profile",
-    "exact_profile",
-    "exact_spectrum",
-    "segment_index",
-    "Estimate",
-    "PilotLayout",
-    "build_pilot_frame",
-    "estimate_delay_frac",
-    "estimate_doppler_frac",
-    "integer_estimate",
-    "joint_estimate",
-    "profile_bins",
-    "pspr",
-    "read_profile",
-    "readout_bins",
-    "integer_only",
-    "two_d_search",
-    "CSV_HEADER",
-    "ExperimentConfig",
-    "RmseReport",
-    "emit",
-    "noise_variance",
-    "run_sweep",
-    "run_trial",
-    "validate_mode",
+    *(
+        name
+        for layer in (core, channel, effective, estimator, baselines, harness)
+        for name in layer.__all__
+    ),
     "__version__",
 ]

@@ -34,10 +34,9 @@ from .estimator import (
     Estimate,
     PilotLayout,
     _check_frame,
-    _peak,
+    _peak_pspr,
     _readout,
     integer_estimate,
-    pspr,
     read_profile,
     readout_bins,
 )
@@ -132,7 +131,7 @@ def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
         delay_frac=0.0,
         doppler_int=k,
         doppler_frac=0.0,
-        pspr=pspr(p, int(_peak(grid, p)), grid.n_seg),
+        pspr=_peak_pspr(grid, p),
         peak_index=js % grid.n,
         flagged=flagged,
     )
@@ -200,7 +199,7 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
         delay_frac=delay - l_floor,
         doppler_int=k_floor,
         doppler_frac=doppler - k_floor,
-        pspr=pspr(p, int(_peak(grid, p)), grid.n_seg),
+        pspr=_peak_pspr(grid, p),
         peak_index=js % grid.n,
         flagged=not ok,
     )

@@ -57,6 +57,9 @@ class LosChannel:
     noise_var: float = 0.0
 
     def __post_init__(self):
+        for name in ("gain", "delay", "doppler", "noise_var"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.delay < 0:
             raise ValueError("negative delay")
         if self.noise_var < 0:
@@ -143,6 +146,8 @@ def apply_los_channel(
 
 def awgn(s: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular complex Gaussian noise of the given per-sample variance."""
+    if not np.isfinite(noise_var):
+        raise ValueError("noise_var must be finite")
     if noise_var < 0:
         raise ValueError("negative noise variance")
     if noise_var == 0:

@@ -41,8 +41,10 @@ class AfdmGrid:
     l_max : int
         Largest integer delay (in samples) the receiver searches.
     doppler_pad : int
-        Extra sweep-slope margin on top of the 2*k_max+1 Doppler bins, kept
-        as a knob because fractional Doppler leaks outside the integer bins.
+        Sweep-slope margin: C = 2*k_max + doppler_pad. It must be at least
+        1, so that C covers the 2*k_max + 1 integer Doppler bins and a
+        readout peak at k + C*l splits into one (l, k) pair. Kept as a knob
+        because fractional Doppler leaks outside the integer bins.
     c2 : float
         Quadratic phase coefficient on the subcarrier index. Any irrational
         value decorrelates data symbols; sqrt(2) by default.
@@ -89,8 +91,10 @@ class AfdmGrid:
             raise ValueError("frame length too small")
         if self.k_max < 0 or self.l_max < 0:
             raise ValueError("negative search box")
-        if self.n_seg < 1:
-            raise ValueError("need at least one sweep segment")
+        # i.e. doppler_pad >= 1 (see the class docstring); with k_max >= 0
+        # this also gives C >= 1
+        if self.n_seg <= 2 * self.k_max:
+            raise ValueError("every C must exceed 2*k_max")
         if self.n_seg >= self.n:
             raise ValueError("segment count must be far below frame length")
         if 2 * self.guard_width >= self.n:

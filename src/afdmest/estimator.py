@@ -158,9 +158,13 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 
 
 def _check_frame(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
-    """The input check of every estimator, before any table is built: raises
-    ValueError for an invalid grid, a pilot index outside [0, N), a frame
-    not of shape (N,) or one with non-finite samples. Returns r as an array."""
+    """The input check of every estimator, before any table is built.
+
+    Raises ValueError for a grid that fails ``AfdmGrid.validate`` (among
+    others one with C <= 2*k_max, whose peaks split into no unique integer
+    pair), a pilot index outside [0, N), a frame not of shape (N,) or one
+    with non-finite samples. Returns r as an array.
+    """
     grid.validate()
     layout.validate(grid)
     r = np.asarray(r)
@@ -242,6 +246,11 @@ def _peak(grid: AfdmGrid, p: np.ndarray):
     # decodeable range; for a (profiles, bins) stack, one per row
     inner = _inner_slice(grid)
     return inner.start + np.argmax(p[..., inner], axis=-1)
+
+
+def _peak_pspr(grid: AfdmGrid, p: np.ndarray) -> float:
+    # the PSPR an estimate reports: pspr at the profile's _peak
+    return pspr(p, int(_peak(grid, p)), grid.n_seg)
 
 
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
@@ -435,19 +444,15 @@ def estimate_doppler_frac(
     ValueError as :func:`_check_frame` does.
     """
     r = _check_frame(grid, r, layout)
-
-    def score(p: np.ndarray) -> float:
-        return pspr(p, int(_peak(grid, p)), grid.n_seg)
-
     cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
     best = int(np.argmax(scores))
     lo = cand[best] - 1.0 / _COARSE_STEPS
     hi = cand[best] + 1.0 / _COARSE_STEPS
     read = _readout(grid, r, layout)
-    kappa = _golden_max(lambda k: score(read(k)), lo, hi, _REFINE_TOL)
+    kappa = _golden_max(lambda k: _peak_pspr(grid, read(k)), lo, hi, _REFINE_TOL)
     kappa = float(kappa % 1.0)
     p = read(kappa)
-    return kappa, score(p), p
+    return kappa, _peak_pspr(grid, p), p
 
 
 def estimate_delay_frac(

@@ -102,9 +102,10 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
+        for name in ("snr_db_list", "ep_ei_db_list"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} entries must be finite")
         for c in self.c_list:
-            if c <= 2 * self.k_max:
-                raise ValueError("every C must exceed 2*k_max")
             self.grid_for(c)  # raises for a C no valid grid can take
         # every trial runs the FIR channel, whose memory at the largest
         # delay must fit in the prefix
@@ -145,8 +146,7 @@ def noise_variance(grid: AfdmGrid, layout: PilotLayout, snr_db: float) -> float:
     pilot: P = (pilot energy + data energy) / N, with unit-energy data
     symbols in every data slot.
     """
-    n_data = grid.n - 2 * grid.guard_width - 1
-    power = (layout.pilot_amplitude**2 + n_data) / grid.n
+    power = (layout.pilot_amplitude**2 + layout.data_slots(grid).size) / grid.n
     return power / 10.0 ** (snr_db / 10.0)
 
 
@@ -209,17 +209,39 @@ def _worker_pool(workers: int):
     workers than with one. Spawned workers load BLAS afresh, so they read
     the thread variables, which are set only while the workers start; then
     the parent's environment is put back.
+
+    Returns once one worker has run a task. A worker that dies first
+    raises RuntimeError: a spawned worker imports the caller's main
+    module, and a script that starts a sweep outside an
+    ``if __name__ == "__main__":`` guard kills every worker in that
+    import, which the pool would answer by respawning them forever.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
     try:
-        return get_context("spawn").Pool(workers)
+        pool = get_context("spawn").Pool(workers)
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+    # kept here: the pool drops a dead worker from its own list
+    started = list(pool._pool)
+    try:
+        probe = pool.apply_async(int)
+        while not probe.ready():
+            probe.wait(0.05)
+            if any(proc.exitcode is not None for proc in started):
+                raise RuntimeError(
+                    "a sweep worker died while starting; a script that calls "
+                    "run_sweep with workers > 1 must call it under "
+                    'if __name__ == "__main__":'
+                )
+    except BaseException:
+        pool.terminate()
+        raise
+    return pool
 
 
 def _wrap_doppler(e: np.ndarray) -> np.ndarray:

@@ -265,6 +265,9 @@ BAD_GRIDS = {
         AfdmGrid(n=32, k_max=3, l_max=1, doppler_pad=4),
         "pilot readout longer than the frame",
     ),
+    # C <= 2*k_max: a peak at k + C*l splits into no unique (l, k) pair
+    "c6": (AfdmGrid(doppler_pad=0), r"every C must exceed 2\*k_max"),
+    "c5": (AfdmGrid(doppler_pad=-1), r"every C must exceed 2\*k_max"),
 }
 
 

@@ -51,6 +51,15 @@ class TestLosChannel:
         with pytest.raises(ValueError):
             LosChannel(noise_var=-1.0)
 
+    @pytest.mark.parametrize("field", ["gain", "delay", "doppler", "noise_var"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        """A NaN or infinite parameter raises a ValueError naming its field,
+        instead of a non-finite frame, a NaN noise variance that skips the
+        noise, or a bare float-to-int conversion error."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LosChannel(**{field: value})
+
 
 class TestFirTaps:
     def test_zero_fraction_is_identity(self):
@@ -189,6 +198,11 @@ class TestAwgn:
         s = np.zeros(2_000_000, dtype=complex)
         out = awgn(s, 0.3, np.random.default_rng(12))
         assert np.mean(np.abs(out) ** 2) == pytest.approx(0.3, rel=0.01)
+
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf])
+    def test_rejects_non_finite_variance(self, noise_var):
+        with pytest.raises(ValueError, match="noise_var must be finite"):
+            awgn(np.zeros(8, dtype=complex), noise_var, np.random.default_rng(0))
 
 
 class TestOversampledOracle:

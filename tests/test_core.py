@@ -63,6 +63,9 @@ class TestAfdmGrid:
             AfdmGrid(n_prefix=2).validate()  # prefix shorter than l_max
         with pytest.raises(ValueError):
             AfdmGrid(n=64, k_max=8, l_max=8).validate()  # guards swallow frame
+        for pad in (0, -1):  # C = 6, 5 with k_max = 3: C <= 2*k_max
+            with pytest.raises(ValueError, match=r"every C must exceed 2\*k_max"):
+                AfdmGrid(doppler_pad=pad).validate()
 
     def test_rejects_readout_longer_than_frame(self):
         """The guards fit, but the C*(l_max + 3) = 40 readout bins of this
@@ -231,3 +234,19 @@ class TestPrefix:
         g = AfdmGrid()
         with pytest.raises(ValueError):
             strip_prefix(g, np.zeros(g.n))
+
+
+def test_package_exports_every_layer_all():
+    """The package's __all__ is the union of the six layers' __all__ plus
+    __version__, each name listed once, and every name imports."""
+    import afdmest
+    from afdmest import baselines, channel, effective, estimator, harness
+
+    layers = (core, channel, effective, estimator, baselines, harness)
+    declared = [name for layer in layers for name in layer.__all__]
+    assert len(afdmest.__all__) == len(set(afdmest.__all__))
+    assert set(afdmest.__all__) == set(declared) | {"__version__"}
+    assert {"FIR_HALF_WIDTH", "SCHEMA_VERSION", "csv_lines"} <= set(afdmest.__all__)
+    namespace = {}
+    exec("from afdmest import *", namespace)  # AttributeError for a missing name
+    assert set(afdmest.__all__) <= namespace.keys()

@@ -6,6 +6,7 @@ nature and are held to the tolerances the pipeline is designed around:
 5e-3 on the Doppler fraction, 2e-2 on the delay fraction.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from afdmest.estimator import (
     read_profile,
     readout_bins,
 )
+from afdmest.harness import noise_variance
 
 GRID = AfdmGrid()
 LAYOUT = PilotLayout()
@@ -589,3 +591,109 @@ def test_joint_estimates_pinned_on_seeded_frames():
         assert abs(est.delay_frac - iota) <= 1e-12
         assert abs(est.doppler_frac - kappa) <= 1e-12
         assert abs(est.pspr - score) <= 1e-12 * score
+
+
+@st.composite
+def loaded_frames(draw, margin=0.0):
+    """A random valid grid and pilot position, and a frame body received
+    over a fractional channel, with QPSK data, at 10, 20 or 30 dB:
+    (grid, layout, body, the channel's Doppler). The Doppler stays
+    ``margin`` bins inside [-k_max, k_max]."""
+    grid = AfdmGrid(
+        n=draw(st.integers(96, 320)),
+        k_max=draw(st.integers(int(np.ceil(margin)), 3)),
+        l_max=draw(st.integers(0, 3)),
+        doppler_pad=draw(st.integers(1, 4)),
+    )
+    try:
+        grid.validate()
+    except ValueError:
+        assume(False)
+    layout = PilotLayout(pilot_index=draw(st.integers(0, grid.n - 1)))
+    doppler = draw(st.floats(margin - grid.k_max, grid.k_max - margin))
+    snr_db = draw(st.sampled_from((10.0, 20.0, 30.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ch = LosChannel(
+        gain=np.exp(2j * np.pi * rng.uniform()),
+        delay=draw(st.floats(0.0, grid.l_max)),
+        doppler=doppler,
+        noise_var=noise_variance(grid, layout, snr_db),
+    )
+    x = build_pilot_frame(grid, layout, rng)
+    return grid, layout, pipeline(grid, x, ch, rng=rng), doppler
+
+
+def assert_same_decode(got, ref, n, shift=0):
+    """Integers and the flag exactly (the Doppler and the peak moved by
+    shift), the fractions to 1e-12."""
+    assert (got.delay_int, got.doppler_int, got.peak_index, got.flagged) == (
+        ref.delay_int,
+        ref.doppler_int + shift,
+        (ref.peak_index + shift) % n,
+        ref.flagged,
+    )
+    assert abs(got.delay_frac - ref.delay_frac) <= 1e-12
+    assert abs(got.doppler_frac - ref.doppler_frac) <= 1e-12
+
+
+def assert_same_pspr(got, ref):
+    assert math.isclose(got.pspr, ref.pspr, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestSymmetries:
+    """joint_estimate does not see what the pilot readout cannot: a global
+    phase or gain of the frame leaves every field as it was, and an integer
+    Doppler shift inside the search box moves only the integer Doppler and
+    the peak."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame=loaded_frames(), phase=st.floats(0.0, 2.0 * np.pi))
+    def test_global_phase_changes_nothing(self, frame, phase):
+        grid, layout, r, _ = frame
+        ref = joint_estimate(grid, r, layout)
+        got = joint_estimate(grid, r * np.exp(1j * phase), layout)
+        assert_same_decode(got, ref, grid.n)
+        assert_same_pspr(got, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame=loaded_frames(), gain=st.floats(1e-3, 1e3))
+    def test_gain_changes_no_decode(self, frame, gain):
+        """Every field but the PSPR; a gain moves a large PSPR by more than
+        1e-12 relative (test_gain_changes_a_large_pspr)."""
+        grid, layout, r, _ = frame
+        ref = joint_estimate(grid, r, layout)
+        assert_same_decode(joint_estimate(grid, gain * r, layout), ref, grid.n)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pspr takes the sidelobe power as the window sum minus the peak "
+        "power, which keeps only about 1/(eps*PSPR/C) of its relative precision",
+    )
+    def test_gain_changes_a_large_pspr(self):
+        """A known break of the gain symmetry, pinned on one frame: C = 2 and
+        30 dB give a PSPR of 2.0e7, whose two-bin window holds a sidelobe
+        power 1e-7 of the peak's. Scaling the frame by 1e3 moves the PSPR by
+        1.3e-9 relative, and all of it comes from pspr's subtraction."""
+        grid = AfdmGrid(n=128, k_max=0, l_max=1, doppler_pad=2)
+        rng = np.random.default_rng(0)
+        ch = LosChannel(noise_var=noise_variance(grid, LAYOUT, 30.0))
+        r = pipeline(grid, build_pilot_frame(grid, LAYOUT, rng), ch, rng=rng)
+        ref = joint_estimate(grid, r, LAYOUT)
+        assert ref.pspr > 1e7
+        assert_same_pspr(joint_estimate(grid, 1e3 * r, LAYOUT), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame=loaded_frames(margin=0.5), data=st.data())
+    def test_integer_doppler_shift_moves_only_the_integer_doppler(self, frame, data):
+        """The channel's Doppler, before and after the shift, stays at least
+        half a bin inside [-k_max, k_max], so every integer the decode can
+        land on lies inside the box."""
+        grid, layout, r, doppler = frame
+        edge = grid.k_max - 0.5
+        shift = data.draw(st.integers(int(np.ceil(-edge - doppler)), int(np.floor(edge - doppler))))
+        ref = joint_estimate(grid, r, layout)
+        # the shift's phasor exp(-2 pi i shift n / N), reduced mod N in integers
+        phasor = np.exp(-2j * np.pi * (shift * np.arange(grid.n) % grid.n) / grid.n)
+        got = joint_estimate(grid, r * phasor, layout)
+        assert_same_decode(got, ref, grid.n, shift)
+        assert_same_pspr(got, ref)

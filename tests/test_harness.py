@@ -9,7 +9,11 @@ promise that worker count never changes the numbers.
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,15 @@ class TestConfig:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad).validate()
+
+    @pytest.mark.parametrize("field", ["snr_db_list", "ep_ei_db_list"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, field, value):
+        """A NaN or infinite SNR or pilot-to-data ratio fails when the config
+        is built, naming its field, instead of a row computed from
+        noise-free frames or an error in the middle of the sweep."""
+        with pytest.raises(ValueError, match=f"{field} entries must be finite"):
+            tiny_config(**{field: (10.0, value)})
 
 
 class TestNoiseVariance:
@@ -205,6 +218,39 @@ class TestRunSweep:
             pool.join()
         assert seen == ["1"] * len(_BLAS_THREAD_VARS)
         assert dict(os.environ) == before
+
+    def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
+        """A script that starts a two-worker sweep at module level, with no
+        ``if __name__ == "__main__":`` guard, kills each spawned worker as it
+        imports the script. run_sweep raises an error that names the guard,
+        rather than wait forever on a pool that keeps respawning workers."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from afdmest import ExperimentConfig, run_sweep\n"
+            "run_sweep(ExperimentConfig(snr_db_list=(10.0,), trials_per_point=2,\n"
+            "                           estimates_per_trial=1, workers=2))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            # the script and every worker it spawned share one process group
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.communicate()
+        assert proc.returncode != 0
+        assert 'if __name__ == "__main__":' in err.splitlines()[-1]
 
     def test_worker_count_is_invisible_in_results(self):
         cfg1 = tiny_config(workers=1)

@@ -71,6 +71,10 @@ class PilotLayout:
     pilot_index: int = 0
     ep_ei_db: float = 10.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.ep_ei_db):
+            raise ValueError("ep_ei_db must be finite")
+
     @property
     def pilot_amplitude(self) -> float:
         return 10.0 ** (self.ep_ei_db / 20.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import get_context
@@ -201,47 +202,42 @@ def _trial(grid, layout, noise_var, estimators, frames, master_seed, cell_idx, t
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@contextmanager
 def _worker_pool(workers: int):
     """A pool of fresh (spawned) worker processes whose BLAS runs one thread.
 
     The workers already run trials in parallel; BLAS threads inside each
     of them oversubscribe the cores, and a sweep ran slower with two
     workers than with one. Spawned workers load BLAS afresh, so they read
-    the thread variables, which are set only while the workers start; then
+    the thread variables, which are set to 1 while the pool lives; then
     the parent's environment is put back.
 
-    Returns once one worker has run a task. A worker that dies first
-    raises RuntimeError: a spawned worker imports the caller's main
-    module, and a script that starts a sweep outside an
-    ``if __name__ == "__main__":`` guard kills every worker in that
-    import, which the pool would answer by respawning them forever.
+    A worker that dies, whenever it dies, raises RuntimeError. A common
+    cause: a spawned worker imports the caller's main module, and a script
+    that starts a sweep outside an ``if __name__ == "__main__":`` guard
+    kills every worker in that import.
     """
+    # imported here: concurrent.futures.process takes about 11 ms to load,
+    # which every ``import afdmest`` would pay; only a pooled sweep needs it
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update({name: "1" for name in _BLAS_THREAD_VARS})
     try:
-        pool = get_context("spawn").Pool(workers)
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            yield pool
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            "a sweep worker died; a script that calls run_sweep with "
+            'workers > 1 must call it under if __name__ == "__main__":'
+        ) from exc
     finally:
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-    # kept here: the pool drops a dead worker from its own list
-    started = list(pool._pool)
-    try:
-        probe = pool.apply_async(int)
-        while not probe.ready():
-            probe.wait(0.05)
-            if any(proc.exitcode is not None for proc in started):
-                raise RuntimeError(
-                    "a sweep worker died while starting; a script that calls "
-                    "run_sweep with workers > 1 must call it under "
-                    'if __name__ == "__main__":'
-                )
-    except BaseException:
-        pool.terminate()
-        raise
-    return pool
 
 
 def _wrap_doppler(e: np.ndarray) -> np.ndarray:
@@ -251,7 +247,12 @@ def _wrap_doppler(e: np.ndarray) -> np.ndarray:
 
 
 def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
-    """Run the full experiment grid and aggregate RMSE per cell."""
+    """Run the full experiment grid and aggregate RMSE per cell.
+
+    With more than one worker, every cell maps its trials over one
+    ``_worker_pool`` that lives for the whole sweep, and a worker that dies
+    raises RuntimeError.
+    """
     cells = [
         (c, snr, ep)
         for c in cfg.c_list
@@ -262,8 +263,8 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
     # a cell maps its trials over the pool, so workers past the trial
     # count would only start and sit idle
     workers = min(cfg.workers, cfg.trials_per_point)
-    pool = _worker_pool(workers) if workers > 1 else None
-    try:
+    with _worker_pool(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
         for cell_idx, (c, snr, ep) in enumerate(cells):
             grid = cfg.grid_for(c)
             layout = PilotLayout(pilot_index=0, ep_ei_db=ep)
@@ -273,10 +274,7 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
                 cfg.estimates_per_trial, cfg.master_seed, cell_idx,
             )
             t0 = time.perf_counter()
-            if pool is not None:
-                results = pool.map(trial, range(cfg.trials_per_point))
-            else:
-                results = [trial(t) for t in range(cfg.trials_per_point)]
+            results = list(mapper(trial, range(cfg.trials_per_point)))
             overhead_ms = (time.perf_counter() - t0) * 1e3
 
             for name in cfg.estimators:
@@ -301,10 +299,6 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
                 )
             if progress is not None:
                 progress(cell_idx + 1, len(cells), overhead_ms)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
     return RmseReport(config=cfg, rows=rows)
 
 

@@ -76,6 +76,11 @@ class TestPilotLayout:
                 bin_ = (LAYOUT.pilot_index - (k + GRID.n_seg * l)) % GRID.n
                 assert bin_ in guarded
 
+    @pytest.mark.parametrize("ep_ei_db", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_ratio(self, ep_ei_db):
+        with pytest.raises(ValueError, match="ep_ei_db must be finite"):
+            PilotLayout(ep_ei_db=ep_ei_db)
+
     def test_pilot_only_frame(self):
         x = build_pilot_frame(GRID, LAYOUT, None)
         assert x[LAYOUT.pilot_index] == pytest.approx(np.sqrt(10.0))

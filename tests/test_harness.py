@@ -210,13 +210,20 @@ class TestRunSweep:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        pool = _worker_pool(2)
-        try:
-            seen = pool.map_async(os.getenv, _BLAS_THREAD_VARS).get(timeout=120)
-        finally:
-            pool.close()
-            pool.join()
+        with _worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, _BLAS_THREAD_VARS, timeout=120))
         assert seen == ["1"] * len(_BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
+
+    def test_worker_death_mid_task_raises_instead_of_hanging(self, monkeypatch):
+        """A worker that dies while it runs a task (a crash, an OOM kill)
+        raises the error that names the guard, and the parent's environment
+        is put back; a multiprocessing.Pool would wait for its result forever."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError, match='if __name__ == "__main__":'):
+            with _worker_pool(2) as pool:
+                list(pool.map(os._exit, [1, 1], timeout=60))
         assert dict(os.environ) == before
 
     def test_unguarded_script_fails_instead_of_hanging(self, tmp_path):
@@ -251,6 +258,24 @@ class TestRunSweep:
             proc.communicate()
         assert proc.returncode != 0
         assert 'if __name__ == "__main__":' in err.splitlines()[-1]
+
+    def test_package_import_leaves_the_executor_unloaded(self):
+        """``import afdmest`` loads no concurrent.futures module: only a
+        sweep with more than one worker pays for importing the executor."""
+        code = (
+            "import sys, afdmest\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout == "[]\n"
 
     def test_worker_count_is_invisible_in_results(self):
         cfg1 = tiny_config(workers=1)

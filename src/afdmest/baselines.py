@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AfdmGrid, daft_modulate
-from .channel import LosChannel
 from .effective import _column
 from .estimator import (
     _NO_ESTIMATE,
@@ -145,18 +144,18 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     effective-channel response of the pilot at the readout bins, under the
     floor wrap convention of ``effective.segment_index`` (which departs from
     the oracle's; see ``effective``).
-    Starts from ``integer_only``'s decode of the readout it gathers. If the
-    simplex hits the iteration cap (``_MAXITER``) before its diameter drops
-    below 1e-3 the best point so far is returned with the flag set. An
+    Starts from ``integer_only``'s decode of the readout it gathers. Stops when
+    every vertex lies within ``_XATOL`` of the best in each coordinate and
+    ``_FATOL`` in f, or flags the best point so far at ``_MAXITER``. An
     all-zero pilot readout gives the flagged no-estimate of ``joint_estimate``,
     and the simplex does not run. Raises ValueError as ``joint_estimate`` does.
 
     Runs on numpy alone: the simplex is ``_nelder_mead``, scipy's bounded
     Nelder-Mead step for step. The model column is one ``effective._column``
-    closure per search, which reads the bins' chirp factors once and caches
-    the run-sum integer tables (runs, offsets and their table phasors) per
-    (floor(L), ceil(L), round(K + C*L)), so a simplex step that revisits a
-    key computes only the fraction's phases.
+    closure per search, fed each simplex point as floats the box bounds. It
+    reads the bins' chirp factors once and caches the run-sum tables per
+    (floor(L), ceil(L), round(K + C*L)), so a step that revisits a key
+    computes only the fraction's phases.
     """
     y = _check_frame(grid, y, layout)
     bins = readout_bins(grid, layout)
@@ -167,8 +166,7 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     col = _column(grid, layout.pilot_index, bins)
 
     def neg_corr(theta) -> float:
-        cand = LosChannel(gain=1.0, delay=float(theta[0]), doppler=float(theta[1]))
-        model = amp * col(cand)
+        model = amp * col(float(theta[0]), float(theta[1]))
         nrm = np.linalg.norm(model)
         if nrm == 0.0:
             return 0.0

@@ -31,6 +31,8 @@ __all__ = [
 class AfdmGrid:
     """Frame geometry and chirp parameters for one AFDM configuration.
 
+    Building one runs ``validate``, so no consumer checks a grid again.
+
     Parameters
     ----------
     n : int
@@ -86,6 +88,9 @@ class AfdmGrid:
         """
         return self.n_seg * self.l_max + self.k_max
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.n < 8:
             raise ValueError("frame length too small")
@@ -95,8 +100,6 @@ class AfdmGrid:
         # this also gives C >= 1
         if self.n_seg <= 2 * self.k_max:
             raise ValueError("every C must exceed 2*k_max")
-        if self.n_seg >= self.n:
-            raise ValueError("segment count must be far below frame length")
         if 2 * self.guard_width >= self.n:
             raise ValueError("guard band swallows the whole frame")
         # the estimator reads C*(l_max + 3) transform bins around the pilot;

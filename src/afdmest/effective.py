@@ -101,8 +101,8 @@ def _half_turns(n: int) -> np.ndarray:
 
 
 def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
-    """``sums(ch)``: the exact sum F of ``exact_spectrum`` at the output bins
-    m_src + offsets (mod N), for any channel.
+    """``sums(delay, doppler)``: the exact sum F of ``exact_spectrum`` at the
+    output bins m_src + offsets (mod N), for any channel's fields as floats.
 
     The integer tables a channel's sums read (u, the table phasors of u*mid
     and -u*length, the runs and mid) depend on the channel only through
@@ -123,9 +123,9 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     w = _half_turns(n)
     tables = {}
 
-    def sums(ch: LosChannel) -> np.ndarray:
-        lo, hi = math.floor(ch.delay), math.ceil(ch.delay)
-        l_eq = ch.doppler + grid.n_seg * ch.delay
+    def sums(delay: float, doppler: float) -> np.ndarray:
+        lo, hi = math.floor(delay), math.ceil(delay)
+        l_eq = doppler + grid.n_seg * delay
         li = round(l_eq)
         t = tables.get((lo, hi, li))
         if t is None:
@@ -137,7 +137,7 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
             )
         q, mid, length, u, w_mid, w_length = t
         f = l_eq - li
-        head = np.exp(2j * np.pi * (ch.delay_frac * q - f * mid / (2 * n))) * w_mid
+        head = np.exp(2j * np.pi * ((delay - lo) * q - f * mid / (2 * n))) * w_mid
         num = (np.exp(1j * np.pi * f * length / n) * w_length).imag
         den = np.sin((u + f) * (np.pi / n))
         if f == 0.0:
@@ -150,9 +150,8 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
 
 
 def _column(grid: AfdmGrid, m_src: int, bins: np.ndarray):
-    """``col(ch)``: ``effective_column(grid, m_src, ch, bins)`` for any
-    channel, with the bins' chirp factors read once and the run-sum tables
-    cached across calls (see ``_run_sums``)."""
+    """``col(delay, doppler, gain=1.0)``: ``effective_column`` at ``bins``, with
+    the bins' chirp factors read once and the run-sum tables cached (see ``_run_sums``)."""
     n = grid.n
     bins = np.asarray(bins) % n
     _, e2 = _chirps(n, grid.c1, grid.c2)
@@ -160,11 +159,11 @@ def _column(grid: AfdmGrid, m_src: int, bins: np.ndarray):
     e2_bins = np.conj(e2[bins])
     sums = _run_sums(grid, int(m_src), bins - m_src)
 
-    def col(ch: LosChannel) -> np.ndarray:
-        lead = ch.gain / n * e2_src * cmath.exp(
-            2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
+    def col(delay: float, doppler: float, gain: complex = 1.0) -> np.ndarray:
+        lead = gain / n * e2_src * cmath.exp(
+            2j * math.pi * (grid.c1 * delay**2 - delay * m_src / n)
         )
-        return lead * e2_bins * sums(ch)
+        return lead * e2_bins * sums(delay, doppler)
 
     return col
 
@@ -183,7 +182,7 @@ def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
     |F| never exceeds N and equals N exactly for an integer channel on its
     peak bin.
     """
-    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch)
+    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch.delay, ch.doppler)
 
 
 def exact_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
@@ -208,7 +207,7 @@ def effective_column(
     requested output bins; the 2-D search baseline correlates measured pilot
     readouts against it.
     """
-    return _column(grid, m_src, bins)(ch)
+    return _column(grid, m_src, bins)(ch.delay, ch.doppler, ch.gain)
 
 
 def _comb_factor(x: np.ndarray, c: int, n: int) -> np.ndarray:

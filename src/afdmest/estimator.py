@@ -164,12 +164,10 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 def _check_frame(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """The input check of every estimator, before any table is built.
 
-    Raises ValueError for a grid that fails ``AfdmGrid.validate`` (among
-    others one with C <= 2*k_max, whose peaks split into no unique integer
-    pair), a pilot index outside [0, N), a frame not of shape (N,) or one
-    with non-finite samples. Returns r as an array.
+    Raises ValueError for a pilot index outside [0, N), a frame not of
+    shape (N,) or one with non-finite samples (a grid checks itself when
+    built). Returns r as an array.
     """
-    grid.validate()
     layout.validate(grid)
     r = np.asarray(r)
     if r.shape != (grid.n,):
@@ -276,7 +274,7 @@ def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
 def _smooth_length(target: int) -> int:
     # smallest 2^a 3^b 5^c at or above target: numpy's FFT runs such lengths
     # about as fast as powers of two, and they pad far less
-    best = 1 << (target - 1).bit_length()
+    best = 1 << (int(target) - 1).bit_length()  # a numpy integer has no bit_length
     p5 = 1
     while p5 < best:
         p35 = p5

@@ -103,6 +103,8 @@ class ExperimentConfig:
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError("estimators must not repeat")
         for name in ("snr_db_list", "ep_ei_db_list"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} entries must be finite")
@@ -121,15 +123,13 @@ class ExperimentConfig:
             raise ValueError("master_seed must be >= 0")
 
     def grid_for(self, c: int) -> AfdmGrid:
-        g = AfdmGrid(
+        return AfdmGrid(
             n=self.n,
             k_max=self.k_max,
             l_max=self.l_max,
             doppler_pad=c - 2 * self.k_max,
             n_prefix=self.n_prefix,
         )
-        g.validate()
-        return g
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import afdmest
-from afdmest import baselines
+from afdmest import baselines, core, effective, estimator
 from afdmest.baselines import _nelder_mead, integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
@@ -259,30 +259,52 @@ def test_every_estimator_checks_its_input(estimate, case):
 # also longer than it); the C=10 grid's guards fit but its 40-bin readout
 # wraps the 32-sample frame
 BAD_GRIDS = {
-    "n16": (AfdmGrid(n=16), "guard band swallows the whole frame"),
-    "n48": (AfdmGrid(n=48), "guard band swallows the whole frame"),
+    "n16": (dict(n=16), "guard band swallows the whole frame"),
+    "n48": (dict(n=48), "guard band swallows the whole frame"),
     "n32-c10": (
-        AfdmGrid(n=32, k_max=3, l_max=1, doppler_pad=4),
+        dict(n=32, k_max=3, l_max=1, doppler_pad=4),
         "pilot readout longer than the frame",
     ),
     # C <= 2*k_max: a peak at k + C*l splits into no unique (l, k) pair
-    "c6": (AfdmGrid(doppler_pad=0), r"every C must exceed 2\*k_max"),
-    "c5": (AfdmGrid(doppler_pad=-1), r"every C must exceed 2\*k_max"),
+    "c6": (dict(doppler_pad=0), r"every C must exceed 2\*k_max"),
+    "c5": (dict(doppler_pad=-1), r"every C must exceed 2\*k_max"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_GRIDS)
 @pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])
 def test_every_estimator_rejects_an_invalid_grid(estimate, case):
-    """A grid that fails its own check raises that ValueError from all three
-    estimators, before any readout table is built, instead of a bare
-    StopIteration from the readout's divisor search or an estimate read off
-    bins that repeat or lie under the guards."""
-    grid, match = BAD_GRIDS[case]
+    """A grid that fails its own check raises that ValueError when it is
+    built, so no estimator reaches a readout table with it: no bare
+    StopIteration from the readout's divisor search, and no estimate read
+    off bins that repeat or lie under the guards."""
+    kwargs, match = BAD_GRIDS[case]
     built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
     with pytest.raises(ValueError, match=match):
+        grid = AfdmGrid(**kwargs)
         estimate(grid, np.ones(grid.n, dtype=complex), LAYOUT)
     assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+
+
+@pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])
+def test_a_grid_of_numpy_integers_gives_the_int_grid_estimate(estimate):
+    """A grid whose fields are numpy integers, as values read from a numpy
+    array are, gives each estimator the estimate the same grid of ints
+    gives, instead of an AttributeError from the chirp-z length search."""
+    fields = dict(n=256, k_max=3, l_max=3, doppler_pad=2, n_prefix=36)
+    np_grid = AfdmGrid(**{k: np.int64(v) for k, v in fields.items()})
+    r = received_frame(LosChannel(gain=0.8 * np.exp(0.9j), delay=1.25, doppler=0.4))
+    y = r if estimate is joint_estimate else daft_demodulate(GRID, r)
+    got = []
+    for grid in (np_grid, AfdmGrid(**fields)):
+        # the two grids are equal, so each would be served the other's
+        # cached tables: each builds its own
+        for mod in (core, effective, estimator):
+            for obj in vars(mod).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        got.append(estimate(grid, y, LAYOUT))
+    assert got[0] == got[1]
 
 
 def test_package_and_every_estimator_load_no_scipy():

@@ -1,5 +1,6 @@
 """Transform layer: grid construction, unitarity, prefix phase rule."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -66,14 +67,23 @@ class TestAfdmGrid:
         for pad in (0, -1):  # C = 6, 5 with k_max = 3: C <= 2*k_max
             with pytest.raises(ValueError, match=r"every C must exceed 2\*k_max"):
                 AfdmGrid(doppler_pad=pad).validate()
+        # C >= N: C*(l_max + 3) > N, so the readout rule refuses it
+        with pytest.raises(ValueError, match="readout longer than the frame"):
+            AfdmGrid(n=8, k_max=0, l_max=0, doppler_pad=8, n_prefix=0)
 
     def test_rejects_readout_longer_than_frame(self):
         """The guards fit, but the C*(l_max + 3) = 40 readout bins of this
         C=10 grid would wrap a 32-sample frame and read bins twice."""
-        g = AfdmGrid(n=32, k_max=3, l_max=1, doppler_pad=4)
-        assert 2 * g.guard_width < g.n
+        c, l_max, k_max, n = 10, 1, 3, 32
+        assert 2 * (c * l_max + k_max) < n  # 2 * guard_width
         with pytest.raises(ValueError, match="readout longer than the frame"):
-            g.validate()
+            AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=c - 2 * k_max)
+
+    def test_a_replaced_grid_checks_itself(self):
+        """A grid derived from a valid one by ``dataclasses.replace`` is built
+        anew, so it is checked too."""
+        with pytest.raises(ValueError, match="guard band swallows the whole frame"):
+            dataclasses.replace(AfdmGrid(), n=16)
 
 
 class TestTransforms:

@@ -256,9 +256,8 @@ class TestProfile:
         """The pilot readout equals read_profile of the full demodulation of
         the compensated body, to 1e-12 of its peak, over N, the parity of
         C*N, the pilot position and the compensation."""
-        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         try:
-            grid.validate()
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         except ValueError:
             assume(False)
         layout = PilotLayout(pilot_index=pilot % n)
@@ -300,9 +299,8 @@ class TestCoarseScores:
         give the scores of the candidate-by-candidate loop, over N, the
         parity of C, the pilot position and zero search boxes; a flat profile
         and a lone spike take the same path through the vectorised PSPR."""
-        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         try:
-            grid.validate()
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         except ValueError:
             assume(False)
         layout = PilotLayout(pilot_index=pilot % n)
@@ -404,9 +402,8 @@ class TestDecodeProperties:
         on random positive, flat and lone-spike profiles: the readout bins,
         the integer split of the first largest decodeable bin, and the
         early/late gate's bracket and range."""
-        grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         try:
-            grid.validate()
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         except ValueError:
             assume(False)
         c = grid.n_seg
@@ -604,14 +601,13 @@ def loaded_frames(draw, margin=0.0):
     over a fractional channel, with QPSK data, at 10, 20 or 30 dB:
     (grid, layout, body, the channel's Doppler). The Doppler stays
     ``margin`` bins inside [-k_max, k_max]."""
-    grid = AfdmGrid(
-        n=draw(st.integers(96, 320)),
-        k_max=draw(st.integers(int(np.ceil(margin)), 3)),
-        l_max=draw(st.integers(0, 3)),
-        doppler_pad=draw(st.integers(1, 4)),
-    )
     try:
-        grid.validate()
+        grid = AfdmGrid(
+            n=draw(st.integers(96, 320)),
+            k_max=draw(st.integers(int(np.ceil(margin)), 3)),
+            l_max=draw(st.integers(0, 3)),
+            doppler_pad=draw(st.integers(1, 4)),
+        )
     except ValueError:
         assume(False)
     layout = PilotLayout(pilot_index=draw(st.integers(0, grid.n - 1)))

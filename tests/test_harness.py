@@ -78,6 +78,7 @@ class TestConfig:
             dict(c_list=(8, 200)),  # C = 200 has no valid grid at N = 256
             dict(n_prefix=10),  # below l_max + the FIR half-width
             dict(master_seed=-1),  # np.random.SeedSequence takes no negative seed
+            dict(estimators=("joint", "joint")),  # two rows, each timing both calls
         ],
     )
     def test_rejects_bad_values(self, bad):

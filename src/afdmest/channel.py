@@ -6,7 +6,10 @@ Two channel implementations live here on purpose:
 * :func:`apply_los_channel` is the production model: a windowed-sinc FIR
   applies the fractional part of the delay on the receiver sample grid,
   the integer part is a shift, Doppler is a per-sample phasor, noise is
-  AWGN. This is what Monte Carlo runs use.
+  AWGN. This is what Monte Carlo runs use. It takes one prefixed frame or
+  a stack of them along a leading axis, shape (F, N + n_prefix), all
+  through the one channel; each row comes out bit for bit as that row
+  alone would.
 
 * :func:`oversampled_oracle` evaluates the delayed transmit waveform from
   its continuous-time description, per-segment frequency wraps included,
@@ -104,7 +107,8 @@ def apply_los_channel(
     half_width: int = FIR_HALF_WIDTH,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Pass a prefixed frame through the LOS channel; returns a prefixed frame.
+    """Pass a prefixed frame, or each row of an (F, N + n_prefix) stack,
+    through the LOS channel; returns prefixed frames of the same shape.
 
     output[p] = gain * sum_i taps[i] * s[p - l - i] * exp(-i*2*pi*K*p/N) + w[p]
 
@@ -113,10 +117,11 @@ def apply_los_channel(
     samples s[-n_prefix - l - half_width .. N - l + half_width - 1] are
     gathered once, those past either end of the prefixed frame from the
     periodic chirp-train extension of the frame body; each tap then adds
-    its shifted slice of that run, taps in order.
+    its shifted slice of that run, taps in order. The noise of a stack is
+    one :func:`awgn` draw over the whole stack.
     """
     n, ncp = grid.n, grid.n_prefix
-    if s_prefixed.shape != (n + ncp,):
+    if s_prefixed.ndim not in (1, 2) or s_prefixed.shape[-1] != n + ncp:
         raise ValueError("expected a prefixed frame")
     l = ch.delay_int
     if l + half_width > ncp:
@@ -126,16 +131,18 @@ def apply_los_channel(
     # non-causal taps peek past both frame edges; those samples come from
     # the periodic chirp-train extension of the frame body
     src = np.arange(-ncp - l - half_width, n - l + half_width)
-    ext = np.empty(src.size, dtype=complex)
+    ext = np.empty(s_prefixed.shape[:-1] + src.shape, dtype=complex)
     inside = (src >= -ncp) & (src < n)
-    ext[inside] = s_prefixed[src[inside] + ncp]
+    ext[..., inside] = s_prefixed[..., src[inside] + ncp]
     outside = ~inside
-    ext[outside] = s_prefixed[ncp + src[outside] % n] * _train_sign(grid, src[outside] // n)
+    ext[..., outside] = s_prefixed[..., ncp + src[outside] % n] * _train_sign(
+        grid, src[outside] // n
+    )
     p = np.arange(-ncp, n)
-    out = np.zeros(n + ncp, dtype=complex)
+    out = np.zeros(s_prefixed.shape, dtype=complex)
     for tap, i in zip(taps, range(-half_width, half_width + 1)):
         # source sample p - l - i sits at ext[p + ncp + half_width - i]
-        out += tap * ext[half_width - i : half_width - i + n + ncp]
+        out += tap * ext[..., half_width - i : half_width - i + n + ncp]
     out *= ch.gain * np.exp(-2j * np.pi * ch.doppler * p / n)
     if ch.noise_var > 0:
         if rng is None:
@@ -152,9 +159,15 @@ def awgn(s: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarra
         raise ValueError("negative noise variance")
     if noise_var == 0:
         return s.copy()
+    return s + _noise(s.shape, noise_var, rng)
+
+
+def _noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
+    # the samples awgn adds to an array of this shape; a caller that draws
+    # them frame by frame gets what awgn on each frame in turn would add
     scale = np.sqrt(noise_var / 2.0)
-    w = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-    return s + scale * w
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * w
 
 
 def oversampled_oracle(grid: AfdmGrid, x: np.ndarray, ch: LosChannel) -> np.ndarray:

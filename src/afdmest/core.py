@@ -9,10 +9,16 @@ The transform is computed as a chirp multiply, an N-point FFT and a second
 chirp multiply (U = diag(e1) . IDFT . diag(e2)), in O(N log N) time and
 O(N) memory; the two chirp vectors are cached per grid. No N x N matrix
 is formed.
+
+The transform and the prefix functions take one frame, shape (N,) (or
+(N + n_prefix,) with the prefix), or a stack of frames along a leading
+axis, shape (F, N); each row of a stack comes out bit for bit as that row
+alone would.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,6 +98,8 @@ class AfdmGrid:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("n", "k_max", "l_max", "doppler_pad", "n_prefix"):
+            _check_integer(name, getattr(self, name))
         if self.n < 8:
             raise ValueError("frame length too small")
         if self.k_max < 0 or self.l_max < 0:
@@ -108,6 +116,15 @@ class AfdmGrid:
             raise ValueError("pilot readout longer than the frame")
         if self.n_prefix < self.l_max:
             raise ValueError("prefix shorter than the largest delay")
+
+
+def _check_integer(name: str, value) -> None:
+    # operator.index admits ints and numpy integers, and refuses floats
+    # (256.0 too), which would otherwise fail deep inside an estimator
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _frac_quad_cycles(coef: float, idx: np.ndarray) -> np.ndarray:
@@ -142,24 +159,30 @@ def _chirps(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def _check_shape(grid: AfdmGrid, a: np.ndarray) -> None:
+    # one frame of N samples, or a stack of them along a leading axis
+    if a.ndim not in (1, 2) or a.shape[-1] != grid.n:
+        raise ValueError(f"frame must have shape ({grid.n},) or (F, {grid.n}), got {a.shape}")
+
+
 def daft_modulate(grid: AfdmGrid, x: np.ndarray) -> np.ndarray:
-    """Map DAFT-domain symbols x to time samples s = U @ x.
+    """Map DAFT-domain symbols x to time samples s = U @ x, for one frame
+    of shape (N,) or each row of an (F, N) stack.
 
     U[n, m] is the m-th chirp at sample n; the product is formed as
     diag(e1) . (inverse DFT) . diag(e2) with the unitary scaling.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape != (grid.n,):
-        raise ValueError(f"frame must have shape ({grid.n},)")
+    _check_shape(grid, x)
     e1, e2 = _chirps(grid.n, grid.c1, grid.c2)
     return e1 * np.fft.ifft(e2 * x) * np.sqrt(grid.n)
 
 
 def daft_demodulate(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
-    """Invert :func:`daft_modulate`: y = U^H @ r."""
+    """Invert :func:`daft_modulate`: y = U^H @ r, for one frame or each row
+    of a stack."""
     r = np.asarray(r, dtype=complex)
-    if r.shape != (grid.n,):
-        raise ValueError(f"frame must have shape ({grid.n},)")
+    _check_shape(grid, r)
     e1, e2 = _chirps(grid.n, grid.c1, grid.c2)
     return np.conj(e2) * np.fft.fft(np.conj(e1) * r) / np.sqrt(grid.n)
 
@@ -179,14 +202,15 @@ def add_prefix(grid: AfdmGrid, s: np.ndarray) -> np.ndarray:
     tail sample s[N + n] one period back on the chirp train, that is times
     the train sign (-1)^(C*N), which keeps the chirp phase progression
     continuous across the frame start. When C*N is even this is a plain
-    cyclic prefix.
+    cyclic prefix. Takes one frame or an (F, N) stack.
     """
     n, ncp = grid.n, grid.n_prefix
-    return np.concatenate([s[n - ncp :] * _train_sign(grid, -1), s])
+    return np.concatenate([s[..., n - ncp :] * _train_sign(grid, -1), s], axis=-1)
 
 
 def strip_prefix(grid: AfdmGrid, s_cp: np.ndarray) -> np.ndarray:
-    """Drop the prefix samples, returning the N-sample frame body."""
-    if s_cp.shape != (grid.n + grid.n_prefix,):
+    """Drop the prefix samples, returning the N-sample frame body (a view;
+    for an (F, N + n_prefix) stack, the (F, N) bodies)."""
+    if s_cp.ndim not in (1, 2) or s_cp.shape[-1] != grid.n + grid.n_prefix:
         raise ValueError("frame does not carry the expected prefix")
-    return s_cp[grid.n_prefix :]
+    return s_cp[..., grid.n_prefix :]

@@ -1,21 +1,28 @@
 """Pilot frame construction and the joint fractional delay/Doppler estimator.
 
-Estimation runs in three stages on a received frame:
+Estimation runs in three stages on a received frame (``joint_estimate``),
+or on each row of a stack of frames that share grid and layout
+(``joint_estimate_rows``, which gives every row the Estimate
+``joint_estimate`` gives that row alone):
 
 1. fractional Doppler: a scalar search over the compensation phase that
    maximizes the peak-to-sidelobe power ratio (PSPR) of the pilot region
    readout. The readout at bin b with kappa compensated is
    |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame body, so the
    coarse candidates times the readout bins form one uniform frequency
-   grid. One cached Bluestein chirp-z transform (two FFTs) scores that grid
-   in one pass, then a vectorised PSPR covers all candidates.
-   Golden-section refinement of the best cell follows, one candidate at a
-   time, each a pruned DFT of the body: with N = P*M and P the smallest
-   divisor of N at or above the J readout bins, the dechirped body is read
-   as M rows of P, the compensation phasor is folded into their P-point
-   FFTs and the readout bins are summed over the rows, in O(N log P + N)
-   time with O(N) tables built once per grid and pilot position. Only the
-   pilot region of the transform output is ever computed.
+   grid. One cached Bluestein chirp-z transform (two FFTs per frame, over
+   the whole stack at once) scores that grid in one pass, then a
+   vectorised PSPR covers all candidates. Golden-section refinement of
+   each frame's best cell follows, the frames of a stack stepping
+   together: each step reads every frame at its own probe with one pruned
+   DFT of the stack. With N = P*M and P the smallest divisor of N at or
+   above the J readout bins, each dechirped body is read as M rows of P,
+   the compensation phasor is folded into their P-point FFTs and the
+   readout bins are summed over the rows, in O(N log P + N) time per
+   frame with O(N) tables built once per grid and pilot position. Only
+   the pilot region of the transform output is ever computed. One frame
+   is read and scored with the one-profile forms (``pspr``), a stack with
+   the row forms; the two give the same bits.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -54,6 +61,7 @@ __all__ = [
     "estimate_doppler_frac",
     "estimate_delay_frac",
     "joint_estimate",
+    "joint_estimate_rows",
 ]
 
 
@@ -161,19 +169,34 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     return float(sq[half] / denom)
 
 
-def _check_frame(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
+def _check_frame(
+    grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, stack: bool = False
+) -> np.ndarray:
     """The input check of every estimator, before any table is built.
 
     Raises ValueError for a pilot index outside [0, N), a frame not of
     shape (N,) or one with non-finite samples (a grid checks itself when
-    built). Returns r as an array.
+    built). With ``stack``, r is a stack of frames: it must be 2-D, hold
+    at least one frame, have rows of N samples and no non-finite sample in
+    any row. Returns r as an array.
     """
     layout.validate(grid)
     r = np.asarray(r)
-    if r.shape != (grid.n,):
-        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError("received frame has non-finite samples")
+    if not stack:
+        if r.shape != (grid.n,):
+            raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("received frame has non-finite samples")
+        return r
+    if r.ndim != 2:
+        raise ValueError(f"a frame stack must be 2-D, (frames, {grid.n}), got shape {r.shape}")
+    if r.shape[1] != grid.n:
+        raise ValueError(f"frames of the stack must have {grid.n} samples, got shape {r.shape}")
+    if r.shape[0] == 0:
+        raise ValueError("the frame stack holds no frames")
+    bad = ~np.isfinite(r).all(axis=1)
+    if bad.any():
+        raise ValueError(f"frame {int(np.argmax(bad))} of the stack has non-finite samples")
     return r
 
 
@@ -213,16 +236,18 @@ def _pruned_dft(grid: AfdmGrid, layout: PilotLayout):
 
 def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
     """Pilot readout of the frame body r, as read(kappa): the magnitudes over
-    profile_bins with a fractional Doppler kappa compensated.
+    profile_bins with a fractional Doppler kappa compensated. For an (F, N)
+    stack r, read takes F compensations, one per frame, and returns the
+    (F, J) readouts, each row the bits of that frame's own read.
 
     The dechirp is applied once per frame; each read folds the compensation
     phasor exp(2 pi i kappa n / N), factored over the (P, M) split of
     :func:`_pruned_dft`, into P-point FFTs of the M rows, so it costs
-    O(N log P + N) with O(N) tables.
+    O(N log P + N) per frame with O(N) tables.
     """
     pre, tw, rates, cols = _pruned_dft(grid, layout)
     m, p = pre.shape
-    z = np.multiply(r.reshape(p, m).T, pre, order="C")
+    z = np.multiply(r.reshape(*r.shape[:-1], p, m).swapaxes(-1, -2), pre, order="C")
     # every read reuses one work array: at large N a fresh (M, P) array per
     # read costs as much as the transform
     y = np.empty_like(z)
@@ -234,7 +259,14 @@ def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
         np.multiply(y, tw, out=y)
         return np.abs((ab[p:] @ y)[cols])
 
-    return read
+    def read_rows(kappa: np.ndarray) -> np.ndarray:
+        ab = np.exp(rates * kappa[:, None])
+        np.multiply(z, ab[:, None, :p], out=y)
+        np.fft.fft(y, axis=-1, out=y)
+        np.multiply(y, tw, out=y)
+        return np.abs((ab[:, None, p:] @ y)[:, 0, cols])
+
+    return read if r.ndim == 1 else read_rows
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -256,16 +288,16 @@ def _peak_pspr(grid: AfdmGrid, p: np.ndarray) -> float:
 
 
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
-    """pspr of every row of a (candidates, bins) profile matrix, each taken
-    at its row's :func:`_peak`, with the window and the denom <= 0 -> inf
-    rule of :func:`pspr` (the window sum may associate differently, in the
-    last bit)."""
+    """pspr of every profile of a (..., profiles, bins) stack, each taken at
+    its profile's :func:`_peak`, with the window, the sum and the
+    denom <= 0 -> inf rule of :func:`pspr`, so each score has the bits
+    pspr gives that profile."""
     c, half = grid.n_seg, grid.n_seg // 2
-    pos = _peak(grid, p)
-    window = np.take_along_axis(p, pos[:, None] + np.arange(-half, c - half), axis=1)
-    peak = p[np.arange(p.shape[0]), pos]
-    denom = (np.sum(window**2, axis=1) - peak**2) / c
-    out = np.full(p.shape[0], np.inf)
+    pos = _peak(grid, p)[..., None]
+    window = np.take_along_axis(p, pos + np.arange(-half, c - half), axis=-1)
+    peak = window[..., half]
+    denom = (np.sum(window**2, axis=-1) - peak**2) / c
+    out = np.full(denom.shape, np.inf)
     ok = denom > 0.0
     out[ok] = peak[ok] ** 2 / denom[ok]
     return out
@@ -342,14 +374,16 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
 
 def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: int):
     """PSPR of every coarse compensation candidate (i + 1/2)/steps, as
-    (candidates, scores), with all readouts from one chirp-z transform."""
+    (candidates, scores), with all readouts from one chirp-z transform; for
+    an (F, N) stack r the scores are (F, candidates)."""
     pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
-    spec = np.zeros(kernel_fft.size, dtype=complex)
-    np.multiply(r, pre, out=spec[: grid.n])
+    spec = np.zeros(r.shape[:-1] + kernel_fft.shape, dtype=complex)
+    np.multiply(r, pre, out=spec[..., : grid.n])
     np.fft.fft(spec, out=spec)
     spec *= kernel_fft
     np.fft.ifft(spec, out=spec)
-    p = np.abs(spec[:m]).reshape(-1, steps).T
+    # (..., bins, candidates) -> a profile over the bins per candidate
+    p = np.abs(spec[..., :m]).reshape(*r.shape[:-1], -1, steps).swapaxes(-1, -2)
     return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
 
 
@@ -414,21 +448,57 @@ _NO_ESTIMATE = Estimate(
 )
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+def _golden_max(a: float, b: float, tol: float):
+    """Golden-section search for a maximum on [a, b], as a generator: it
+    yields each probe, is sent that probe's score, and returns the midpoint
+    of its first bracket narrower than tol."""
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = f(d)
+            fd = yield d
     return (a + b) / 2.0
+
+
+def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray) -> np.ndarray:
+    # the center of the best coarse cell of each frame of r, one frame or
+    # an (F, N) stack, as an array of one value per frame
+    cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+    return np.atleast_1d(cand[np.argmax(scores, axis=-1)])
+
+
+def _refine(best: np.ndarray, score) -> list:
+    """Stage 1's compensations in [0, 1): the coarse cells centered on best,
+    one per frame, golden-section refined. The refines step together:
+    score(probes) takes every frame's probe, in frame order, and returns
+    their scores. Every bracket starts 2/_COARSE_STEPS wide, so all take
+    the same steps; a search done early is probed again at its last point,
+    its score unused."""
+    searches = [
+        _golden_max(k - 1.0 / _COARSE_STEPS, k + 1.0 / _COARSE_STEPS, _REFINE_TOL)
+        for k in best
+    ]
+    probes = [next(search) for search in searches]
+    kappa = [None] * len(searches)
+    left = len(searches)
+    while left:
+        for i, f in enumerate(score(probes)):
+            if kappa[i] is None:
+                try:
+                    probes[i] = searches[i].send(f)
+                except StopIteration as done:
+                    kappa[i] = done.value % 1.0
+                    left -= 1
+    return kappa
 
 
 def estimate_doppler_frac(
@@ -446,13 +516,12 @@ def estimate_doppler_frac(
     ValueError as :func:`_check_frame` does.
     """
     r = _check_frame(grid, r, layout)
-    cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
-    best = int(np.argmax(scores))
-    lo = cand[best] - 1.0 / _COARSE_STEPS
-    hi = cand[best] + 1.0 / _COARSE_STEPS
+    best = _best_cells(grid, layout, r)
+    # the readout's work arrays are made after the chirp-z transform has
+    # run: made before it, they slowed the call by a fifth at N=4096
     read = _readout(grid, r, layout)
-    kappa = _golden_max(lambda k: _peak_pspr(grid, read(k)), lo, hi, _REFINE_TOL)
-    kappa = float(kappa % 1.0)
+    (kappa,) = _refine(best, lambda k: (_peak_pspr(grid, read(k[0])),))
+    kappa = float(kappa)
     p = read(kappa)
     return kappa, _peak_pspr(grid, p), p
 
@@ -495,7 +564,36 @@ def joint_estimate(
     the frame). A frame whose pilot readout is all zero (nothing received)
     carries no estimate: it comes back flagged, with zero in every field.
     """
-    kappa, score, p = estimate_doppler_frac(grid, r, layout)
+    return _estimate(grid, *estimate_doppler_frac(grid, r, layout))
+
+
+def joint_estimate_rows(
+    grid: AfdmGrid,
+    r: np.ndarray,
+    layout: PilotLayout,
+) -> list[Estimate]:
+    """:func:`joint_estimate` of every row of an (F, N) stack of frame
+    bodies, as a list in row order, each the Estimate of that row alone.
+
+    The stages run on the whole stack: one chirp-z transform scores every
+    frame's coarse grid, the golden refines step together with one pruned
+    DFT of the stack per step, and each frame's integer decode and gate
+    follow. Raises ValueError as :func:`_check_frame` does for a stack.
+    """
+    r = _check_frame(grid, r, layout, stack=True)
+    best = _best_cells(grid, layout, r)
+    read = _readout(grid, r, layout)
+    kappa = np.array(_refine(best, lambda k: _pspr_rows(grid, read(np.array(k)))))
+    p = read(kappa)
+    return [
+        _estimate(grid, float(k), float(score), row)
+        for k, score, row in zip(kappa, _pspr_rows(grid, p), p)
+    ]
+
+
+def _estimate(grid: AfdmGrid, kappa: float, score: float, p: np.ndarray) -> Estimate:
+    # stages 2 and 3 on stage 1's compensation kappa, its PSPR and its
+    # compensated profile p
     if not np.any(p):
         return _NO_ESTIMATE
     js, k, l_round, flagged = integer_estimate(grid, p)

@@ -3,10 +3,12 @@
 A sweep walks the grid of (C, SNR, pilot-to-data ratio) cells. Each cell
 runs ``trials_per_point`` independent trials; a trial draws one channel
 (delay uniform on [0, l_max], Doppler uniform on [-k_max, k_max], gain of
-unit modulus with random phase), pushes ``estimates_per_trial`` frames
-through it, runs every configured estimator on the same received samples,
-and averages each estimator's per-frame composite estimates. The trial
-error is that average minus the truth; the cell reports RMSE over trials.
+unit modulus with random phase), then each frame's data and noise, frame
+by frame, in the order one frame at a time would draw them. It pushes its
+``estimates_per_trial`` frames through the channel as one stack, runs
+every configured estimator once on the same received stack, and averages
+each estimator's per-frame composite estimates. The trial error is that
+average minus the truth; the cell reports RMSE over trials.
 
 Everything is seeded through one master seed with per-(cell, trial) spawn
 keys, so results are byte-reproducible regardless of worker count or
@@ -19,15 +21,22 @@ import json
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import baselines
-from .channel import FIR_HALF_WIDTH, LosChannel, apply_los_channel
-from .core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
+from .channel import FIR_HALF_WIDTH, LosChannel, _noise, apply_los_channel
+from .core import (
+    AfdmGrid,
+    _check_integer,
+    add_prefix,
+    daft_demodulate,
+    daft_modulate,
+    strip_prefix,
+)
 from .effective import (
     _ELG_GRID,
     elg_invert,
@@ -39,6 +48,7 @@ from .estimator import (
     PilotLayout,
     build_pilot_frame,
     joint_estimate,
+    joint_estimate_rows,
 )
 
 __all__ = [
@@ -57,12 +67,18 @@ __all__ = [
 CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_pspr,wall_ms"
 SCHEMA_VERSION = 3
 
-# estimator name -> estimate from a frame body, the baselines' demodulated;
-# each looks its functions up when called, so a patched attribute is seen
+# estimator name -> the Estimates of an (F, N) stack of frame bodies, one
+# per row: joint on the whole stack, the baselines row by row on the
+# demodulated stack; each looks its functions up when called, so a patched
+# attribute is seen
 ESTIMATORS = {
-    "joint": lambda g, r, lay: joint_estimate(g, r, lay),
-    "integer_only": lambda g, r, lay: baselines.integer_only(g, daft_demodulate(g, r), lay),
-    "two_d_search": lambda g, r, lay: baselines.two_d_search(g, daft_demodulate(g, r), lay),
+    "joint": lambda g, r, lay: joint_estimate_rows(g, r, lay),
+    "integer_only": lambda g, r, lay: [
+        baselines.integer_only(g, y, lay) for y in daft_demodulate(g, r)
+    ],
+    "two_d_search": lambda g, r, lay: [
+        baselines.two_d_search(g, y, lay) for y in daft_demodulate(g, r)
+    ],
 }
 
 
@@ -88,6 +104,13 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in (
+            "n", "k_max", "l_max", "n_prefix", "trials_per_point",
+            "estimates_per_trial", "master_seed", "workers",
+        ):
+            _check_integer(name, getattr(self, name))
+        for c in self.c_list:
+            _check_integer("c_list entry", c)
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.estimates_per_trial < 1:
@@ -161,9 +184,16 @@ def run_trial(
 ):
     """One channel draw, ``frames`` received frames, every estimator on each.
 
+    Draws the channel, then frame by frame its data (one
+    ``build_pilot_frame`` call) and its noise, in the order a frame-at-a-time
+    loop draws them. The ``frames`` frames then go through modulation, the
+    prefix, the noise-free channel, the noise and the prefix strip as one
+    (frames, N) stack, and each estimator runs once on the received stack;
+    every frame comes out as it would alone.
+
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
     mean_pspr, seconds)}): plain means over the estimator's kept per-frame
-    ``Estimate``s, in frame order, and its summed seconds in the estimator.
+    ``Estimate``s, in frame order, and its seconds in the estimator.
     """
     rng = np.random.default_rng(seed_seq)
     delay = rng.uniform(0.0, grid.l_max)
@@ -171,17 +201,23 @@ def run_trial(
     gain = np.exp(2j * np.pi * rng.uniform())
     ch = LosChannel(gain=gain, delay=delay, doppler=doppler, noise_var=noise_var)
 
-    kept = {name: [] for name in estimators}
-    seconds = {name: 0.0 for name in estimators}
-    for _ in range(frames):
-        x = build_pilot_frame(grid, layout, rng)
-        s = add_prefix(grid, daft_modulate(grid, x))
-        r = apply_los_channel(grid, s, ch, rng=rng)
-        body = strip_prefix(grid, r)
-        for name in estimators:
-            t0 = time.perf_counter()
-            kept[name].append(ESTIMATORS[name](grid, body, layout))
-            seconds[name] += time.perf_counter() - t0
+    x = np.empty((frames, grid.n), dtype=complex)
+    noise = np.zeros((frames, grid.n + grid.n_prefix), dtype=complex)
+    for f in range(frames):
+        x[f] = build_pilot_frame(grid, layout, rng)
+        if ch.noise_var > 0:
+            noise[f] = _noise(noise.shape[1:], ch.noise_var, rng)
+    s = add_prefix(grid, daft_modulate(grid, x))
+    s = apply_los_channel(grid, s, replace(ch, noise_var=0.0))
+    if ch.noise_var > 0:
+        s += noise
+    body = strip_prefix(grid, s)
+
+    kept, seconds = {}, {}
+    for name in estimators:
+        t0 = time.perf_counter()
+        kept[name] = ESTIMATORS[name](grid, body, layout)
+        seconds[name] = time.perf_counter() - t0
 
     out = {}
     for name, ests in kept.items():

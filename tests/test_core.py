@@ -85,6 +85,18 @@ class TestAfdmGrid:
         with pytest.raises(ValueError, match="guard band swallows the whole frame"):
             dataclasses.replace(AfdmGrid(), n=16)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 256.0), ("k_max", 3.0), ("l_max", 2.5), ("doppler_pad", np.float64(2.0)),
+         ("n_prefix", 36.0), ("n", "256")],
+    )
+    def test_rejects_a_non_integer_field(self, field, value):
+        """A float (256.0 too) or a string in an integer field raises
+        TypeError naming the field when the grid is built, not deep inside
+        an estimator's tables."""
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            AfdmGrid(**{field: value})
+
 
 class TestTransforms:
     def test_matrix_is_unitary(self):
@@ -244,6 +256,19 @@ class TestPrefix:
         g = AfdmGrid()
         with pytest.raises(ValueError):
             strip_prefix(g, np.zeros(g.n))
+
+
+class TestStacks:
+    """The transform takes one frame or an (F, N) stack along a leading
+    axis (test_estimator.TestStacks holds each stacked row to its own call,
+    bit for bit, over random grids), and nothing else."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 256), (2, 255), ()])
+    def test_rejects_other_shapes(self, shape):
+        g = AfdmGrid()
+        for fn in (daft_modulate, daft_demodulate):
+            with pytest.raises(ValueError, match="shape"):
+                fn(g, np.ones(shape, dtype=complex))
 
 
 def test_package_exports_every_layer_all():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.estimator import (
+    _NO_ESTIMATE,
     Estimate,
     PilotLayout,
     _coarse_czt,
@@ -30,6 +31,7 @@ from afdmest.estimator import (
     estimate_doppler_frac,
     integer_estimate,
     joint_estimate,
+    joint_estimate_rows,
     profile_bins,
     pspr,
     read_profile,
@@ -698,3 +700,111 @@ class TestSymmetries:
         got = joint_estimate(grid, r * phasor, layout)
         assert_same_decode(got, ref, grid.n, shift)
         assert_same_pspr(got, ref)
+
+
+@st.composite
+def loaded_stacks(draw):
+    """A ``loaded_frames`` grid, pilot position and frame body, stacked
+    with one to four more bodies received on that grid, each over a
+    channel, data and noise of its own: (grid, layout, (F, N) stack)."""
+    grid, layout, r, _ = draw(loaded_frames())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [r]
+    for _ in range(draw(st.integers(1, 4))):
+        ch = LosChannel(
+            gain=np.exp(2j * np.pi * rng.uniform()),
+            delay=rng.uniform(0.0, grid.l_max),
+            doppler=rng.uniform(-grid.k_max, grid.k_max),
+            noise_var=noise_variance(grid, layout, 20.0),
+        )
+        rows.append(pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng))
+    return grid, layout, np.array(rows)
+
+
+def assert_rows_equal(stacked, rows):
+    assert stacked.shape == (len(rows), *rows[0].shape)
+    for got, expect in zip(stacked, rows):
+        assert np.array_equal(got, expect)
+
+
+class TestStacks:
+    """A stack of frames on one grid comes out of every layer as its rows
+    would one at a time, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=loaded_stacks())
+    def test_every_row_of_the_stacked_joint_is_its_own_estimate(self, stack):
+        grid, layout, r = stack
+        assert joint_estimate_rows(grid, r, layout) == [
+            joint_estimate(grid, row, layout) for row in r
+        ]
+
+    def test_stacked_joint_on_odd_cn_and_a_nonzero_pilot(self):
+        """A fixed case of the property above, as a sweep trial stacks its
+        frames (one channel), on a grid whose prefix is the negated tail
+        (C*N odd) and with the pilot off slot 0."""
+        grid = AfdmGrid(n=255, doppler_pad=3)
+        layout = PilotLayout(pilot_index=17)
+        rng = np.random.default_rng(31)
+        ch = LosChannel(
+            gain=0.6 + 0.8j, delay=2.3, doppler=-1.4,
+            noise_var=noise_variance(grid, layout, 20.0),
+        )
+        r = np.array([
+            pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng) for _ in range(6)
+        ])
+        ests = joint_estimate_rows(grid, r, layout)
+        assert ests == [joint_estimate(grid, row, layout) for row in r]
+        assert not any(e.flagged for e in ests)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stack=loaded_stacks(),
+        delay=st.floats(0.0, 1.0),
+        doppler=st.floats(-1.0, 1.0),
+        phase=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_stacked_transforms_and_channel_equal_their_rows(self, stack, delay, doppler, phase):
+        grid, layout, r = stack
+        ch = LosChannel(
+            gain=np.exp(1j * phase), delay=delay * grid.l_max, doppler=doppler * grid.k_max
+        )
+        s = daft_modulate(grid, r)
+        assert_rows_equal(s, [daft_modulate(grid, row) for row in r])
+        sp = add_prefix(grid, s)
+        assert_rows_equal(sp, [add_prefix(grid, row) for row in s])
+        out = apply_los_channel(grid, sp, ch)
+        assert_rows_equal(out, [apply_los_channel(grid, row, ch) for row in sp])
+        body = strip_prefix(grid, out)
+        assert_rows_equal(body, [strip_prefix(grid, row) for row in out])
+        y = daft_demodulate(grid, body)
+        assert_rows_equal(y, [daft_demodulate(grid, row) for row in body])
+
+    @settings(max_examples=30, deadline=None)
+    @given(stack=loaded_stacks(), where=st.integers(0, 5))
+    def test_an_all_zero_row_is_flagged_and_leaves_the_others(self, stack, where):
+        grid, layout, r = stack
+        i = where % (len(r) + 1)
+        ests = joint_estimate_rows(grid, np.insert(r, i, 0.0, axis=0), layout)
+        assert ests[i] == _NO_ESTIMATE
+        assert ests[:i] + ests[i + 1 :] == joint_estimate_rows(grid, r, layout)
+
+    @pytest.mark.parametrize(
+        "shape,nan_row,match",
+        [
+            ((3, GRID.n), 1, "frame 1 of the stack has non-finite samples"),
+            ((3, GRID.n - 1), None, f"frames of the stack must have {GRID.n} samples"),
+            ((2, 3, GRID.n), None, "a frame stack must be 2-D"),
+            ((GRID.n,), None, "a frame stack must be 2-D"),
+            ((0, GRID.n), None, "the frame stack holds no frames"),
+        ],
+        ids=["nan-in-row-1", "wrong-last-dimension", "3-d", "1-d", "no-frames"],
+    )
+    def test_malformed_stack_is_rejected_before_any_table(self, shape, nan_row, match):
+        r = np.ones(shape, dtype=complex)
+        if nan_row is not None:
+            r[nan_row, 5] = np.nan
+        built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
+        with pytest.raises(ValueError, match=match):
+            joint_estimate_rows(GRID, r, LAYOUT)
+        assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built

@@ -19,8 +19,16 @@ import numpy as np
 import pytest
 
 from afdmest import harness
-from afdmest.core import AfdmGrid
-from afdmest.estimator import PilotLayout
+from afdmest.baselines import integer_only, two_d_search
+from afdmest.channel import LosChannel, apply_los_channel
+from afdmest.core import (
+    AfdmGrid,
+    add_prefix,
+    daft_demodulate,
+    daft_modulate,
+    strip_prefix,
+)
+from afdmest.estimator import PilotLayout, build_pilot_frame, joint_estimate
 from afdmest.harness import (
     CSV_HEADER,
     SCHEMA_VERSION,
@@ -84,6 +92,28 @@ class TestConfig:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad).validate()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 256.0),
+            ("k_max", 3.0),
+            ("l_max", 3.0),
+            ("n_prefix", 40.0),
+            ("c_list", (8, 12.0)),
+            ("trials_per_point", 2.5),
+            ("estimates_per_trial", 2.0),
+            ("master_seed", 77.0),
+            ("workers", 1.0),
+        ],
+    )
+    def test_rejects_a_non_integer_field(self, field, value):
+        """A float in an integer field raises TypeError naming the field
+        when the config is built, instead of an error in the middle of a
+        sweep."""
+        name = "c_list entry" if field == "c_list" else field
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            tiny_config(**{field: value})
 
     @pytest.mark.parametrize("field", ["snr_db_list", "ep_ei_db_list"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -162,6 +192,37 @@ class TestRunTrial:
                 assert np.isfinite(d_hat) and np.isfinite(k_hat)
                 assert pspr > 1.0
                 assert sec >= 0.0
+
+    def test_stacked_trial_gives_the_frame_at_a_time_estimates(self):
+        """run_trial draws each frame's data and noise in the order a loop
+        over single frames draws them and pushes the frames through as one
+        stack; every estimator's means equal, bit for bit, those of the loop
+        that builds, passes and estimates one frame at a time."""
+        names = ("joint", "integer_only", "two_d_search")
+        nv = noise_variance(self.grid, self.layout, 10.0)
+        key = (3, 1)
+        _, got = run_trial(
+            self.grid, self.layout, nv, names, 4,
+            np.random.SeedSequence(self.cfg.master_seed, spawn_key=key),
+        )
+        g, lay = self.grid, self.layout
+        rng = np.random.default_rng(np.random.SeedSequence(self.cfg.master_seed, spawn_key=key))
+        delay = rng.uniform(0.0, g.l_max)
+        doppler = rng.uniform(-g.k_max, g.k_max)
+        ch = LosChannel(np.exp(2j * np.pi * rng.uniform()), delay, doppler, nv)
+        ests = {name: [] for name in names}
+        for _ in range(4):
+            s = add_prefix(g, daft_modulate(g, build_pilot_frame(g, lay, rng)))
+            r = strip_prefix(g, apply_los_channel(g, s, ch, rng=rng))
+            ests["joint"].append(joint_estimate(g, r, lay))
+            ests["integer_only"].append(integer_only(g, daft_demodulate(g, r), lay))
+            ests["two_d_search"].append(two_d_search(g, daft_demodulate(g, r), lay))
+        for name, kept in ests.items():
+            expect = tuple(
+                float(np.mean([getattr(e, field) for e in kept]))
+                for field in ("delay", "doppler", "pspr")
+            )
+            assert got[name][:3] == expect, name
 
     def test_joint_beats_integer_decode_at_high_snr(self):
         ss = np.random.SeedSequence(5)

@@ -279,17 +279,22 @@ def elg_theory(delay_frac) -> np.ndarray:
 
 
 _ELG_TABLE = elg_theory(_ELG_GRID)
+# the table negated, ascending as np.interp requires, and the reading above
+# which the late tap counts as lost in the noise
+_ELG_ASCENDING = -_ELG_TABLE
+_ELG_INTEGER_DB = _ELG_TABLE[0] + 3.0
 
 
-def elg_invert(a_db: float) -> float:
+def elg_invert(a_db):
     """Fractional delay whose theoretical discriminator equals ``a_db``.
 
     Interpolates the tabulated curve on [0.01, 0.99]. Readings more than
     3 dB above the table's top mean the late tap has sunk into the noise
     floor and the delay is treated as integer (returns 0.0); readings off
-    the bottom clamp to 0.99.
+    the bottom clamp to 0.99. A scalar reading gives a float; an array of
+    readings gives an array, each element the bits its scalar call gives.
     """
-    if a_db > _ELG_TABLE[0] + 3.0:
-        return 0.0
-    # table is decreasing; negate for np.interp's ascending requirement
-    return float(np.interp(-a_db, -_ELG_TABLE, _ELG_GRID))
+    a_db = np.asarray(a_db, dtype=float)
+    # times True keeps the interpolated bits, times False gives 0.0
+    iota = np.interp(-a_db, _ELG_ASCENDING, _ELG_GRID) * (a_db <= _ELG_INTEGER_DB)
+    return float(iota) if iota.ndim == 0 else iota

@@ -4,11 +4,20 @@ A sweep walks the grid of (C, SNR, pilot-to-data ratio) cells. Each cell
 runs ``trials_per_point`` independent trials; a trial draws one channel
 (delay uniform on [0, l_max], Doppler uniform on [-k_max, k_max], gain of
 unit modulus with random phase), then each frame's data and noise, frame
-by frame, in the order one frame at a time would draw them. It pushes its
-``estimates_per_trial`` frames through the channel as one stack, runs
-every configured estimator once on the same received stack, and averages
-each estimator's per-frame composite estimates. The trial error is that
-average minus the truth; the cell reports RMSE over trials.
+by frame, in the order one frame at a time would draw them, and passes
+its ``estimates_per_trial`` frames through its own channel. Each
+estimator's per-frame composite estimates are averaged over the trial's
+frames; the trial error is that average minus the truth, and the cell
+reports RMSE over trials.
+
+The unit of work is a chunk of a cell's trials: each trial draws as above
+from its own seed, then the chunk's frames go through modulation, the
+prefix, the prefix strip and every configured estimator as one stack. A
+chunk adds trials while its frames hold at most ``_CHUNK_SAMPLES`` samples
+(frames x N), and holds at least one trial; with more than one worker it
+holds at most ceil(trials / workers) trials, so every worker gets work.
+Every frame comes out as it would alone, so chunking does not change the
+results.
 
 Everything is seeded through one master seed with per-(cell, trial) spawn
 keys, so results are byte-reproducible regardless of worker count or
@@ -68,18 +77,21 @@ CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_ps
 SCHEMA_VERSION = 3
 
 # estimator name -> the Estimates of an (F, N) stack of frame bodies, one
-# per row: joint on the whole stack, the baselines row by row on the
-# demodulated stack; each looks its functions up when called, so a patched
-# attribute is seen
+# per row: joint and integer_only on the whole stack (integer_only
+# demodulated), two_d_search row by row on the demodulated stack; each
+# looks its functions up when called, so a patched attribute is seen
 ESTIMATORS = {
     "joint": lambda g, r, lay: joint_estimate_rows(g, r, lay),
-    "integer_only": lambda g, r, lay: [
-        baselines.integer_only(g, y, lay) for y in daft_demodulate(g, r)
-    ],
+    "integer_only": lambda g, r, lay: baselines.integer_only_rows(g, daft_demodulate(g, r), lay),
     "two_d_search": lambda g, r, lay: [
         baselines.two_d_search(g, y, lay) for y in daft_demodulate(g, r)
     ],
 }
+
+# a chunk of a cell's trials holds at most this many frame samples (frames
+# x N) and at least one trial: every 3 x 10-frame cell of the N=256 sweeps
+# is one chunk, and at N=4096 a chunk is one trial
+_CHUNK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -189,49 +201,67 @@ def run_trial(
     loop draws them. The ``frames`` frames then go through modulation, the
     prefix, the noise-free channel, the noise and the prefix strip as one
     (frames, N) stack, and each estimator runs once on the received stack;
-    every frame comes out as it would alone.
+    every frame comes out as it would alone. This is a chunk of one trial
+    (``_run_chunk``).
 
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
     mean_pspr, seconds)}): plain means over the estimator's kept per-frame
     ``Estimate``s, in frame order, and its seconds in the estimator.
     """
-    rng = np.random.default_rng(seed_seq)
-    delay = rng.uniform(0.0, grid.l_max)
-    doppler = rng.uniform(-grid.k_max, grid.k_max)
-    gain = np.exp(2j * np.pi * rng.uniform())
-    ch = LosChannel(gain=gain, delay=delay, doppler=doppler, noise_var=noise_var)
+    return _run_chunk(grid, layout, noise_var, estimators, frames, [seed_seq])[0]
 
-    x = np.empty((frames, grid.n), dtype=complex)
-    noise = np.zeros((frames, grid.n + grid.n_prefix), dtype=complex)
-    for f in range(frames):
-        x[f] = build_pilot_frame(grid, layout, rng)
-        if ch.noise_var > 0:
-            noise[f] = _noise(noise.shape[1:], ch.noise_var, rng)
+
+def _run_chunk(grid, layout, noise_var, estimators, frames, seed_seqs) -> list:
+    """``run_trial`` of every seed of ``seed_seqs``, as a list in seed order.
+
+    Each trial draws from its own seed as ``run_trial`` does and passes
+    its frames through its own channel; modulation, the prefix, the prefix
+    strip and each estimator run once on the stack of all the trials'
+    frames. Each trial's means are over its own rows, in frame order, and
+    an estimator's seconds on the stack are shared equally by the trials.
+    """
+    rows = len(seed_seqs) * frames
+    x = np.empty((rows, grid.n), dtype=complex)
+    noise = np.zeros((rows, grid.n + grid.n_prefix), dtype=complex)
+    channels = []
+    for t, seed_seq in enumerate(seed_seqs):
+        rng = np.random.default_rng(seed_seq)
+        delay = rng.uniform(0.0, grid.l_max)
+        doppler = rng.uniform(-grid.k_max, grid.k_max)
+        gain = np.exp(2j * np.pi * rng.uniform())
+        channels.append(LosChannel(gain=gain, delay=delay, doppler=doppler, noise_var=noise_var))
+        for f in range(t * frames, (t + 1) * frames):
+            x[f] = build_pilot_frame(grid, layout, rng)
+            if noise_var > 0:
+                noise[f] = _noise(noise.shape[1:], noise_var, rng)
     s = add_prefix(grid, daft_modulate(grid, x))
-    s = apply_los_channel(grid, s, replace(ch, noise_var=0.0))
-    if ch.noise_var > 0:
+    for t, ch in enumerate(channels):
+        trial = slice(t * frames, (t + 1) * frames)
+        s[trial] = apply_los_channel(grid, s[trial], replace(ch, noise_var=0.0))
+    if noise_var > 0:
         s += noise
     body = strip_prefix(grid, s)
 
-    kept, seconds = {}, {}
+    out = [((ch.delay, ch.doppler), {}) for ch in channels]
     for name in estimators:
         t0 = time.perf_counter()
-        kept[name] = ESTIMATORS[name](grid, body, layout)
-        seconds[name] = time.perf_counter() - t0
+        ests = ESTIMATORS[name](grid, body, layout)
+        seconds = (time.perf_counter() - t0) / len(seed_seqs)
+        for t, (_, res) in enumerate(out):
+            kept = ests[t * frames : (t + 1) * frames]
+            res[name] = (
+                float(np.mean([e.delay for e in kept])),
+                float(np.mean([e.doppler for e in kept])),
+                float(np.mean([e.pspr for e in kept])),
+                seconds,
+            )
+    return out
 
-    out = {}
-    for name, ests in kept.items():
-        delay_hat = float(np.mean([e.delay for e in ests]))
-        doppler_hat = float(np.mean([e.doppler for e in ests]))
-        mean_pspr = float(np.mean([e.pspr for e in ests]))
-        out[name] = (delay_hat, doppler_hat, mean_pspr, seconds[name])
-    return (delay, doppler), out
 
-
-def _trial(grid, layout, noise_var, estimators, frames, master_seed, cell_idx, trial_idx):
-    """``run_trial`` on the seed spawned for (cell_idx, trial_idx)."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(cell_idx, trial_idx))
-    return run_trial(grid, layout, noise_var, estimators, frames, ss)
+def _chunk(grid, layout, noise_var, estimators, frames, master_seed, cell_idx, trials):
+    """``_run_chunk`` on the seeds spawned for (cell_idx, t), t in trials."""
+    seeds = [np.random.SeedSequence(master_seed, spawn_key=(cell_idx, t)) for t in trials]
+    return _run_chunk(grid, layout, noise_var, estimators, frames, seeds)
 
 
 # thread-count variables of the BLAS builds numpy may link against
@@ -285,9 +315,9 @@ def _wrap_doppler(e: np.ndarray) -> np.ndarray:
 def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
     """Run the full experiment grid and aggregate RMSE per cell.
 
-    With more than one worker, every cell maps its trials over one
-    ``_worker_pool`` that lives for the whole sweep, and a worker that dies
-    raises RuntimeError.
+    Every cell maps chunks of its trials (see the module docstring) over
+    one ``_worker_pool`` that lives for the whole sweep, or over the calling
+    process with one worker; a worker that dies raises RuntimeError.
     """
     cells = [
         (c, snr, ep)
@@ -296,21 +326,25 @@ def run_sweep(cfg: ExperimentConfig, progress=None) -> RmseReport:
         for ep in cfg.ep_ei_db_list
     ]
     rows = []
-    # a cell maps its trials over the pool, so workers past the trial
+    trials = cfg.trials_per_point
+    # a cell maps its chunks over the pool, so workers past the trial
     # count would only start and sit idle
-    workers = min(cfg.workers, cfg.trials_per_point)
+    workers = min(cfg.workers, trials)
+    per_chunk = max(1, _CHUNK_SAMPLES // (cfg.estimates_per_trial * cfg.n))
+    per_chunk = min(per_chunk, -(-trials // workers))
+    chunks = [range(t, min(t + per_chunk, trials)) for t in range(0, trials, per_chunk)]
     with _worker_pool(workers) if workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
         for cell_idx, (c, snr, ep) in enumerate(cells):
             grid = cfg.grid_for(c)
             layout = PilotLayout(pilot_index=0, ep_ei_db=ep)
             nv = noise_variance(grid, layout, snr)
-            trial = partial(
-                _trial, grid, layout, nv, tuple(cfg.estimators),
+            chunk = partial(
+                _chunk, grid, layout, nv, tuple(cfg.estimators),
                 cfg.estimates_per_trial, cfg.master_seed, cell_idx,
             )
             t0 = time.perf_counter()
-            results = list(mapper(trial, range(cfg.trials_per_point)))
+            results = [res for part in mapper(chunk, chunks) for res in part]
             overhead_ms = (time.perf_counter() - t0) * 1e3
 
             for name in cfg.estimators:

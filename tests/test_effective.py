@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.effective import (
+    _ELG_TABLE,
     _column,
     _half_turns,
     _wrap_runs,
@@ -423,3 +424,19 @@ class TestElg:
     def test_clamps_at_table_edges(self):
         assert elg_invert(22.0) == pytest.approx(0.01)
         assert elg_invert(-60.0) == pytest.approx(0.99)
+
+    @given(
+        readings=st.lists(
+            st.floats(-60.0, 60.0)
+            | st.sampled_from([float(a) for a in _ELG_TABLE[:3]] + [float(_ELG_TABLE[0]) + 3.0]),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_an_array_of_readings_gives_each_scalar_call(self, readings):
+        """Readings on table nodes, at the integer cut-off, above it and off
+        the table's bottom included."""
+        got = elg_invert(np.array(readings))
+        assert isinstance(got, np.ndarray) and got.shape == (len(readings),)
+        assert np.array_equal(got, [elg_invert(a) for a in readings])
+        assert all(type(elg_invert(a)) is float for a in readings)

@@ -8,15 +8,19 @@ nature and are held to the tolerances the pipeline is designed around:
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from afdmest import estimator
+from afdmest.baselines import integer_only, integer_only_rows
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.estimator import (
+    _COARSE_STEPS,
     _NO_ESTIMATE,
     Estimate,
     PilotLayout,
@@ -808,3 +812,46 @@ class TestStacks:
         with pytest.raises(ValueError, match=match):
             joint_estimate_rows(GRID, r, LAYOUT)
         assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=loaded_stacks(), rows=st.integers(1, 5))
+    def test_joint_rows_are_their_own_estimates_in_any_score_blocks(self, stack, rows):
+        """The coarse grid of a stack is scored a block of rows at a time;
+        with blocks of ``rows`` rows every row is still its own estimate."""
+        grid, layout, r = stack
+        row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
+        with mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", rows * row_bytes):
+            got = joint_estimate_rows(grid, r, layout)
+        assert got == [joint_estimate(grid, row, layout) for row in r]
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=loaded_stacks(), where=st.integers(0, 5))
+    def test_every_row_of_integer_only_rows_is_its_own_estimate(self, stack, where):
+        """With an all-zero row inserted, which is the flagged no-estimate."""
+        grid, layout, r = stack
+        y = daft_demodulate(grid, np.insert(r, where % (len(r) + 1), 0.0, axis=0))
+        got = integer_only_rows(grid, y, layout)
+        assert got == [integer_only(grid, row, layout) for row in y]
+        assert _NO_ESTIMATE in got
+
+    def test_integer_only_rows_on_odd_cn_and_a_nonzero_pilot(self):
+        grid = AfdmGrid(n=255, doppler_pad=3)
+        layout = PilotLayout(pilot_index=17)
+        rng = np.random.default_rng(32)
+        y = []
+        for _ in range(6):
+            ch = LosChannel(
+                gain=np.exp(2j * np.pi * rng.uniform()),
+                delay=rng.uniform(0.0, grid.l_max),
+                doppler=rng.uniform(-grid.k_max, grid.k_max),
+                noise_var=noise_variance(grid, layout, 20.0),
+            )
+            r = pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng)
+            y.append(daft_demodulate(grid, r))
+        ests = integer_only_rows(grid, np.array(y), layout)
+        assert ests == [integer_only(grid, row, layout) for row in y]
+        assert not any(e.flagged for e in ests)
+
+    def test_integer_only_rows_rejects_a_single_frame(self):
+        with pytest.raises(ValueError, match="a frame stack must be 2-D"):
+            integer_only_rows(GRID, np.ones(GRID.n, dtype=complex), LAYOUT)

@@ -9,6 +9,7 @@ promise that worker count never changes the numbers.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -224,6 +225,21 @@ class TestRunTrial:
             )
             assert got[name][:3] == expect, name
 
+    def test_a_chunk_gives_each_trial_its_own_results(self):
+        """Trials stacked in one chunk, each over a channel of its own, come
+        out as each trial run alone, every estimator bit for bit."""
+        names = ("joint", "integer_only", "two_d_search")
+        nv = noise_variance(self.grid, self.layout, 10.0)
+        seeds = [np.random.SeedSequence(self.cfg.master_seed, spawn_key=(2, t)) for t in range(3)]
+        chunk = harness._run_chunk(self.grid, self.layout, nv, names, 2, seeds)
+        assert len(chunk) == len(seeds)
+        for seed, (truth, res) in zip(seeds, chunk):
+            alone_truth, alone = run_trial(self.grid, self.layout, nv, names, 2, seed)
+            assert truth == alone_truth
+            assert {name: v[:3] for name, v in res.items()} == {
+                name: v[:3] for name, v in alone.items()
+            }
+
     def test_joint_beats_integer_decode_at_high_snr(self):
         ss = np.random.SeedSequence(5)
         nv = noise_variance(self.grid, self.layout, 40.0)
@@ -319,7 +335,12 @@ class TestRunSweep:
                 pass
             proc.communicate()
         assert proc.returncode != 0
-        assert 'if __name__ == "__main__":' in err.splitlines()[-1]
+        # the last exception line of stderr: unindented "Name: message"; the
+        # resource tracker's leaked-semaphore warning, which may follow it,
+        # starts with its file path
+        raised = [line for line in err.splitlines() if re.match(r"[A-Za-z_][\w.]*: ", line)]
+        assert raised[-1].startswith("RuntimeError: ")
+        assert 'if __name__ == "__main__":' in raised[-1]
 
     def test_package_import_leaves_the_executor_unloaded(self):
         """``import afdmest`` loads no concurrent.futures module: only a
@@ -349,6 +370,28 @@ class TestRunSweep:
                 if key == "wall_ms":
                     continue
                 assert a[key] == b[key], key
+
+    def test_chunking_is_invisible_in_results(self, monkeypatch):
+        """One trial per chunk, the default chunks (all five trials of a
+        cell in one) and two workers (chunks of three and two) give one
+        CSV."""
+        cfg = tiny_config(trials_per_point=5)
+        sizes = []
+        run_chunk = harness._run_chunk
+
+        def spy(*args):
+            sizes.append(len(args[-1]))
+            return run_chunk(*args)
+
+        monkeypatch.setattr(harness, "_run_chunk", spy)
+        default = strip_wall_ms(csv_lines(run_sweep(cfg)))
+        assert sizes == [5, 5]
+        pooled = strip_wall_ms(csv_lines(run_sweep(tiny_config(trials_per_point=5, workers=2))))
+        monkeypatch.setattr(harness, "_CHUNK_SAMPLES", 1)
+        sizes.clear()
+        single = strip_wall_ms(csv_lines(run_sweep(cfg)))
+        assert sizes == [1] * 10
+        assert single == default == pooled
 
     def test_no_more_workers_than_trials(self, monkeypatch):
         """One trial per cell runs in the calling process: no pool is

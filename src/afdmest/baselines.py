@@ -4,8 +4,9 @@
 readout bin into integer delay/Doppler and stop. It needs no compensation
 loop, runs in one transform, and hits a quantization floor of about 0.29
 samples RMSE on fractional channels (the standard deviation of a uniform
-rounding residual). ``integer_only_rows`` gives every row of a stack its
-``integer_only`` estimate, with no loop over the rows.
+rounding residual). ``integer_only_rows`` is its one body, over every row
+of a stack at once with no loop over the rows; ``integer_only`` runs it on
+a single frame as a stack of one.
 
 ``two_d_search`` is a continuous comparator: a Nelder-Mead simplex over
 (delay, Doppler) maximizing the magnitude correlation between the observed
@@ -33,15 +34,13 @@ from .estimator import (
     _NO_ESTIMATE,
     Estimate,
     PilotLayout,
-    _check_frame,
+    _check_frames,
+    _decode,
     _estimates,
-    _integer_rows,
-    _peak_pspr,
-    _pspr_rows,
+    _one_frame,
+    _pilot_bins,
     _readout,
-    integer_estimate,
     read_profile,
-    readout_bins,
 )
 
 __all__ = ["integer_only", "integer_only_rows", "two_d_search"]
@@ -115,42 +114,31 @@ def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
 
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Integer delay/Doppler decode of the raw (uncompensated) readout.
+    """Integer delay/Doppler decode of the raw (uncompensated) readout of one
+    demodulated frame: :func:`integer_only_rows` of the frame as a stack of
+    one. Raises ValueError as ``joint_estimate`` does."""
+    return integer_only_rows(grid, _one_frame(grid, y), layout)[0]
+
+
+def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> list[Estimate]:
+    """Integer delay/Doppler decode of the raw (uncompensated) readout of
+    every row of an (F, N) stack of demodulated frames, as a list in row
+    order, each the Estimate of that row alone.
 
     Fractional parts are zero by definition. On a channel with fractional
     parts the decode lands on the nearest comb tap, so the delay error is
     the rounding residual; there is no mechanism to do better, which is the
-    error floor this baseline exists to exhibit. An all-zero pilot readout
-    gives the flagged no-estimate of ``joint_estimate``. Raises ValueError
-    as ``joint_estimate`` does.
+    error floor this baseline exists to exhibit. One gather reads every
+    row's pilot bins, and joint's integer decode (without its gate) runs
+    over all rows at once. An all-zero pilot readout gives the flagged
+    no-estimate of ``joint_estimate``. Raises ValueError as
+    ``joint_estimate_rows`` does.
     """
-    y = _check_frame(grid, y, layout)
+    y = _check_frames(grid, y, layout)
     p = read_profile(grid, y, layout)
-    if not np.any(p):
-        return _NO_ESTIMATE
-    js, k, l_round, flagged = integer_estimate(grid, p)
-    return Estimate(
-        delay_int=l_round,
-        delay_frac=0.0,
-        doppler_int=k,
-        doppler_frac=0.0,
-        pspr=_peak_pspr(grid, p),
-        peak_index=js % grid.n,
-        flagged=flagged,
-    )
-
-
-def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> list[Estimate]:
-    """:func:`integer_only` of every row of an (F, N) stack of demodulated
-    frames, as a list in row order, each the Estimate of that row alone.
-    One gather reads every row's pilot bins, and the decode runs over all
-    rows at once. Raises ValueError as ``joint_estimate_rows`` does.
-    """
-    y = _check_frame(grid, y, layout, stack=True)
-    p = np.abs(y[:, readout_bins(grid, layout)])
-    _, js, k, l_round, flagged = _integer_rows(grid, p)
+    (peak_index, k, l_round, flagged), score, _ = _decode(grid, p)
     zero = np.zeros(len(p))
-    return _estimates(p, (l_round, zero, k, zero, _pspr_rows(grid, p), js % grid.n, flagged))
+    return _estimates(p, (l_round, zero, k, zero, score, peak_index, flagged))
 
 
 def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
@@ -174,8 +162,8 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     (floor(L), ceil(L), round(K + C*L)), so a step that revisits a key
     computes only the fraction's phases.
     """
-    y = _check_frame(grid, y, layout)
-    bins = readout_bins(grid, layout)
+    y = _check_frames(grid, _one_frame(grid, y), layout)[0]
+    bins = _pilot_bins(grid, layout)
     obs = y[bins]
     if not np.any(obs):
         return _NO_ESTIMATE
@@ -189,10 +177,10 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
             return 0.0
         return float(-abs(np.vdot(model, obs)) / nrm)
 
-    _, k0, l0, _ = integer_estimate(grid, np.abs(obs))
+    (_, k0, l0, _), _, _ = _decode(grid, np.abs(obs)[None])
     x, _, ok = _nelder_mead(
         neg_corr,
-        (float(l0), float(k0)),
+        (float(l0[0]), float(k0[0])),
         (0.0, float(-grid.k_max)),
         (float(grid.l_max), float(grid.k_max)),
         _XATOL,
@@ -207,14 +195,14 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     # quality metadata: the pilot readout with the found fractional Doppler
     # compensated, read off the frame body (the demodulation is unitary, so
     # the body is just the forward transform of y)
-    p = _readout(grid, daft_modulate(grid, y), layout)(doppler - k_floor)
-    js, _, _, _ = integer_estimate(grid, p)
+    read, _ = _readout(grid, daft_modulate(grid, y)[None], layout)
+    ((peak_index, *_), score, _) = _decode(grid, read(np.array([doppler - k_floor])))
     return Estimate(
         delay_int=l_floor,
         delay_frac=delay - l_floor,
         doppler_int=k_floor,
         doppler_frac=doppler - k_floor,
-        pspr=_peak_pspr(grid, p),
-        peak_index=js % grid.n,
+        pspr=float(score[0]),
+        peak_index=int(peak_index[0]),
         flagged=not ok,
     )

@@ -1,32 +1,39 @@
 """Pilot frame construction and the joint fractional delay/Doppler estimator.
 
-Estimation runs in three stages on a received frame (``joint_estimate``),
-or on each row of a stack of frames that share grid and layout
-(``joint_estimate_rows``, which gives every row the Estimate
-``joint_estimate`` gives that row alone):
+Every estimator has one body, over an (F, N) stack of frames that share
+grid and layout, and gives each row the Estimate it would give that row
+alone. A single frame is a stack of one: ``joint_estimate`` checks the
+shape of its frame and returns ``joint_estimate_rows`` of the frame as a
+one-row stack. Estimation runs in three stages:
 
-1. fractional Doppler: a scalar search over the compensation phase that
-   maximizes the peak-to-sidelobe power ratio (PSPR) of the pilot region
-   readout. The readout at bin b with kappa compensated is
-   |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame body, so the
-   coarse candidates times the readout bins form one uniform frequency
-   grid. One cached Bluestein chirp-z transform (two FFTs per frame, over
-   a block of a stack's rows at once) scores that grid in one pass, then
-   a vectorised PSPR covers all candidates. Golden-section refinement of
-   each frame's best cell follows, the frames of a stack stepping
-   together: each step reads every frame at its own probe with one pruned
-   DFT of the stack. With N = P*M and P the smallest divisor of N at or
-   above the J readout bins, each dechirped body is read as M rows of P,
-   the compensation phasor is folded into their P-point FFTs and the
-   readout bins are summed over the rows, in O(N log P + N) time per
-   frame with O(N) tables built once per grid and pilot position. Only
-   the pilot region of the transform output is ever computed. One frame
-   is read and scored with the one-profile forms (``pspr``), a stack with
-   the row forms; the two give the same bits.
+1. fractional Doppler (``estimate_doppler_frac``): a scalar search over
+   the compensation phase that maximizes the peak-to-sidelobe power ratio
+   (PSPR) of the pilot region readout. The readout at bin b with kappa
+   compensated is |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame
+   body, so the coarse candidates times the readout bins form one uniform
+   frequency grid. One cached Bluestein chirp-z transform (two FFTs per
+   frame, over a block of a stack's rows at once) scores that grid in one
+   pass, then a vectorised PSPR covers all candidates. Golden-section
+   refinement of each frame's best cell follows, the frames of a stack
+   stepping together: each step reads every frame at its own probe with
+   one pruned DFT of the stack. With N = P*M and P the smallest divisor of
+   N at or above the J readout bins, each dechirped body is read as M rows
+   of P, the compensation phasor is folded into their P-point FFTs and the
+   readout bins are summed over the rows, in O(N log P + N) time per frame
+   with O(N) tables built once per grid and pilot position. Only the pilot
+   region of the transform output is ever computed. The per-step scorer is
+   the one piece with two forms, chosen from the stack height: a one-row
+   stack is read with a vector-matrix product and scored with ``pspr``, a
+   taller one with a batched product and the stacked PSPR. On one frame the
+   stacked forms cost about twice as much per step, in numpy call overhead,
+   and the two give the same bits.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
-   splits into an integer delay and an integer Doppler by rounding.
+   splits into an integer delay and an integer Doppler by rounding. The
+   split of every peak position, its flag and the peak index are one table
+   per grid (``_decode_table``), so the rounding and the box rule are
+   written once, where the table is built.
 
 3. fractional delay: the ratio in dB of the two comb taps bracketing the
    true delay is a monotone function of the delay fraction (see
@@ -34,14 +41,13 @@ or on each row of a stack of frames that share grid and layout
    curve gives the fraction, and picks the bracket's lower integer as the
    delay floor.
 
-On a stack, stages 2 and 3 run over all rows at once with array
-operations: one argmax per row, the rounding split, one gather of the
-three taps around every peak and one call of the gate inverse on an
-array. ``integer_estimate`` and ``estimate_delay_frac`` are their
-one-frame forms, and each row gets their bits.
+Stages 2 and 3 run over all rows at once with array operations: one
+argmax per row, one gather of every row's PSPR window and its two comb
+taps, the table lookup, and one call of the gate inverse on an array. The
+PSPR an estimate reports is the one that gather gives.
 
-Every estimator checks its frame through one helper and picks the readout
-peak through another, so all see the same bin. integer_only reads the
+Every estimator checks its frames through one helper and decodes the
+readout through another, so all see the same bin. integer_only reads the
 demodulated frame's pilot bins; every other readout is the pruned DFT.
 """
 
@@ -52,8 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, _chirps
-from .effective import elg_invert
+from .core import AfdmGrid, _check_integer, _chirps
+from .effective import _ELG_INTEGER_DB, elg_invert
 
 __all__ = [
     "PilotLayout",
@@ -63,9 +69,7 @@ __all__ = [
     "readout_bins",
     "read_profile",
     "pspr",
-    "integer_estimate",
     "estimate_doppler_frac",
-    "estimate_delay_frac",
     "joint_estimate",
     "joint_estimate_rows",
 ]
@@ -79,13 +83,15 @@ class PilotLayout:
     ``ep_ei_db`` is the pilot-to-data energy ratio per symbol in dB. The
     guard width comes from the grid (enough slots to keep data sidelobes
     out of the pilot readout region), data fills the rest with unit-energy
-    QPSK.
+    QPSK. A ``pilot_index`` that is not an integer (2.5, or 3.0) raises
+    TypeError when the layout is built; numpy integers are accepted.
     """
 
     pilot_index: int = 0
     ep_ei_db: float = 10.0
 
     def __post_init__(self):
+        _check_integer("pilot_index", self.pilot_index)
         if not np.isfinite(self.ep_ei_db):
             raise ValueError("ep_ei_db must be finite")
 
@@ -148,13 +154,25 @@ def readout_bins(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
     return (layout.pilot_index - profile_bins(grid)) % grid.n
 
 
+@lru_cache(maxsize=8)
+def _pilot_bins(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
+    # readout_bins cached per grid and pilot position, and read-only as it
+    # is shared: building them anew took about a tenth of a one-frame
+    # integer_only at N=256
+    bins = readout_bins(grid, layout)
+    bins.flags.writeable = False
+    return bins
+
+
 def read_profile(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> np.ndarray:
-    """Pilot readout: p[j] = |y[(pilot_index - j) mod N]| over profile_bins.
+    """Pilot readout: p[j] = |y[(pilot_index - j) mod N]| over profile_bins,
+    of a demodulated frame, or of every row of an (F, N) stack of them.
 
     Positive j walks toward larger equivalent delay; the channel peak for
-    integer delay l and Doppler k appears at j = k + C*l.
+    integer delay l and Doppler k appears at j = k + C*l. Raises ValueError
+    for a pilot index outside [0, N).
     """
-    return np.abs(y[readout_bins(grid, layout)])
+    return np.abs(y.take(_pilot_bins(grid, layout), axis=-1))
 
 
 def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
@@ -175,35 +193,37 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     return float(sq[half] / denom)
 
 
-def _check_frame(
-    grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, stack: bool = False
-) -> np.ndarray:
+def _check_frames(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """The input check of every estimator, before any table is built.
 
-    Raises ValueError for a pilot index outside [0, N), a frame not of
-    shape (N,) or one with non-finite samples (a grid checks itself when
-    built). With ``stack``, r is a stack of frames: it must be 2-D, hold
-    at least one frame, have rows of N samples and no non-finite sample in
-    any row. Returns r as an array.
+    r is an (F, N) stack of frames (a single frame comes as a stack of one,
+    see :func:`_one_frame`). Raises ValueError for a pilot index outside
+    [0, N), an r that is not 2-D, holds no frame or has rows not of N
+    samples, or a non-finite sample in any row (a grid checks itself when
+    built). Returns r as an array.
     """
     layout.validate(grid)
     r = np.asarray(r)
-    if not stack:
-        if r.shape != (grid.n,):
-            raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
-        if not np.isfinite(r).all():
-            raise ValueError("received frame has non-finite samples")
-        return r
     if r.ndim != 2:
         raise ValueError(f"a frame stack must be 2-D, (frames, {grid.n}), got shape {r.shape}")
     if r.shape[1] != grid.n:
         raise ValueError(f"frames of the stack must have {grid.n} samples, got shape {r.shape}")
     if r.shape[0] == 0:
         raise ValueError("the frame stack holds no frames")
-    bad = ~np.isfinite(r).all(axis=1)
-    if bad.any():
-        raise ValueError(f"frame {int(np.argmax(bad))} of the stack has non-finite samples")
+    if not np.isfinite(r).all():
+        bad = np.argmin(np.isfinite(r).all(axis=1))
+        raise ValueError(f"frame {bad} of the stack has non-finite samples")
     return r
+
+
+def _one_frame(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
+    # a one-frame entry point's frame as a stack of one, which the stacked
+    # body then checks as it checks any stack; raises ValueError for a
+    # frame not of shape (N,)
+    r = np.asarray(r)
+    if r.shape != (grid.n,):
+        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
+    return r[None]
 
 
 @lru_cache(maxsize=8)
@@ -241,38 +261,51 @@ def _pruned_dft(grid: AfdmGrid, layout: PilotLayout):
 
 
 def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
-    """Pilot readout of the frame body r, as read(kappa): the magnitudes over
-    profile_bins with a fractional Doppler kappa compensated. For an (F, N)
-    stack r, read takes F compensations, one per frame, and returns the
-    (F, J) readouts, each row the bits of that frame's own read.
+    """Pilot readout of an (F, N) stack of frame bodies, as (read, score).
+    read(kappa) takes F compensations, one per row, and returns the (F, J)
+    magnitudes over profile_bins, row f with kappa[f] compensated.
+    score(kappa) takes them as a sequence and returns the PSPR of each row's
+    readout at its :func:`_peak`.
 
     The dechirp is applied once per frame; each read folds the compensation
     phasor exp(2 pi i kappa n / N), factored over the (P, M) split of
     :func:`_pruned_dft`, into P-point FFTs of the M rows, so it costs
     O(N log P + N) per frame with O(N) tables.
+
+    score is stage 1's per-step scorer, and the one piece with two forms:
+    a one-row stack is read with a vector-matrix product and scored with
+    :func:`pspr`, a taller one with read and :func:`_pspr_rows`. On one
+    frame the stacked forms cost about twice as much per step, in numpy
+    call overhead; the two give the same bits.
     """
     pre, tw, rates, cols = _pruned_dft(grid, layout)
     m, p = pre.shape
-    z = np.multiply(r.reshape(*r.shape[:-1], p, m).swapaxes(-1, -2), pre, order="C")
+    z = np.multiply(r.reshape(len(r), p, m).swapaxes(-1, -2), pre, order="C")
     # every read reuses one work array: at large N a fresh (M, P) array per
     # read costs as much as the transform
     y = np.empty_like(z)
 
-    def read(kappa: float) -> np.ndarray:
-        ab = np.exp(rates * kappa)
-        np.multiply(z, ab[:p], out=y)
-        np.fft.fft(y, axis=-1, out=y)
-        np.multiply(y, tw, out=y)
-        return np.abs((ab[p:] @ y)[cols])
-
-    def read_rows(kappa: np.ndarray) -> np.ndarray:
+    def read(kappa: np.ndarray) -> np.ndarray:
         ab = np.exp(rates * kappa[:, None])
         np.multiply(z, ab[:, None, :p], out=y)
         np.fft.fft(y, axis=-1, out=y)
         np.multiply(y, tw, out=y)
         return np.abs((ab[:, None, p:] @ y)[:, 0, cols])
 
-    return read if r.ndim == 1 else read_rows
+    if len(r) > 1:
+        return read, lambda kappa: _pspr_rows(grid, read(np.array(kappa)))
+    z1, y1 = z[0], y[0]
+
+    def score_one(kappa) -> tuple:
+        (k,) = kappa
+        ab = np.exp(rates * k)
+        np.multiply(z1, ab[:p], out=y1)
+        np.fft.fft(y1, axis=-1, out=y1)
+        np.multiply(y1, tw, out=y1)
+        profile = np.abs((ab[p:] @ y1)[cols])
+        return (pspr(profile, int(_peak(grid, profile)), grid.n_seg),)
+
+    return read, score_one
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -285,28 +318,27 @@ def _peak(grid: AfdmGrid, p: np.ndarray):
     # position in the profile array of the first largest bin of the
     # decodeable range; for a (profiles, bins) stack, one per row
     inner = _inner_slice(grid)
-    return inner.start + np.argmax(p[..., inner], axis=-1)
+    return inner.start + p[..., inner].argmax(axis=-1)
 
 
-def _peak_pspr(grid: AfdmGrid, p: np.ndarray) -> float:
-    # the PSPR an estimate reports: pspr at the profile's _peak
-    return pspr(p, int(_peak(grid, p)), grid.n_seg)
+def _window_pspr(window: np.ndarray) -> np.ndarray:
+    """pspr of every window of a (..., C) stack, each the C bins of a
+    profile around its peak (the peak at C // 2), with the window sum and
+    the denom <= 0 -> inf rule of :func:`pspr`, so each score has the bits
+    pspr gives that profile at that peak."""
+    sq = window**2
+    c = sq.shape[-1]
+    peak = sq[..., c // 2]
+    denom = (sq.sum(axis=-1) - peak) / c
+    return np.divide(peak, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
 
 
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     """pspr of every profile of a (..., profiles, bins) stack, each taken at
-    its profile's :func:`_peak`, with the window, the sum and the
-    denom <= 0 -> inf rule of :func:`pspr`, so each score has the bits
-    pspr gives that profile."""
+    its profile's :func:`_peak`, with the bits pspr gives that profile."""
     c, half = grid.n_seg, grid.n_seg // 2
     pos = _peak(grid, p)[..., None]
-    window = np.take_along_axis(p, pos + np.arange(-half, c - half), axis=-1)
-    peak = window[..., half]
-    denom = (np.sum(window**2, axis=-1) - peak**2) / c
-    out = np.full(denom.shape, np.inf)
-    ok = denom > 0.0
-    out[ok] = peak[ok] ** 2 / denom[ok]
-    return out
+    return _window_pspr(np.take_along_axis(p, pos + np.arange(-half, c - half), axis=-1))
 
 
 def _smooth_length(target: int) -> int:
@@ -393,23 +425,6 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
 
 
-def integer_estimate(
-    grid: AfdmGrid, p: np.ndarray
-) -> tuple[int, int, int, bool]:
-    """Decode the profile peak into integer delay and Doppler.
-
-    Returns (peak_js, doppler_int, delay_round, flagged): the peak offset on
-    the j axis, its split js = k + C*l with k the nearest centered residue,
-    and a flag when the split lands outside the designed search ranges.
-    """
-    c = grid.n_seg
-    js = int(profile_bins(grid)[_peak(grid, p)])
-    l_round = int(np.round(js / c))
-    k = js - c * l_round
-    flagged = abs(k) > grid.k_max or not (0 <= l_round <= grid.l_max)
-    return js, k, l_round, flagged
-
-
 # fractional Doppler search: coarse cells over [0, 1), golden refine width
 _COARSE_STEPS = 64
 _REFINE_TOL = 1e-3
@@ -482,10 +497,9 @@ _SCORE_BLOCK_BYTES = 1 << 20
 
 
 def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray) -> np.ndarray:
-    # the center of the best coarse cell of each frame of r, one frame or
-    # an (F, N) stack, as an array of one value per frame
+    # the center of the best coarse cell of each frame of an (F, N) stack
     cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
-    return np.atleast_1d(cand[np.argmax(scores, axis=-1)])
+    return cand[np.argmax(scores, axis=-1)]
 
 
 def _refine(best: np.ndarray, score) -> list:
@@ -517,52 +531,102 @@ def estimate_doppler_frac(
     grid: AfdmGrid,
     r: np.ndarray,
     layout: PilotLayout,
-) -> tuple[float, float, np.ndarray]:
-    """Fractional Doppler by closed-loop PSPR maximization.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fractional Doppler of every row of an (F, N) stack of frame bodies,
+    by closed-loop PSPR maximization (stage 1).
 
-    Scores all candidate compensations of a coarse grid over [0, 1) at
-    once, then golden-section refines the best cell. Returns (kappa_hat,
-    pspr_at_opt, profile_at_opt), the last being the pilot readout
-    magnitudes over profile_bins with kappa_hat compensated. The PSPR
-    objective is evaluated on the pilot readout region only. Raises
-    ValueError as :func:`_check_frame` does.
+    Chirp-z transforms score every frame's coarse grid of candidate
+    compensations over [0, 1), a block of rows at a time
+    (_SCORE_BLOCK_BYTES bounds a block's work array); the golden refines of
+    the frames' best cells then step together, one readout of the stack per
+    step. The PSPR objective is evaluated on the pilot readout region only.
+    Returns (kappa, p): the F compensations and the (F, J) pilot readout
+    magnitudes over profile_bins, row f with kappa[f] compensated. Raises
+    ValueError as :func:`_check_frames` does.
     """
-    r = _check_frame(grid, r, layout)
-    best = _best_cells(grid, layout, r)
-    # the readout's work arrays are made after the chirp-z transform has
-    # run: made before it, they slowed the call by a fifth at N=4096
-    read = _readout(grid, r, layout)
-    (kappa,) = _refine(best, lambda k: (_peak_pspr(grid, read(k[0])),))
-    kappa = float(kappa)
-    p = read(kappa)
-    return kappa, _peak_pspr(grid, p), p
+    r = _check_frames(grid, r, layout)
+    # near-equal blocks of at least one row, each within _SCORE_BLOCK_BYTES
+    rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
+    count = -(-len(r) // rows)
+    edges = [len(r) * i // count for i in range(count + 1)]
+    best = np.concatenate([_best_cells(grid, layout, r[a:b]) for a, b in zip(edges, edges[1:])])
+    # the readout's work arrays are made after the chirp-z transforms have
+    # run: made before them, they slowed a frame by a fifth at N=4096
+    read, score = _readout(grid, r, layout)
+    kappa = np.array(_refine(best, score))
+    return kappa, read(kappa)
 
 
-def estimate_delay_frac(
-    grid: AfdmGrid, p: np.ndarray, peak_pos: int, l_round: int
-) -> tuple[int, float, float]:
-    """Fractional delay from the early/late comb taps around the peak.
+@lru_cache(maxsize=8)
+def _decode_table(grid: AfdmGrid):
+    """Cached per grid: stage 2's integer split of every peak position, and
+    the offsets of the one gather that reads what stages 2 and 3 need.
+
+    Returns (offsets, split). offsets are -C, 0 and +C (the comb taps before,
+    at and after a peak) and then the C bins of the PSPR window around it.
+    split holds four arrays indexed by the peak's position in the profile
+    array (a peak lies in the decodeable range): the peak index js mod N,
+    doppler_int, delay_round and flagged. The peak at js = k + C*l splits
+    with l = round(js/C), half to even, and k = js - C*l the centered
+    residue; flagged marks a split outside the search box. The cached
+    arrays are shared, so they are read-only.
+    """
+    c, half = grid.n_seg, grid.n_seg // 2
+    js = profile_bins(grid)
+    l_round = np.round(js / c).astype(np.int64)
+    k = js - c * l_round
+    flagged = (np.abs(k) > grid.k_max) | (l_round < 0) | (l_round > grid.l_max)
+    offsets = np.concatenate([[-c, 0, c], np.arange(-half, c - half)])
+    split = (js % grid.n, k, l_round, flagged)
+    for a in (offsets, *split):
+        a.flags.writeable = False
+    return offsets, split
+
+
+def _decode(grid: AfdmGrid, p: np.ndarray):
+    """Stage 2 of every profile of an (F, J) stack, as (split, score, taps).
+
+    split is _decode_table's (peak_index, doppler_int, delay_round, flagged)
+    at each profile's :func:`_peak`, as arrays; score is the pspr of each
+    profile at its peak, the PSPR an estimate reports; taps are the (F, 3)
+    comb taps one period before, at and after each peak, which the gate
+    reads. One gather reads the taps and the PSPR windows of all rows.
+    """
+    offsets, split = _decode_table(grid)
+    pos = _peak(grid, p)
+    at = p[np.arange(len(p))[:, None], pos[:, None] + offsets]
+    return [a[pos] for a in split], _window_pspr(at[:, 3:]), at[:, :3]
+
+
+def _gate(delay_round: np.ndarray, taps: np.ndarray):
+    """Stage 3 of every row, from the (F, 3) comb taps before, at and after
+    each peak (:func:`_decode`): (delay_floor, iota), the delay estimate
+    being delay_floor + iota.
 
     Picks the delay bracket by comparing the taps one comb period either
     side of the peak, forms the early-minus-late ratio in dB, and inverts
-    the theoretical discriminator. Returns (delay_floor, iota_hat, a_db)
-    where the full delay estimate is delay_floor + iota_hat.
+    the theoretical discriminator. A peak towering over its late tap (a
+    reading above the gate's integer cut, where elg_invert gives 0) means
+    the delay is integer at the peak itself; that is decided before the
+    early tap is consulted, which in this regime is a numerical-noise null
+    that would tip the bracket arbitrarily.
     """
-    c = grid.n_seg
-    tiny = 1e-300
-    # Peak towering over the late tap means the delay is integer at the
-    # peak itself; decide that before consulting the early tap, which in
-    # this regime is a numerical-noise null that would tip the bracket
-    # arbitrarily.
-    a_right = 10.0 * (np.log10(max(p[peak_pos], tiny)) - np.log10(max(p[peak_pos + c], tiny)))
-    if elg_invert(a_right) == 0.0:
-        return l_round, 0.0, a_right
-    if p[peak_pos - c] > p[peak_pos + c]:
-        early, floor = peak_pos - c, l_round - 1
-    else:
-        early, floor = peak_pos, l_round
-    a_db = 10.0 * (np.log10(max(p[early], tiny)) - np.log10(max(p[early + c], tiny)))
-    return floor, elg_invert(a_db), a_db
+    lg = np.log10(np.maximum(taps, 1e-300))
+    # the early-tap and the late-tap readings, at - before and at - after
+    a = 10.0 * (lg[:, :2] - lg[:, 1:])
+    integer = a[:, 1] > _ELG_INTEGER_DB
+    early = (taps[:, 0] > taps[:, 2]) & ~integer
+    # an integer row reads a[:, 1] above the cut, which elg_invert maps to 0
+    return delay_round - early, elg_invert(np.where(early, a[:, 0], a[:, 1]))
+
+
+def _estimates(p: np.ndarray, fields) -> list[Estimate]:
+    # one Estimate per profile of the (F, J) stack p from per-row arrays of
+    # its fields, in Estimate's field order; an all-zero profile (nothing
+    # received) gives _NO_ESTIMATE
+    rows = zip(*[f.tolist() for f in fields])
+    signal = p.any(axis=-1).tolist()
+    return [Estimate(*row) if s else _NO_ESTIMATE for s, row in zip(signal, rows)]
 
 
 def joint_estimate(
@@ -570,13 +634,15 @@ def joint_estimate(
     r: np.ndarray,
     layout: PilotLayout,
 ) -> Estimate:
-    """Full three-stage estimate from a received frame body (prefix stripped).
+    """Full three-stage estimate from a received frame body (prefix stripped):
+    :func:`joint_estimate_rows` of the frame as a stack of one.
 
-    Raises ValueError as :func:`_check_frame` does (its first stage checks
-    the frame). A frame whose pilot readout is all zero (nothing received)
-    carries no estimate: it comes back flagged, with zero in every field.
+    Raises ValueError for a frame not of shape (N,), and as
+    :func:`_check_frames` does. A frame whose pilot readout is all zero
+    (nothing received) carries no estimate: it comes back flagged, with
+    zero in every field.
     """
-    return _estimate(grid, *estimate_doppler_frac(grid, r, layout))
+    return joint_estimate_rows(grid, _one_frame(grid, r), layout)[0]
 
 
 def joint_estimate_rows(
@@ -584,78 +650,15 @@ def joint_estimate_rows(
     r: np.ndarray,
     layout: PilotLayout,
 ) -> list[Estimate]:
-    """:func:`joint_estimate` of every row of an (F, N) stack of frame
+    """The three-stage estimate of every row of an (F, N) stack of frame
     bodies, as a list in row order, each the Estimate of that row alone.
 
-    The stages run on the whole stack: chirp-z transforms score every
-    frame's coarse grid, a block of rows at a time (_SCORE_BLOCK_BYTES
-    bounds a block's work array), the golden refines step together with
-    one pruned DFT of the stack per step, and the integer decode and the
-    gate run over all rows at once. Raises ValueError as
-    :func:`_check_frame` does for a stack.
+    Stage 1 is :func:`estimate_doppler_frac`; the integer decode
+    (:func:`_decode`) and the gate (:func:`_gate`) then run over all rows at
+    once. An all-zero row gives the flagged no-estimate. Raises ValueError
+    as :func:`_check_frames` does.
     """
-    r = _check_frame(grid, r, layout, stack=True)
-    # near-equal blocks of at least one row, each within _SCORE_BLOCK_BYTES
-    rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
-    blocks = np.array_split(r, -(-len(r) // rows))
-    best = np.concatenate([_best_cells(grid, layout, block) for block in blocks])
-    read = _readout(grid, r, layout)
-    kappa = np.array(_refine(best, lambda k: _pspr_rows(grid, read(np.array(k)))))
-    p = read(kappa)
-    pos, js, k, l_round, flagged = _integer_rows(grid, p)
-    floor, iota = _delay_frac_rows(grid, p, pos, l_round)
-    return _estimates(p, (floor, iota, k, kappa, _pspr_rows(grid, p), js % grid.n, flagged))
-
-
-def _integer_rows(grid: AfdmGrid, p: np.ndarray):
-    """:func:`integer_estimate` of every profile of an (F, J) stack, as
-    arrays (peak_pos, peak_js, doppler_int, delay_round, flagged), with
-    peak_pos the peak's position in the profile array."""
-    c = grid.n_seg
-    pos = _peak(grid, p)
-    js = profile_bins(grid)[pos]
-    l_round = np.round(js / c).astype(np.int64)
-    k = js - c * l_round
-    flagged = (np.abs(k) > grid.k_max) | (l_round < 0) | (l_round > grid.l_max)
-    return pos, js, k, l_round, flagged
-
-
-def _delay_frac_rows(grid: AfdmGrid, p: np.ndarray, pos: np.ndarray, l_round: np.ndarray):
-    """:func:`estimate_delay_frac` of every profile of an (F, J) stack at its
-    peak position, as arrays (delay_floor, iota_hat), each element the bits
-    of that profile's own call. The early tap and its late partner are two
-    of the three taps one comb period before, at and after the peak."""
-    c = grid.n_seg
-    taps = np.take_along_axis(p, pos[:, None] + np.array([-c, 0, c]), axis=1)
-    lg = np.log10(np.maximum(taps, 1e-300))
-    a_right = 10.0 * (lg[:, 1] - lg[:, 2])
-    integer = elg_invert(a_right) == 0.0
-    early = (taps[:, 0] > taps[:, 2]) & ~integer
-    a_db = np.where(early, 10.0 * (lg[:, 0] - lg[:, 1]), a_right)
-    return l_round - early, np.where(integer, 0.0, elg_invert(a_db))
-
-
-def _estimates(p: np.ndarray, fields) -> list[Estimate]:
-    # one Estimate per profile of the (F, J) stack p from per-row arrays of
-    # its fields, in Estimate's field order; an all-zero profile (nothing
-    # received) gives _NO_ESTIMATE
-    rows = zip(p.any(axis=-1).tolist(), *(np.asarray(f).tolist() for f in fields))
-    return [Estimate(*row) if any_signal else _NO_ESTIMATE for any_signal, *row in rows]
-
-
-def _estimate(grid: AfdmGrid, kappa: float, score: float, p: np.ndarray) -> Estimate:
-    # stages 2 and 3 on stage 1's compensation kappa, its PSPR and its
-    # compensated profile p
-    if not np.any(p):
-        return _NO_ESTIMATE
-    js, k, l_round, flagged = integer_estimate(grid, p)
-    floor, iota, _ = estimate_delay_frac(grid, p, int(_peak(grid, p)), l_round)
-    return Estimate(
-        delay_int=floor,
-        delay_frac=iota,
-        doppler_int=k,
-        doppler_frac=kappa,
-        pspr=score,
-        peak_index=js % grid.n,
-        flagged=flagged,
-    )
+    kappa, p = estimate_doppler_frac(grid, r, layout)
+    (peak_index, k, l_round, flagged), score, taps = _decode(grid, p)
+    floor, iota = _gate(l_round, taps)
+    return _estimates(p, (floor, iota, k, kappa, score, peak_index, flagged))

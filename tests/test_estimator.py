@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afdmest import estimator
-from afdmest.baselines import integer_only, integer_only_rows
+from afdmest.baselines import integer_only, integer_only_rows, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
+from afdmest.effective import _ELG_INTEGER_DB, elg_invert
 from afdmest.estimator import (
     _COARSE_STEPS,
     _NO_ESTIMATE,
@@ -26,14 +27,16 @@ from afdmest.estimator import (
     PilotLayout,
     _coarse_czt,
     _coarse_scores,
+    _decode,
+    _decode_table,
+    _gate,
     _inner_slice,
     _pspr_rows,
     _pruned_dft,
     _readout,
+    _window_pspr,
     build_pilot_frame,
-    estimate_delay_frac,
     estimate_doppler_frac,
-    integer_estimate,
     joint_estimate,
     joint_estimate_rows,
     profile_bins,
@@ -41,7 +44,7 @@ from afdmest.estimator import (
     read_profile,
     readout_bins,
 )
-from afdmest.harness import noise_variance
+from afdmest.harness import ESTIMATORS, noise_variance
 
 GRID = AfdmGrid()
 LAYOUT = PilotLayout()
@@ -56,6 +59,28 @@ def compensated(r, kappa):
     """The body r with a fractional Doppler kappa undone by the defining
     phasor exp(2 pi i kappa n / N)."""
     return r * np.exp(2j * np.pi * kappa * np.arange(r.size) / r.size)
+
+
+def read_one(grid, r, layout):
+    """The pilot readout of the single body r, read as a stack of one: a
+    function of one compensation kappa."""
+    read, _ = _readout(grid, r[None], layout)
+    return lambda kappa: read(np.array([kappa]))[0]
+
+
+def decode_one(grid, p):
+    """_decode of the single profile p, read as a stack of one: the split
+    (peak_index, doppler_int, delay_round, flagged) as scalars, the PSPR and
+    the three comb taps."""
+    split, score, taps = _decode(grid, p[None])
+    return tuple(a[0] for a in split), score[0], taps[0]
+
+
+def both_psprs(p, pos, c):
+    """The PSPR of profile p at pos in both forms: pspr on the profile, and
+    the stacked rule on the C-bin window gathered around pos."""
+    half = c // 2
+    return pspr(p, pos, c), _window_pspr(p[None, pos - half : pos + c - half])[0]
 
 
 class TestPilotLayout:
@@ -81,6 +106,21 @@ class TestPilotLayout:
             for k in range(-GRID.k_max, GRID.k_max + 1):
                 bin_ = (LAYOUT.pilot_index - (k + GRID.n_seg * l)) % GRID.n
                 assert bin_ in guarded
+
+    @pytest.mark.parametrize("pilot", [2.5, 3.0])
+    def test_non_integer_pilot_index_rejected(self, pilot):
+        """A float index, even a whole one, is refused when the layout is
+        built, instead of failing later in a frame build or an estimate with
+        a bare IndexError."""
+        with pytest.raises(TypeError, match="pilot_index must be an integer"):
+            PilotLayout(pilot_index=pilot)
+
+    def test_numpy_integer_pilot_index_accepted(self):
+        layout = PilotLayout(pilot_index=np.int64(3))
+        x = build_pilot_frame(GRID, layout)
+        assert np.flatnonzero(x).tolist() == [3]
+        r = pipeline(GRID, x, LosChannel(delay=1.25, doppler=0.4))
+        assert joint_estimate(GRID, r, layout) == joint_estimate(GRID, r, PilotLayout(3))
 
     @pytest.mark.parametrize("ep_ei_db", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_ratio(self, ep_ei_db):
@@ -149,25 +189,29 @@ class TestProfile:
 
     def test_pspr_flat_profile(self):
         p = np.full(48, 0.7)
-        assert pspr(p, 20, 8) == pytest.approx(8.0 / 7.0)
+        assert both_psprs(p, 20, 8) == pytest.approx((8.0 / 7.0, 8.0 / 7.0))
 
     def test_pspr_lone_spike(self):
         p = np.zeros(48)
         p[20] = 3.0
-        assert pspr(p, 20, 8) == np.inf
+        assert both_psprs(p, 20, 8) == (np.inf, np.inf)
 
     def test_pspr_one_bin_window_is_lone_spike(self):
         """With C = 1 the window holds only the peak, so every profile scores
         +inf, whatever rounding squaring its values takes."""
         p = np.random.default_rng(0).uniform(0.1, 3.0, 1000)
         assert all(pspr(p, pos, 1) == np.inf for pos in range(p.size))
+        assert np.all(_window_pspr(p[:, None]) == np.inf)
 
     def test_pspr_prefers_cleaner_peak(self):
         p = np.full(48, 0.1)
         p[20] = 1.0
         messy = p.copy()
         messy[22] = 0.8
-        assert pspr(p, 20, 8) > pspr(messy, 20, 8)
+        clean, noisy = both_psprs(p, 20, 8), both_psprs(messy, 20, 8)
+        assert clean[0] > noisy[0] and clean[1] > noisy[1]
+        # the stacked rule scores each profile at its own peak
+        assert np.array_equal(_pspr_rows(GRID, np.array([p, messy])), [clean[1], noisy[1]])
 
     def test_compensate_inverts_channel_phasor(self):
         """The readout with kappa compensated reads a body that carries the
@@ -177,8 +221,8 @@ class TestProfile:
         s = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         kappa = 0.37
         r = s * np.exp(-2j * np.pi * kappa * np.arange(GRID.n) / GRID.n)
-        got = _readout(GRID, r, LAYOUT)(kappa)
-        assert np.allclose(got, _readout(GRID, s, LAYOUT)(0.0), atol=1e-12)
+        got = read_one(GRID, r, LAYOUT)(kappa)
+        assert np.allclose(got, read_one(GRID, s, LAYOUT)(0.0), atol=1e-12)
 
     @pytest.mark.parametrize("n", [255, 256, 4096, 8193])
     @pytest.mark.parametrize("kappa", [0.0, 0.37, 0.999, 1.5, -0.2])
@@ -200,7 +244,7 @@ class TestProfile:
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         full = daft_demodulate(GRID, r)[readout_bins(GRID, LAYOUT)]
-        assert np.max(np.abs(_readout(GRID, r, LAYOUT)(0.0) - np.abs(full))) < 1e-10
+        assert np.max(np.abs(read_one(GRID, r, LAYOUT)(0.0) - np.abs(full))) < 1e-10
 
     @pytest.mark.parametrize("n", [4096, 16384, 4093])
     @pytest.mark.parametrize("pilot", [0, 40])
@@ -211,7 +255,7 @@ class TestProfile:
         layout = PilotLayout(pilot_index=pilot)
         rng = np.random.default_rng(n + pilot)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        read = _readout(grid, r, layout)
+        read = read_one(grid, r, layout)
         for kappa in (0.0, 0.37, 0.999, -0.004):
             expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
             assert np.max(np.abs(read(kappa) - expect)) <= 1e-12 * np.max(expect)
@@ -242,7 +286,7 @@ class TestProfile:
         _pruned_dft.cache_clear()
         tracemalloc.start()
         try:
-            _readout(grid, r, LAYOUT)(0.37)
+            read_one(grid, r, LAYOUT)(0.37)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -270,7 +314,7 @@ class TestProfile:
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
-        got = _readout(grid, r, layout)(kappa)
+        got = read_one(grid, r, layout)(kappa)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
 
@@ -312,9 +356,10 @@ class TestCoarseScores:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        read = _readout(grid, r, layout)
+        read = read_one(grid, r, layout)
         j = profile_bins(grid)
-        cand, scores = _coarse_scores(grid, layout, r, steps)
+        cand, scores = _coarse_scores(grid, layout, r[None], steps)
+        scores = scores[0]
         assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
         profiles = np.array([read(kappa) for kappa in cand])
         expect = np.array([scalar_pspr(grid, p) for p in profiles])
@@ -370,24 +415,30 @@ class TestIntegerDecode:
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=float(l), doppler=float(k))
         p = read_profile(GRID, daft_demodulate(GRID, pipeline(GRID, x, ch)), LAYOUT)
-        got_js, got_k, got_l, flagged = integer_estimate(GRID, p)
-        assert (got_js, got_k, got_l, flagged) == (js, k, l, False)
+        split, _, _ = decode_one(GRID, p)
+        assert split == (js, k, l, False)
 
     def test_decode_exhaustive(self):
+        """Every integer channel of the box, each profile decoded alone and
+        all of them as one stack."""
         x = build_pilot_frame(GRID, LAYOUT, None)
+        profiles, expect = [], []
         for l in range(GRID.l_max + 1):
             for k in range(-GRID.k_max, GRID.k_max + 1):
                 ch = LosChannel(delay=float(l), doppler=float(k))
                 p = read_profile(GRID, daft_demodulate(GRID, pipeline(GRID, x, ch)), LAYOUT)
-                got_js, got_k, got_l, flagged = integer_estimate(GRID, p)
-                assert (got_k, got_l, flagged) == (k, l, False)
-                assert got_js == k + GRID.n_seg * l
+                want = ((k + GRID.n_seg * l) % GRID.n, k, l, False)
+                assert decode_one(GRID, p)[0] == want
+                profiles.append(p)
+                expect.append(want)
+        split, _, _ = _decode(GRID, np.array(profiles))
+        assert list(zip(*(a.tolist() for a in split))) == expect
 
     def test_out_of_range_peak_is_flagged(self):
         j = profile_bins(GRID)
         p = np.zeros(j.size)
         p[np.flatnonzero(j == 4)[0]] = 1.0  # k = 4 > k_max
-        *_, flagged = integer_estimate(GRID, p)
+        (*_, flagged), _, _ = decode_one(GRID, p)
         assert flagged
 
 
@@ -430,15 +481,70 @@ class TestDecodeProperties:
             p[c + spike % (j.size - 2 * c)] = 3.0
         inner = p[c:-c]
         pos = c + int(np.flatnonzero(inner == inner.max())[0])
-        js, k, l_round, flagged = integer_estimate(grid, p)
-        assert js == j[pos]
-        assert k + c * l_round == js
+        (peak_index, k, l_round, flagged), score, taps = decode_one(grid, p)
+        assert peak_index == j[pos] % n
+        assert k + c * l_round == j[pos]
         assert flagged == (abs(k) > k_max or not 0 <= l_round <= l_max)
+        assert score == pspr(p, pos, c)
+        assert np.array_equal(taps, p[[pos - c, pos, pos + c]])
 
-        floor, iota, a_db = estimate_delay_frac(grid, p, pos, l_round)
+        (floor,), (iota,) = _gate(np.array([l_round]), taps[None])
         assert floor in (l_round - 1, l_round)
         assert iota == 0.0 or 0.01 <= iota <= 0.99
-        assert np.isfinite(a_db)
+
+    def test_gate_integer_cut(self):
+        """A peak more than the gate's integer cut above its late tap reads
+        as an integer delay at the peak (floor = delay_round, iota = 0),
+        whatever the early tap says; at or below the cut the gate inverts
+        the reading, and a larger early tap moves the bracket down."""
+        readings = _ELG_INTEGER_DB + np.array([1e-6, 1.0, 0.0, -1e-6, -5.0])
+        late = 10.0 ** (-readings / 10.0)
+        for early_tap in (1e-3, 0.5):
+            taps = np.stack([np.full(late.size, early_tap), np.ones(late.size), late], axis=1)
+            floor, iota = _gate(np.full(late.size, 2), taps)
+            a_right = 10.0 * (np.log10(taps[:, 1]) - np.log10(taps[:, 2]))
+            integer = a_right > _ELG_INTEGER_DB
+            assert integer.tolist() == [True, True, False, False, False]
+            assert np.all(iota[integer] == 0.0) and np.all(floor[integer] == 2)
+            assert np.all(iota[~integer] >= 0.01)
+            assert np.array_equal(integer, elg_invert(a_right) == 0.0)
+            bracket_down = early_tap > late[~integer]
+            assert np.array_equal(floor[~integer], 2 - bracket_down)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(16, 4096),
+        k_max=st.integers(0, 6),
+        pad=st.integers(1, 24),
+        l_max=st.integers(0, 6),
+    )
+    def test_decode_table_is_the_rounding_split(self, n, k_max, pad, l_max):
+        """At every peak position of the decodeable range, the cached table
+        holds the split js = k + C*l with l the nearest integer to js/C
+        (half to even, as Python's round) and k the centered residue, the
+        flag of a split outside the box, and js mod N; a lone spike there
+        decodes to that entry."""
+        try:
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        except ValueError:
+            assume(False)
+        c = grid.n_seg
+        j = profile_bins(grid)
+        offsets, split = _decode_table(grid)
+        assert offsets.tolist() == [-c, 0, c, *range(-(c // 2), c - c // 2)]
+        assert all(a.shape == j.shape for a in split)
+        inner = range(c, j.size - c)
+        spikes = np.zeros((len(inner), j.size))
+        spikes[np.arange(len(inner)), list(inner)] = 1.0
+        decoded, _, _ = _decode(grid, spikes)
+        for i, pos in enumerate(inner):
+            js = int(j[pos])
+            l = round(js / c)
+            k = js - c * l
+            assert -c / 2 <= k <= c / 2
+            want = (js % grid.n, k, l, abs(k) > grid.k_max or not 0 <= l <= grid.l_max)
+            assert tuple(a[pos].item() for a in split) == want
+            assert tuple(a[i].item() for a in decoded) == want
 
 
 class TestDopplerSearch:
@@ -447,9 +553,9 @@ class TestDopplerSearch:
         x = build_pilot_frame(GRID, LAYOUT, None)
         ch = LosChannel(delay=1.5, doppler=1.0 + kappa)
         r = oversampled_oracle(GRID, x, ch)
-        k_hat, score, _ = estimate_doppler_frac(GRID, r, LAYOUT)
+        (k_hat,), p = estimate_doppler_frac(GRID, r[None], LAYOUT)
         assert abs(k_hat - kappa) < 5e-3
-        assert score > 50.0
+        assert _pspr_rows(GRID, p)[0] > 50.0
 
 
 class TestJointEstimate:
@@ -476,22 +582,32 @@ class TestJointEstimate:
         assert not est.flagged
 
     def test_profile_is_the_compensated_readout(self):
-        """The search hands back the readout at its optimum, so the joint
-        estimate need not form it again."""
+        """The search hands back each row's readout at its optimum, so the
+        decode need not form it again; the estimate reports that readout's
+        PSPR and compensation, for a frame alone and within a stack."""
         rng = np.random.default_rng(12)
-        x = build_pilot_frame(GRID, LAYOUT, rng)
-        r = pipeline(GRID, x, LosChannel(delay=1.3, doppler=-0.7))
-        kappa, score, p = estimate_doppler_frac(GRID, r, LAYOUT)
-        assert type(kappa) is float
-        expect = read_profile(GRID, daft_demodulate(GRID, compensated(r, kappa)), LAYOUT)
-        assert np.max(np.abs(p - expect)) < 1e-10
-        assert score == scalar_pspr(GRID, p)
+        r = np.array([
+            pipeline(GRID, build_pilot_frame(GRID, LAYOUT, rng), LosChannel(delay=d, doppler=k))
+            for d, k in ((1.3, -0.7), (0.4, 2.2), (2.9, 0.1))
+        ])
+        for stack in (r[:1], r):
+            kappa, p = estimate_doppler_frac(GRID, stack, LAYOUT)
+            assert kappa.shape == (len(stack),) and p.shape == (len(stack), 48)
+            ests = joint_estimate_rows(GRID, stack, LAYOUT)
+            for row, k, prof, est in zip(stack, kappa, p, ests):
+                expect = read_profile(GRID, daft_demodulate(GRID, compensated(row, k)), LAYOUT)
+                assert np.max(np.abs(prof - expect)) < 1e-10
+                assert est.doppler_frac == k
+                assert est.pspr == scalar_pspr(GRID, prof)
 
     @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
     @pytest.mark.parametrize("shape", [(GRID.n - 1,), (GRID.n + 1,), (1, GRID.n), ()])
     def test_wrong_shape_rejected(self, fn, shape):
+        """A frame of the wrong shape is refused by the one-frame entry point,
+        and as the one row of a stack by stage 1, which takes stacks."""
+        r = np.ones(shape, dtype=complex)
         with pytest.raises(ValueError, match="shape"):
-            fn(GRID, np.ones(shape, dtype=complex), LAYOUT)
+            fn(GRID, r[None] if fn is estimate_doppler_frac else r, LAYOUT)
 
     @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -499,7 +615,7 @@ class TestJointEstimate:
         r = np.ones(GRID.n, dtype=complex)
         r[17] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fn(GRID, r, LAYOUT)
+            fn(GRID, r[None] if fn is estimate_doppler_frac else r, LAYOUT)
 
     def test_all_zero_frame_is_flagged_with_finite_fields(self):
         est = joint_estimate(GRID, np.zeros(GRID.n, dtype=complex), LAYOUT)
@@ -851,6 +967,35 @@ class TestStacks:
         ests = integer_only_rows(grid, np.array(y), layout)
         assert ests == [integer_only(grid, row, layout) for row in y]
         assert not any(e.flagged for e in ests)
+
+    @pytest.mark.parametrize("case", ["loaded", "all-zero", "odd-cn-pilot-40"])
+    def test_one_frame_entry_points_equal_one_row_stacks(self, case):
+        """Each estimator's one-frame entry point gives the Estimate its
+        stacked form (harness.ESTIMATORS) gives the frame as a stack of one:
+        on a loaded frame, on an all-zero frame (the flagged no-estimate)
+        and on the odd C*N grid (N=255, C=9) with the pilot at index 40."""
+        grid, layout = (
+            (AfdmGrid(n=255, doppler_pad=3), PilotLayout(pilot_index=40))
+            if case == "odd-cn-pilot-40"
+            else (GRID, LAYOUT)
+        )
+        rng = np.random.default_rng(33)
+        ch = LosChannel(
+            gain=0.6 - 0.8j, delay=1.7, doppler=-1.3, noise_var=noise_variance(grid, layout, 20.0)
+        )
+        r = pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng)
+        if case == "all-zero":
+            r = np.zeros(grid.n, dtype=complex)
+        y = daft_demodulate(grid, r)
+        one = {
+            "joint": joint_estimate(grid, r, layout),
+            "integer_only": integer_only(grid, y, layout),
+            "two_d_search": two_d_search(grid, y, layout),
+        }
+        assert set(one) == set(ESTIMATORS)
+        for name, estimate in ESTIMATORS.items():
+            assert estimate(grid, r[None], layout) == [one[name]]
+        assert all(e == _NO_ESTIMATE for e in one.values()) == (case == "all-zero")
 
     def test_integer_only_rows_rejects_a_single_frame(self):
         with pytest.raises(ValueError, match="a frame stack must be 2-D"):

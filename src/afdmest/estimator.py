@@ -11,9 +11,13 @@ one-row stack. Estimation runs in three stages:
    (PSPR) of the pilot region readout. The readout at bin b with kappa
    compensated is |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame
    body, so the coarse candidates times the readout bins form one uniform
-   frequency grid. One cached Bluestein chirp-z transform (two FFTs per
-   frame, over a block of a stack's rows at once) scores that grid in one
-   pass, then a vectorised PSPR covers all candidates. Golden-section
+   frequency grid. One cached chirp-z transform, over a block of a stack's
+   rows at once, scores that grid in one pass, then a vectorised PSPR
+   covers all candidates. Its Bluestein convolution runs by overlap-save:
+   one FFT of each frame at block length S, the smaller of the 5-smooth
+   lengths at or above 4N and at or above the single-block length, then
+   one product and one inverse FFT per block of S - N + 1 outputs (one
+   block, the single long convolution, at N=4096). Golden-section
    refinement of each frame's best cell follows, the frames of a stack
    stepping together: each step reads every frame at its own probe with
    one pruned DFT of the stack. With N = P*M and P the smallest divisor of
@@ -33,7 +37,9 @@ one-row stack. Estimation runs in three stages:
    splits into an integer delay and an integer Doppler by rounding. The
    split of every peak position, its flag and the peak index are one table
    per grid (``_decode_table``), so the rounding and the box rule are
-   written once, where the table is built.
+   written once, where the table is built. Every decodeable peak rounds to
+   a delay in [0, l_max], so ``flagged`` marks an integer Doppler outside
+   +-k_max.
 
 3. fractional delay: the ratio in dB of the two comb taps bracketing the
    true delay is a monotone function of the delay fraction (see
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AfdmGrid, _check_integer, _chirps
 from .effective import _ELG_INTEGER_DB, elg_invert
@@ -121,21 +128,37 @@ class PilotLayout:
         return (self.pilot_index + np.arange(q + 1, grid.n - q)) % grid.n
 
 
+# the unit-energy QPSK symbol of each bit pair (b0, b1), at index 2*b0 + b1
+_QPSK = (np.array([-1, -1, 1, 1]) + 1j * np.array([-1, 1, -1, 1])) / np.sqrt(2.0)
+_QPSK.flags.writeable = False
+
+
+@lru_cache(maxsize=8)
+def _data_slots(grid: AfdmGrid, layout: PilotLayout) -> np.ndarray:
+    # layout.data_slots cached per grid and pilot position, and read-only as
+    # it is shared, as _pilot_bins caches the readout bins
+    slots = layout.data_slots(grid)
+    slots.flags.writeable = False
+    return slots
+
+
 def build_pilot_frame(
     grid: AfdmGrid, layout: PilotLayout, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Transform-domain frame: pilot, zero guards, QPSK data.
 
     With no rng the data slots stay zero (pilot-only frame, useful for
-    calibration runs). Raises ValueError for a pilot index outside [0, N).
+    calibration runs). The data are one (slots, 2) draw of bits from rng,
+    bit pair (b0, b1) carrying ((2 b0 - 1) + i (2 b1 - 1))/sqrt(2). Raises
+    ValueError for a pilot index outside [0, N).
     """
     layout.validate(grid)
     x = np.zeros(grid.n, dtype=complex)
     x[layout.pilot_index] = layout.pilot_amplitude
     if rng is not None:
-        slots = layout.data_slots(grid)
+        slots = _data_slots(grid, layout)
         bits = rng.integers(0, 2, size=(slots.size, 2))
-        x[slots] = ((2 * bits[:, 0] - 1) + 1j * (2 * bits[:, 1] - 1)) / np.sqrt(2.0)
+        x[slots] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
     return x
 
 
@@ -369,19 +392,35 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     candidates are (i + 1/2)/steps, so every (candidate, bin) pair lies on
     the one grid f_t = pilot - j0 - 1/(2 steps) - t/steps, t = a*steps + i.
     Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum over that
-    grid into one linear convolution, with the chirp
-    w^(k^2) = exp(2 pi i k^2 / (2 steps N)), zero-padded to the smallest
-    5-smooth length (no prime factor above 5) at or above N + J*steps - 1.
+    grid into the first m = J*steps outputs of a linear convolution of the
+    N pre-multiplied samples with the chirp kernel w^(-k^2),
+    w = exp(2 pi i / (2 steps N)), over the lags k in (-N, m).
+
+    The convolution is computed by overlap-save in blocks of S points, S
+    the smaller of the 5-smooth lengths (no prime factor above 5) at or
+    above 4N and at or above N + m - 1: each block gives S - N + 1 outputs
+    from one product with the FFT of its kernel block and one inverse FFT,
+    and all blocks share one FFT of the zero-padded samples. Where the
+    length for N + m - 1 is the shorter (always when m <= 3N + 1, as at
+    N=4096 and C=8), that is one block: the single long Bluestein
+    convolution, with its bits. At N=256 it is 4 blocks of 1024 points
+    instead of one of 3375 at C=8, 6 instead of 5000 at C=12 and 13 instead
+    of 10240 at C=26, and the coarse stage took 26%, 31% and 41% less time
+    on one frame, 16%, 13% and 21% less per frame of a 30-frame stack
+    (2 vCPU, interleaved rounds).
+
     Returns (pre, kernel_fft, m): the input pre-multiplier (conj(e1), the
-    start-frequency phase, the input chirp and 1/sqrt(N)), the FFT of the
-    kernel w^(-k^2), and the output count m = J*steps. The output chirp
-    w^(t^2) has unit modulus and is left out, as only magnitudes are read.
-    The cached arrays are shared, so they are read-only.
+    start-frequency phase, the input chirp and 1/sqrt(N)), the (blocks, S)
+    FFTs of the kernel blocks, and m. The output chirp w^(t^2) has unit
+    modulus and is left out, as only magnitudes are read. The cached
+    arrays are shared, so they are read-only.
     """
     n, period = grid.n, 2 * steps * grid.n
     j = profile_bins(grid)
     m = j.size * steps
-    size = _smooth_length(n + m - 1)
+    size = min(_smooth_length(4 * n), _smooth_length(n + m - 1))
+    out = size - n + 1
+    blocks = -(-m // out)
     # every phase is reduced in integers before it is exponentiated: the
     # chirp index k^2 mod 2*steps*N and the pilot offset (pilot - j0)*n mod
     # N; the 1/(2 steps) start offset adds n/(2 steps N) < 1/(2 steps)
@@ -390,8 +429,8 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     offset = (layout.pilot_index - int(j[0])) * k[:n] % n
     e1, _ = _chirps(n, grid.c1, grid.c2)
     # pre is built and the kernel transformed in place, and the index arrays
-    # are dropped before the kernel: with a 5-smooth L, length-N temporaries
-    # weigh about as much as the length-L kernel
+    # are dropped before the kernel: with a 5-smooth S, length-N temporaries
+    # weigh about as much as a length-S kernel block
     start = 2j * np.pi * (k[:n] - 2 * steps * offset)
     start /= period
     pre = np.conj(e1)
@@ -399,29 +438,41 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     pre *= np.exp(start, out=start)
     pre /= np.sqrt(n)
     del k, offset, start
-    # the kernel w^(-k^2) at the lags t - n in (-N, m), laid out circularly;
-    # it is even in the lag, so one table serves both signs
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m] = np.conj(chirp[:m])
-    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    kernel_fft = np.fft.fft(kernel, out=kernel)
+    # the kernel at the lags -(N-1) .. blocks*out - 1, zero from m on; it is
+    # even in the lag, so one chirp table serves both signs
+    lags = np.zeros(n - 1 + blocks * out, dtype=complex)
+    lags[n - 1 : n - 1 + m] = np.conj(chirp[:m])
+    lags[: n - 1] = np.conj(chirp[n - 1 : 0 : -1])
+    del chirp
+    # block b covers the lags b*out - (N-1) .. b*out + out - 1, laid out
+    # circularly with lag b*out first
+    kernel = np.roll(sliding_window_view(lags, size)[::out], 1 - n, axis=-1)
+    del lags
+    kernel_fft = np.fft.fft(kernel, axis=-1, out=kernel)
     pre.flags.writeable = False
     kernel_fft.flags.writeable = False
     return pre, kernel_fft, m
 
 
 def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: int):
-    """PSPR of every coarse compensation candidate (i + 1/2)/steps, as
-    (candidates, scores), with all readouts from one chirp-z transform; for
-    an (F, N) stack r the scores are (F, candidates)."""
+    """PSPR of every coarse compensation candidate (i + 1/2)/steps of every
+    row of an (F, N) stack r, as (candidates, (F, candidates) scores), with
+    all readouts from one blocked chirp-z transform (:func:`_coarse_czt`)."""
     pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
-    spec = np.zeros(r.shape[:-1] + kernel_fft.shape, dtype=complex)
-    np.multiply(r, pre, out=spec[..., : grid.n])
-    np.fft.fft(spec, out=spec)
-    spec *= kernel_fft
+    blocks, size = kernel_fft.shape
+    # one (F, blocks, S) work array: the samples are transformed in block 0,
+    # whose own product is taken last, in place
+    spec = np.zeros((len(r), blocks, size), dtype=complex)
+    head = spec[:, :1]
+    np.multiply(r[:, None], pre, out=head[..., : grid.n])
+    np.fft.fft(head, out=head)
+    np.multiply(head, kernel_fft[1:], out=spec[:, 1:])
+    head *= kernel_fft[:1]
     np.fft.ifft(spec, out=spec)
-    # (..., bins, candidates) -> a profile over the bins per candidate
-    p = np.abs(spec[..., :m]).reshape(*r.shape[:-1], -1, steps).swapaxes(-1, -2)
+    # the first S - N + 1 outputs of each block, in order, are the m outputs
+    mag = np.abs(spec[..., : size - grid.n + 1]).reshape(len(r), -1)[:, :m]
+    # (F, bins, candidates) -> a profile over the bins per candidate
+    p = mag.reshape(len(r), -1, steps).swapaxes(-1, -2)
     return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
 
 
@@ -491,9 +542,12 @@ def _golden_max(a: float, b: float, tol: float):
 
 
 # a stack's coarse grid is scored in blocks of rows whose chirp-z work
-# arrays stay within this many bytes: on 30-row sweep stacks at N=256, one
-# block per stack peaked 2.9 MiB higher and ran 4-8% fewer frames/s
-_SCORE_BLOCK_BYTES = 1 << 20
+# arrays, (blocks, S) complex per row as kernel_fft, stay within this many
+# bytes: 8 rows at N=256 and C=8, 5 at C=12. On the 30-row stacks of a
+# sweep at N=256, 1 MiB peaked 0.3 MiB higher and ran no faster, 256 KiB
+# ran 6% slower; the single long convolution's rows had peaked 2.9 MiB
+# higher with one block per stack and run 4-8% slower
+_SCORE_BLOCK_BYTES = 1 << 19
 
 
 def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray) -> np.ndarray:
@@ -535,9 +589,9 @@ def estimate_doppler_frac(
     """Fractional Doppler of every row of an (F, N) stack of frame bodies,
     by closed-loop PSPR maximization (stage 1).
 
-    Chirp-z transforms score every frame's coarse grid of candidate
-    compensations over [0, 1), a block of rows at a time
-    (_SCORE_BLOCK_BYTES bounds a block's work array); the golden refines of
+    Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
+    coarse grid of candidate compensations over [0, 1), a block of rows at
+    a time (_SCORE_BLOCK_BYTES bounds a block's work array); the golden refines of
     the frames' best cells then step together, one readout of the stack per
     step. The PSPR objective is evaluated on the pilot readout region only.
     Returns (kappa, p): the F compensations and the (F, J) pilot readout
@@ -568,14 +622,16 @@ def _decode_table(grid: AfdmGrid):
     array (a peak lies in the decodeable range): the peak index js mod N,
     doppler_int, delay_round and flagged. The peak at js = k + C*l splits
     with l = round(js/C), half to even, and k = js - C*l the centered
-    residue; flagged marks a split outside the search box. The cached
-    arrays are shared, so they are read-only.
+    residue; flagged marks |k| > k_max, an integer Doppler outside the
+    search box. It is the only flag: the decodeable range, js from
+    -floor(C/2) to C*l_max + C - floor(C/2) - 1, rounds to l in [0, l_max].
+    The cached arrays are shared, so they are read-only.
     """
     c, half = grid.n_seg, grid.n_seg // 2
     js = profile_bins(grid)
     l_round = np.round(js / c).astype(np.int64)
     k = js - c * l_round
-    flagged = (np.abs(k) > grid.k_max) | (l_round < 0) | (l_round > grid.l_max)
+    flagged = np.abs(k) > grid.k_max
     offsets = np.concatenate([[-c, 0, c], np.arange(-half, c - half)])
     split = (js % grid.n, k, l_round, flagged)
     for a in (offsets, *split):

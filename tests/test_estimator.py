@@ -18,11 +18,19 @@ from hypothesis import strategies as st
 from afdmest import estimator
 from afdmest.baselines import integer_only, integer_only_rows, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
-from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
+from afdmest.core import (
+    AfdmGrid,
+    _chirps,
+    add_prefix,
+    daft_demodulate,
+    daft_modulate,
+    strip_prefix,
+)
 from afdmest.effective import _ELG_INTEGER_DB, elg_invert
 from afdmest.estimator import (
     _COARSE_STEPS,
     _NO_ESTIMATE,
+    _REFINE_TOL,
     Estimate,
     PilotLayout,
     _coarse_czt,
@@ -133,9 +141,15 @@ class TestPilotLayout:
         assert np.count_nonzero(x) == 1
 
     def test_loaded_frame(self):
+        """The data slots hold the QPSK symbols of one (slots, 2) draw of
+        bits, ((2 b0 - 1) + i (2 b1 - 1))/sqrt(2) per pair, to the bit."""
         rng = np.random.default_rng(3)
         x = build_pilot_frame(GRID, LAYOUT, rng)
-        assert np.allclose(np.abs(x[LAYOUT.data_slots(GRID)]), 1.0)
+        data = LAYOUT.data_slots(GRID)
+        bits = np.random.default_rng(3).integers(0, 2, size=(data.size, 2))
+        expect = ((2 * bits[:, 0] - 1) + 1j * (2 * bits[:, 1] - 1)) / np.sqrt(2.0)
+        assert np.array_equal(x[data], expect)
+        assert np.allclose(np.abs(x[data]), 1.0)
         assert np.all(x[LAYOUT.guard_slots(GRID)] == 0)
         assert x[LAYOUT.pilot_index] == pytest.approx(np.sqrt(10.0))
 
@@ -332,6 +346,42 @@ def smooth(size):
     return size == 1
 
 
+def smooth_at_or_above(target):
+    return next(v for v in range(target, 2 * target + 1) if smooth(v))
+
+
+def bluestein_scores(grid, layout, r, steps):
+    """The coarse scores of the (F, N) stack r from one long Bluestein
+    convolution, zero-padded to the smallest 5-smooth length at or above
+    N + m - 1 (m = J*steps): the form the blocked transform replaced, kept
+    as its reference. On a grid where the block rule gives one block, the
+    two run the same arithmetic and give the same bits."""
+    n, period = grid.n, 2 * steps * grid.n
+    j = profile_bins(grid)
+    m = j.size * steps
+    size = smooth_at_or_above(n + m - 1)
+    k = np.arange(max(m, n), dtype=np.int64)
+    chirp = np.exp(2j * np.pi * (k * k % period) / period)
+    offset = (layout.pilot_index - int(j[0])) * k[:n] % n
+    e1, _ = _chirps(n, grid.c1, grid.c2)
+    start = 2j * np.pi * (k[:n] - 2 * steps * offset)
+    start /= period
+    pre = np.conj(e1)
+    pre *= chirp[:n]
+    pre *= np.exp(start)
+    pre /= np.sqrt(n)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
+    spec = np.zeros((len(r), size), dtype=complex)
+    np.multiply(r, pre, out=spec[:, :n])
+    np.fft.fft(spec, out=spec)
+    spec *= np.fft.fft(kernel)
+    np.fft.ifft(spec, out=spec)
+    p = np.abs(spec[:, :m]).reshape(len(r), -1, steps).swapaxes(-1, -2)
+    return _pspr_rows(grid, p)
+
+
 class TestCoarseScores:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -381,32 +431,131 @@ class TestCoarseScores:
         assert got[-2] == (np.inf if c == 1 else pytest.approx(c / (c - 1)))
         assert got[-1] == np.inf
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 1100),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 20),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_scores_match_one_long_convolution(
+        self, n, k_max, pad, l_max, pilot, rows, seed
+    ):
+        """The overlap-save scores equal those of the single long Bluestein
+        convolution to rtol 1e-12 and pick the same best cell of every row
+        whose top two scores differ by more than that, over N (primes
+        included), the parity of C*N, C up to 26 and the pilot position."""
+        try:
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        except ValueError:
+            assume(False)
+        layout = PilotLayout(pilot_index=pilot % n)
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        _, got = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+        expect = bluestein_scores(grid, layout, r, _COARSE_STEPS)
+        assert np.array_equal(np.isinf(got), np.isinf(expect))
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        # rows whose best score clears the runner-up by more than the
+        # rounding; an infinite best (no sidelobe power) is first in both
+        top = np.sort(expect, axis=-1)[:, -2:]
+        with np.errstate(invalid="ignore"):
+            apart = np.isinf(top[:, 1]) | (top[:, 1] - top[:, 0] > 1e-12 * top[:, 1])
+        assert np.array_equal(got.argmax(-1)[apart], expect.argmax(-1)[apart])
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_single_block_grid_is_the_long_convolution_bitwise(self, n):
+        """Where the 5-smooth length at or above N + m - 1 is the shorter,
+        the rule gives one block, and the scores have the bits of the long
+        convolution."""
+        grid = AfdmGrid(n=n)
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        assert _coarse_czt(grid, LAYOUT, _COARSE_STEPS)[1].shape[0] == 1
+        _, got = _coarse_scores(grid, LAYOUT, r, _COARSE_STEPS)
+        assert np.array_equal(got, bluestein_scores(grid, LAYOUT, r, _COARSE_STEPS))
+
+    @pytest.mark.parametrize(
+        "n,pad,blocks,size",
+        [(256, 2, 4, 1024), (256, 6, 6, 1024), (256, 20, 13, 1024), (4096, 2, 1, 7200)],
+    )
+    def test_block_rule(self, n, pad, blocks, size):
+        """S is the smaller of the 5-smooth lengths at or above 4N and at or
+        above N + m - 1, and the blocks of S - N + 1 outputs cover m."""
+        grid = AfdmGrid(n=n, doppler_pad=pad)
+        _, kernel_fft, m = _coarse_czt(grid, LAYOUT, _COARSE_STEPS)
+        assert kernel_fft.shape == (blocks, size)
+        assert size == min(smooth_at_or_above(4 * n), smooth_at_or_above(n + m - 1))
+        assert (blocks - 1) * (size - n + 1) < m <= blocks * (size - n + 1)
+
     def test_czt_cache_is_read_only_and_memory_is_linear(self):
-        """At N=8192 the cached chirp-z factors are read-only, and building
-        them plus one scoring call stays within 4 complex vectors of the
-        padded FFT length L; the N x steps phasor matrix of a one-product
-        scoring (8 MiB here) would not fit."""
+        """At N=8192 the block rule gives one block of the padded length S,
+        the cached chirp-z factors are read-only, and building them plus one
+        scoring call stays within 4 complex vectors of S; the N x steps
+        phasor matrix of a one-product scoring (8 MiB here) would not fit."""
         grid = AfdmGrid(n=8192)
         steps = 64
         r = daft_modulate(grid, build_pilot_frame(grid, LAYOUT, np.random.default_rng(2)))
         _coarse_czt.cache_clear()
         tracemalloc.start()
         try:
-            _coarse_scores(grid, LAYOUT, r, steps)
+            _coarse_scores(grid, LAYOUT, r[None], steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         pre, kernel_fft, m = _coarse_czt(grid, LAYOUT, steps)
-        size = kernel_fft.size
-        # the padded length is the smallest 5-smooth one at or above N + m - 1
+        blocks, size = kernel_fft.shape
+        # one block: the padded length is the smallest 5-smooth one at or
+        # above N + m - 1, below the one at or above 4N
+        assert blocks == 1
         assert grid.n + m - 1 <= size and smooth(size)
         assert not any(smooth(v) for v in range(grid.n + m - 1, size))
+        assert size < smooth_at_or_above(4 * grid.n)
         assert m == profile_bins(grid).size * steps
         assert peak <= 4 * 16 * size < 16 * grid.n * steps
         for a in (pre, kernel_fft):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_coarse_ties_refine_to_the_truth_from_either_cell(self):
+        """Noise-free pilot-only frames on a quarter-bin grid of delay and
+        Doppler (N=255, C=9, pilot 40) often score two coarse cells equal to
+        rounding, so which one wins depends on the transform's rounding.
+        Refined from either, the Doppler estimate lies within _REFINE_TOL of
+        the truth, and the delay estimate is the same."""
+        grid = AfdmGrid(n=255, doppler_pad=3)
+        layout = PilotLayout(pilot_index=40)
+        s = add_prefix(grid, daft_modulate(grid, build_pilot_frame(grid, layout)))
+        truth = [
+            (d, k)
+            for d in np.arange(4 * grid.l_max + 1) / 4
+            for k in np.arange(-4 * grid.k_max, 4 * grid.k_max + 1) / 4
+        ]
+        r = np.array(
+            [
+                strip_prefix(grid, apply_los_channel(grid, s, LosChannel(delay=d, doppler=k)))
+                for d, k in truth
+            ]
+        )
+        ests = joint_estimate_rows(grid, r, layout)
+        assert all(abs(e.doppler - k) <= _REFINE_TOL for e, (_, k) in zip(ests, truth))
+        cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+        order = np.argsort(scores, axis=-1)
+        top = np.take_along_axis(scores, order[:, -2:], axis=-1)
+        tied = np.flatnonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
+        assert tied.size > 0
+        for i in tied:
+            _, k = truth[i]
+            both = []
+            for cell in order[i, -2:]:
+                with mock.patch.object(estimator, "_best_cells", return_value=cand[[cell]]):
+                    both.append(joint_estimate(grid, r[i], layout))
+            assert all(abs(e.doppler - k) <= _REFINE_TOL for e in both)
+            assert both[0].delay == both[1].delay
 
 
 class TestIntegerDecode:
@@ -484,7 +633,8 @@ class TestDecodeProperties:
         (peak_index, k, l_round, flagged), score, taps = decode_one(grid, p)
         assert peak_index == j[pos] % n
         assert k + c * l_round == j[pos]
-        assert flagged == (abs(k) > k_max or not 0 <= l_round <= l_max)
+        assert 0 <= l_round <= l_max
+        assert flagged == (abs(k) > k_max)
         assert score == pspr(p, pos, c)
         assert np.array_equal(taps, p[[pos - c, pos, pos + c]])
 
@@ -522,8 +672,9 @@ class TestDecodeProperties:
         """At every peak position of the decodeable range, the cached table
         holds the split js = k + C*l with l the nearest integer to js/C
         (half to even, as Python's round) and k the centered residue, the
-        flag of a split outside the box, and js mod N; a lone spike there
-        decodes to that entry."""
+        flag |k| > k_max, and js mod N; a lone spike there decodes to that
+        entry. Every such l lies in [0, l_max], so the flag is the Doppler
+        box alone."""
         try:
             grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
         except ValueError:
@@ -542,7 +693,8 @@ class TestDecodeProperties:
             l = round(js / c)
             k = js - c * l
             assert -c / 2 <= k <= c / 2
-            want = (js % grid.n, k, l, abs(k) > grid.k_max or not 0 <= l <= grid.l_max)
+            assert 0 <= l <= grid.l_max
+            want = (js % grid.n, k, l, abs(k) > grid.k_max)
             assert tuple(a[pos].item() for a in split) == want
             assert tuple(a[i].item() for a in decoded) == want
 

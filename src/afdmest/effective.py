@@ -20,10 +20,9 @@ Dirichlet-style comb factor times a broad sinc width factor) that predicts
 |exact sum| to within eps*N at the leading bins, eps = 2*(l+1)/N +
 (pi*C/N)^2/6 (see ``envelope_magnitude``).
 
-The early-late-gate helpers at the bottom turn the ratio of two comb taps
-adjacent in delay into a dB discriminator that is exactly
-10*log10((1-iota)/iota) under the envelope model; the estimator inverts it
-through a table.
+``elg_theory`` at the bottom is the early-late gate's model curve: the
+ratio in dB of two comb taps adjacent in delay, exactly
+10*log10((1-iota)/iota) under the envelope model.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "envelope_magnitude",
     "envelope_profile",
     "elg_theory",
-    "elg_invert",
 ]
 
 
@@ -263,8 +261,6 @@ def envelope_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
 
 # --- early-late gate discriminator ----------------------------------------
 
-_ELG_GRID = np.linspace(0.01, 0.99, 981)
-
 
 def elg_theory(delay_frac) -> np.ndarray:
     """Early-late tap ratio in dB predicted by the envelope model.
@@ -272,29 +268,8 @@ def elg_theory(delay_frac) -> np.ndarray:
     With the comb tap pair straddling the fractional delay, the width factor
     contributes |sinc(iota)| early and |sinc(1 - iota)| late, and the ratio
     collapses to 10*log10((1 - iota)/iota): +infinity at 0, zero at 1/2,
-    strictly decreasing in between.
+    strictly decreasing in between. The late tap's share of the pair is
+    iota itself, which is how the estimator's gate reads the delay.
     """
     i = np.asarray(delay_frac, dtype=float)
     return 10.0 * (np.log10(np.abs(np.sinc(i))) - np.log10(np.abs(np.sinc(1.0 - i))))
-
-
-_ELG_TABLE = elg_theory(_ELG_GRID)
-# the table negated, ascending as np.interp requires, and the reading above
-# which the late tap counts as lost in the noise
-_ELG_ASCENDING = -_ELG_TABLE
-_ELG_INTEGER_DB = _ELG_TABLE[0] + 3.0
-
-
-def elg_invert(a_db):
-    """Fractional delay whose theoretical discriminator equals ``a_db``.
-
-    Interpolates the tabulated curve on [0.01, 0.99]. Readings more than
-    3 dB above the table's top mean the late tap has sunk into the noise
-    floor and the delay is treated as integer (returns 0.0); readings off
-    the bottom clamp to 0.99. A scalar reading gives a float; an array of
-    readings gives an array, each element the bits its scalar call gives.
-    """
-    a_db = np.asarray(a_db, dtype=float)
-    # times True keeps the interpolated bits, times False gives 0.0
-    iota = np.interp(-a_db, _ELG_ASCENDING, _ELG_GRID) * (a_db <= _ELG_INTEGER_DB)
-    return float(iota) if iota.ndim == 0 else iota

@@ -41,16 +41,16 @@ one-row stack. Estimation runs in three stages:
    a delay in [0, l_max], so ``flagged`` marks an integer Doppler outside
    +-k_max.
 
-3. fractional delay: the ratio in dB of the two comb taps bracketing the
-   true delay is a monotone function of the delay fraction (see
-   effective.elg_theory); reading it off the profile and inverting the
-   curve gives the fraction, and picks the bracket's lower integer as the
-   delay floor.
+3. fractional delay: under the envelope the two comb taps bracketing the
+   true delay stand as (1 - iota) : iota (see effective.elg_theory), so the
+   later tap's share of the pair is the delay fraction itself. The gate
+   picks the bracket, reads that share, and takes the bracket's lower
+   integer as the delay floor.
 
 Stages 2 and 3 run over all rows at once with array operations: one
 argmax per row, one gather of every row's PSPR window and its two comb
-taps, the table lookup, and one call of the gate inverse on an array. The
-PSPR an estimate reports is the one that gather gives.
+taps, the table lookup, and the gate's shares as arrays. The PSPR an
+estimate reports is the one that gather gives.
 
 Every estimator checks its frames through one helper and decodes the
 readout through another, so all see the same bin. integer_only reads the
@@ -66,7 +66,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AfdmGrid, _check_integer, _chirps
-from .effective import _ELG_INTEGER_DB, elg_invert
 
 __all__ = [
     "PilotLayout",
@@ -206,14 +205,17 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     (a flat profile scores C/(C-1), a lone spike +inf).
     """
     half = c // 2
-    # the peak power is taken from the squared window itself: squaring the
-    # scalar separately may round differently by one ulp, and a one-bin
-    # window (C = 1) would then score about 1e16 instead of +inf
+    # the peak power is taken from the squared window itself (squaring the
+    # scalar separately may round differently by one ulp), then zeroed in it
+    # so the sidelobes are summed directly: the window sum minus the peak
+    # power would cancel, and err by about eps*PSPR/C relative
     sq = p[peak_pos - half : peak_pos + (c - half)] ** 2
-    denom = (np.sum(sq) - sq[half]) / c
+    peak = sq[half]
+    sq[half] = 0.0
+    denom = np.sum(sq) / c
     if denom <= 0.0:
         return np.inf
-    return float(sq[half] / denom)
+    return float(peak / denom)
 
 
 def _check_frames(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
@@ -346,13 +348,14 @@ def _peak(grid: AfdmGrid, p: np.ndarray):
 
 def _window_pspr(window: np.ndarray) -> np.ndarray:
     """pspr of every window of a (..., C) stack, each the C bins of a
-    profile around its peak (the peak at C // 2), with the window sum and
+    profile around its peak (the peak at C // 2), with the zeroed peak and
     the denom <= 0 -> inf rule of :func:`pspr`, so each score has the bits
     pspr gives that profile at that peak."""
     sq = window**2
     c = sq.shape[-1]
-    peak = sq[..., c // 2]
-    denom = (sq.sum(axis=-1) - peak) / c
+    peak = sq[..., c // 2].copy()
+    sq[..., c // 2] = 0.0
+    denom = sq.sum(axis=-1) / c
     return np.divide(peak, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
 
 
@@ -654,26 +657,32 @@ def _decode(grid: AfdmGrid, p: np.ndarray):
     return [a[pos] for a in split], _window_pspr(at[:, 3:]), at[:, :3]
 
 
+# the later tap's share of a bracket below which that tap counts as lost in
+# the noise and the delay as integer: a (1 - iota) : iota reading 3 dB
+# above the one at iota = 0.01
+_INTEGER_SHARE = 1.0 / (1.0 + 99.0 * 10.0**0.3)
+
+
 def _gate(delay_round: np.ndarray, taps: np.ndarray):
     """Stage 3 of every row, from the (F, 3) comb taps before, at and after
     each peak (:func:`_decode`): (delay_floor, iota), the delay estimate
     being delay_floor + iota.
 
     Picks the delay bracket by comparing the taps one comb period either
-    side of the peak, forms the early-minus-late ratio in dB, and inverts
-    the theoretical discriminator. A peak towering over its late tap (a
-    reading above the gate's integer cut, where elg_invert gives 0) means
-    the delay is integer at the peak itself; that is decided before the
-    early tap is consulted, which in this regime is a numerical-noise null
-    that would tip the bracket arbitrarily.
+    side of the peak, and reads iota as the later tap's share of the
+    bracket's two taps, clamped to [0.01, 0.99]; a share below
+    _INTEGER_SHARE reads as 0. A peak towering over its late tap (a late
+    share below the cut) means the delay is integer at the peak itself;
+    that is decided before the early tap is consulted, which in this regime
+    is a numerical-noise null that would tip the bracket arbitrarily. Taps
+    are floored at 1e-300, so a row of zero taps reads 1/2.
     """
-    lg = np.log10(np.maximum(taps, 1e-300))
-    # the early-tap and the late-tap readings, at - before and at - after
-    a = 10.0 * (lg[:, :2] - lg[:, 1:])
-    integer = a[:, 1] > _ELG_INTEGER_DB
-    early = (taps[:, 0] > taps[:, 2]) & ~integer
-    # an integer row reads a[:, 1] above the cut, which elg_invert maps to 0
-    return delay_round - early, elg_invert(np.where(early, a[:, 0], a[:, 1]))
+    before, at, after = np.maximum(taps, 1e-300).T
+    late = after / (at + after)
+    early = (taps[:, 0] > taps[:, 2]) & (late >= _INTEGER_SHARE)
+    share = np.where(early, at / (before + at), late)
+    iota = np.where(share < _INTEGER_SHARE, 0.0, share.clip(0.01, 0.99))
+    return delay_round - early, iota
 
 
 def _estimates(p: np.ndarray, fields) -> list[Estimate]:

@@ -46,15 +46,10 @@ from .core import (
     daft_modulate,
     strip_prefix,
 )
-from .effective import (
-    _ELG_GRID,
-    elg_invert,
-    elg_theory,
-    envelope_profile,
-    exact_profile,
-)
+from .effective import elg_theory, envelope_profile, exact_profile
 from .estimator import (
     PilotLayout,
+    _gate,
     build_pilot_frame,
     joint_estimate,
     joint_estimate_rows,
@@ -116,10 +111,9 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in (
-            "n", "k_max", "l_max", "n_prefix", "trials_per_point",
-            "estimates_per_trial", "master_seed", "workers",
-        ):
+        # n, k_max, l_max and n_prefix are the grid's, and grid_for below
+        # refuses a non-integer one with the same TypeError
+        for name in ("trials_per_point", "estimates_per_trial", "master_seed", "workers"):
             _check_integer(name, getattr(self, name))
         for c in self.c_list:
             _check_integer("c_list entry", c)
@@ -518,17 +512,22 @@ def check_envelope_fidelity(grids, rng, draws: int) -> tuple[bool, str]:
 
 
 def check_gate_curve(grids, rng, draws: int) -> tuple[bool, str]:
-    """The early/late gate curve balances at 1/2, falls strictly over its
-    whole table, and ``elg_invert`` undoes it at ``draws`` random fractions.
-    Grid-free: the grids are not used."""
+    """The early/late gate curve balances at 1/2 and falls strictly over 981
+    nodes on [0.01, 0.99], and the estimator's gate reads back ``draws``
+    random delay fractions x from their envelope taps |sinc(x - l)| at the
+    bracket's larger tap and one comb period either side. Grid-free: the
+    grids are not used."""
     at_half = abs(elg_theory(0.5))
-    strictly_down = bool(np.all(np.diff(elg_theory(_ELG_GRID)) < 0.0))
+    nodes = np.linspace(0.01, 0.99, 981)
+    strictly_down = bool(np.all(np.diff(elg_theory(nodes)) < 0.0))
     xs = rng.uniform(0.011, 0.989, draws)
-    worst_rt = float(np.max(np.abs([elg_invert(elg_theory(x)) - x for x in xs])))
+    peak = (xs > 0.5).astype(np.int64)
+    floor, iota = _gate(peak, np.abs(np.sinc(xs[:, None] - (peak[:, None] + [-1, 0, 1]))))
+    worst_rt = float(np.max(np.abs(floor + iota - xs)))
     return at_half < 1e-9 and strictly_down and worst_rt < 1e-3, (
         f"balance point |A(0.5)| = {at_half:.1e} (budget 1e-9); strictly "
-        f"decreasing over all {_ELG_GRID.size} table nodes = {strictly_down}; "
-        f"worst round-trip inversion error {worst_rt:.2e} (budget 1e-3)"
+        f"decreasing over all {nodes.size} nodes = {strictly_down}; "
+        f"gate's worst round-trip error {worst_rt:.2e} (budget 1e-3)"
     )
 
 

@@ -200,16 +200,17 @@ def searched_frames():
 
 # (delay_int, delay_frac, doppler_int, doppler_frac, pspr, peak_index,
 # flagged) per searched frame, recorded with scipy.optimize.minimize as
-# the simplex
+# the simplex; pspr re-recorded when its sidelobe powers came to be summed
+# directly (each moved by under 2e-14 relative)
 SEARCHED = [
-    (2, 0.18598942099401938, -3, 0.7375271039364515, 44.35370539610398, 13, False),
-    (2, 0.7601312428200666, 1, 0.9131827789225377, 69.91748176149447, 25, False),
-    (1, 0.1498095503026904, -1, 0.6054074864888459, 462.0039091136109, 7, False),
-    (1, 0.8776500286074578, 2, 0.05674260982882373, 1418.3697077067593, 18, False),
-    (2, 0.37811569156585234, -1, 0.3189507965767995, 7.199430106990556, 15, False),
-    (2, 0.8250766192958476, -1, 0.6806965333427782, 84.4577145245221, 23, False),
-    (0, 0.988991931548453, 0, 0.6056094882835414, 815.8909029931992, 8, False),
-    (1, 0.5644091592382603, -1, 0.2577323683284365, 118.90654874748243, 15, False),
+    (2, 0.18598942099401938, -3, 0.7375271039364515, 44.35370539610401, 13, False),
+    (2, 0.7601312428200666, 1, 0.9131827789225377, 69.91748176149443, 25, False),
+    (1, 0.1498095503026904, -1, 0.6054074864888459, 462.00390911361234, 7, False),
+    (1, 0.8776500286074578, 2, 0.05674260982882373, 1418.3697077067582, 18, False),
+    (2, 0.37811569156585234, -1, 0.3189507965767995, 7.199430106990554, 15, False),
+    (2, 0.8250766192958476, -1, 0.6806965333427782, 84.45771452452203, 23, False),
+    (0, 0.988991931548453, 0, 0.6056094882835414, 815.8909029931849, 8, False),
+    (1, 0.5644091592382603, -1, 0.2577323683284365, 118.9065487474824, 15, False),
 ]
 
 

@@ -433,12 +433,14 @@ class TestSerialization:
             estimators=("joint", "integer_only", "two_d_search"),
             master_seed=2024,
         )
-        # (estimator, snr_db, ep_ei_db, C, delay_rmse, doppler_rmse, trials, mean_pspr)
+        # (estimator, snr_db, ep_ei_db, C, delay_rmse, doppler_rmse, trials, mean_pspr);
+        # joint's delay_rmse re-recorded when the gate came to read the late
+        # tap's share in closed form
         expect = [
-            ("joint", 0.0, 10.0, 8, 0.8767779075718949, 0.25899665686446666, 3, 18.592887965096292),
+            ("joint", 0.0, 10.0, 8, 0.8767778807211221, 0.25899665686446666, 3, 18.592887965096292),
             ("integer_only", 0.0, 10.0, 8, 0.25290372574699665, 0.2918853550509565, 3, 10.491467841199706),
             ("two_d_search", 0.0, 10.0, 8, 0.07517782860291755, 0.1260689960132108, 3, 16.398117156954743),
-            ("joint", 20.0, 10.0, 8, 0.03084883547922517, 0.007749059219147947, 3, 333.7280052013742),
+            ("joint", 20.0, 10.0, 8, 0.03084890148727692, 0.007749059219147947, 3, 333.7280052013742),
             ("integer_only", 20.0, 10.0, 8, 0.32187225231723543, 0.17848242829341746, 3, 82.76301430017607),
             ("two_d_search", 20.0, 10.0, 8, 0.03823845931541414, 0.007432267844738708, 3, 329.77830318580544),
         ]

@@ -195,8 +195,8 @@ def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate
     # quality metadata: the pilot readout with the found fractional Doppler
     # compensated, read off the frame body (the demodulation is unitary, so
     # the body is just the forward transform of y)
-    read, _ = _readout(grid, daft_modulate(grid, y)[None], layout)
-    ((peak_index, *_), score, _) = _decode(grid, read(np.array([doppler - k_floor])))
+    p = _readout(grid, daft_modulate(grid, y)[None], layout, np.array([doppler - k_floor]))
+    ((peak_index, *_), score, _) = _decode(grid, p)
     return Estimate(
         delay_int=l_floor,
         delay_frac=delay - l_floor,

@@ -17,20 +17,25 @@ one-row stack. Estimation runs in three stages:
    one FFT of each frame at block length S, the smaller of the 5-smooth
    lengths at or above 4N and at or above the single-block length, then
    one product and one inverse FFT per block of S - N + 1 outputs (one
-   block, the single long convolution, at N=4096). Golden-section
+   block, the single long convolution, at N=4096). While its outputs are
+   at hand, each frame's complex readout near its best cell is fitted by a
+   degree-10 polynomial in the compensation, through the 11 outputs one
+   coarse step apart around that cell of every bin (``_fit_tables`` derives
+   why 11 nodes reproduce the readout to rounding). Golden-section
    refinement of each frame's best cell follows, the frames of a stack
-   stepping together: each step reads every frame at its own probe with
-   one pruned DFT of the stack. With N = P*M and P the smallest divisor of
-   N at or above the J readout bins, each dechirped body is read as M rows
-   of P, the compensation phasor is folded into their P-point FFTs and the
-   readout bins are summed over the rows, in O(N log P + N) time per frame
-   with O(N) tables built once per grid and pilot position. Only the pilot
-   region of the transform output is ever computed. The per-step scorer is
-   the one piece with two forms, chosen from the stack height: a one-row
-   stack is read with a vector-matrix product and scored with ``pspr``, a
-   taller one with a batched product and the stacked PSPR. On one frame the
-   stacked forms cost about twice as much per step, in numpy call overhead,
-   and the two give the same bits.
+   stepping together: each step scores every frame at its own probe from
+   its polynomial, in O(11 J) whatever N is, and reads no frame. The
+   per-step scorer is the one piece with two forms, chosen from the stack
+   height, with the same bits: a one-row stack is scored with a
+   vector-matrix product and ``pspr``, a taller one with a batched product
+   and the stacked PSPR, which on one frame costs about 2.5 times as much
+   per step in numpy call overhead. The stack is then read once at the
+   refined compensations by a pruned DFT. With N = P*M and P the smallest
+   divisor of N at or above the J readout bins, each dechirped body is read
+   as M rows of P, the compensation phasor is folded into their P-point
+   FFTs and the readout bins are summed over the rows, in O(N log P + N)
+   time per frame with O(N) tables built once per grid and pilot position.
+   Only the pilot region of the transform output is ever computed.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -54,7 +59,8 @@ estimate reports is the one that gather gives.
 
 Every estimator checks its frames through one helper and decodes the
 readout through another, so all see the same bin. integer_only reads the
-demodulated frame's pilot bins; every other readout is the pruned DFT.
+demodulated frame's pilot bins; every other readout that is decoded is the
+pruned DFT's.
 """
 
 from __future__ import annotations
@@ -202,14 +208,19 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 
     Ratio of the peak power to the mean power of the C-sample window
     centered on the peak, peak excluded but counted in the normalization
-    (a flat profile scores C/(C-1), a lone spike +inf).
+    (a flat profile scores C/(C-1), a lone spike +inf). Raises ValueError
+    for a window, bins peak_pos - C//2 up to peak_pos + C - C//2, that does
+    not lie inside the profile.
     """
     half = c // 2
+    lo, hi = peak_pos - half, peak_pos + (c - half)
+    if lo < 0 or hi > len(p):
+        raise ValueError(f"PSPR window [{lo}, {hi}) runs outside the profile of {len(p)} bins")
     # the peak power is taken from the squared window itself (squaring the
     # scalar separately may round differently by one ulp), then zeroed in it
     # so the sidelobes are summed directly: the window sum minus the peak
     # power would cancel, and err by about eps*PSPR/C relative
-    sq = p[peak_pos - half : peak_pos + (c - half)] ** 2
+    sq = p[lo:hi] ** 2
     peak = sq[half]
     sq[half] = 0.0
     denom = np.sum(sq) / c
@@ -285,52 +296,26 @@ def _pruned_dft(grid: AfdmGrid, layout: PilotLayout):
     return pre, tw, rates, cols
 
 
-def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout):
-    """Pilot readout of an (F, N) stack of frame bodies, as (read, score).
-    read(kappa) takes F compensations, one per row, and returns the (F, J)
-    magnitudes over profile_bins, row f with kappa[f] compensated.
-    score(kappa) takes them as a sequence and returns the PSPR of each row's
-    readout at its :func:`_peak`.
+def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: np.ndarray):
+    """Pilot readout of an (F, N) stack of frame bodies with F
+    compensations, one per row: the (F, J) magnitudes over profile_bins,
+    row f with kappa[f] compensated.
 
-    The dechirp is applied once per frame; each read folds the compensation
-    phasor exp(2 pi i kappa n / N), factored over the (P, M) split of
-    :func:`_pruned_dft`, into P-point FFTs of the M rows, so it costs
-    O(N log P + N) per frame with O(N) tables.
-
-    score is stage 1's per-step scorer, and the one piece with two forms:
-    a one-row stack is read with a vector-matrix product and scored with
-    :func:`pspr`, a taller one with read and :func:`_pspr_rows`. On one
-    frame the stacked forms cost about twice as much per step, in numpy
-    call overhead; the two give the same bits.
+    Each frame is dechirped, and the compensation phasor exp(2 pi i kappa
+    n / N), factored over the (P, M) split of :func:`_pruned_dft`, is folded
+    into P-point FFTs of its M rows, so a readout costs O(N log P + N) per
+    frame with O(N) tables. Stage 1 reads its stack once, at the refined
+    compensations: its golden refine scores the polynomials of
+    :func:`_best_cells` and reads no frame.
     """
     pre, tw, rates, cols = _pruned_dft(grid, layout)
     m, p = pre.shape
-    z = np.multiply(r.reshape(len(r), p, m).swapaxes(-1, -2), pre, order="C")
-    # every read reuses one work array: at large N a fresh (M, P) array per
-    # read costs as much as the transform
-    y = np.empty_like(z)
-
-    def read(kappa: np.ndarray) -> np.ndarray:
-        ab = np.exp(rates * kappa[:, None])
-        np.multiply(z, ab[:, None, :p], out=y)
-        np.fft.fft(y, axis=-1, out=y)
-        np.multiply(y, tw, out=y)
-        return np.abs((ab[:, None, p:] @ y)[:, 0, cols])
-
-    if len(r) > 1:
-        return read, lambda kappa: _pspr_rows(grid, read(np.array(kappa)))
-    z1, y1 = z[0], y[0]
-
-    def score_one(kappa) -> tuple:
-        (k,) = kappa
-        ab = np.exp(rates * k)
-        np.multiply(z1, ab[:p], out=y1)
-        np.fft.fft(y1, axis=-1, out=y1)
-        np.multiply(y1, tw, out=y1)
-        profile = np.abs((ab[p:] @ y1)[cols])
-        return (pspr(profile, int(_peak(grid, profile)), grid.n_seg),)
-
-    return read, score_one
+    ab = np.exp(rates * kappa[:, None])
+    y = np.multiply(r.reshape(len(r), p, m).swapaxes(-1, -2), pre, order="C")
+    y *= ab[:, None, :p]
+    np.fft.fft(y, axis=-1, out=y)
+    y *= tw
+    return np.abs((ab[:, None, p:] @ y)[:, 0, cols])
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -415,7 +400,8 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     Returns (pre, kernel_fft, m): the input pre-multiplier (conj(e1), the
     start-frequency phase, the input chirp and 1/sqrt(N)), the (blocks, S)
     FFTs of the kernel blocks, and m. The output chirp w^(t^2) has unit
-    modulus and is left out, as only magnitudes are read. The cached
+    modulus and is left out: the scores read magnitudes, and the refine's
+    fit puts it back where it reads (:func:`_fit_tables`). The cached
     arrays are shared, so they are read-only.
     """
     n, period = grid.n, 2 * steps * grid.n
@@ -459,8 +445,11 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
 
 def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: int):
     """PSPR of every coarse compensation candidate (i + 1/2)/steps of every
-    row of an (F, N) stack r, as (candidates, (F, candidates) scores), with
-    all readouts from one blocked chirp-z transform (:func:`_coarse_czt`)."""
+    row of an (F, N) stack r, with all readouts from one blocked chirp-z
+    transform (:func:`_coarse_czt`), as (candidates, (F, candidates) scores,
+    outputs). outputs is the (F, blocks, S - N + 1) complex view of the
+    transform's outputs, output t at [f, t // (S - N + 1), t % (S - N + 1)],
+    without the output chirp."""
     pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
     blocks, size = kernel_fft.shape
     # one (F, blocks, S) work array: the samples are transformed in block 0,
@@ -473,10 +462,11 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     head *= kernel_fft[:1]
     np.fft.ifft(spec, out=spec)
     # the first S - N + 1 outputs of each block, in order, are the m outputs
-    mag = np.abs(spec[..., : size - grid.n + 1]).reshape(len(r), -1)[:, :m]
+    outputs = spec[..., : size - grid.n + 1]
+    mag = np.abs(outputs).reshape(len(r), -1)[:, :m]
     # (F, bins, candidates) -> a profile over the bins per candidate
     p = mag.reshape(len(r), -1, steps).swapaxes(-1, -2)
-    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p)
+    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p), outputs
 
 
 # fractional Doppler search: coarse cells over [0, 1), golden refine width
@@ -553,10 +543,123 @@ def _golden_max(a: float, b: float, tol: float):
 _SCORE_BLOCK_BYTES = 1 << 19
 
 
-def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray) -> np.ndarray:
-    # the center of the best coarse cell of each frame of an (F, N) stack
-    cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
-    return cand[np.argmax(scores, axis=-1)]
+# the refine's interpolation nodes, in coarse steps from the best cell
+_NODES = np.arange(-5, 6)
+
+
+def _monomial_fit(nodes: np.ndarray) -> np.ndarray:
+    """The (K, K) matrix that takes a polynomial's values at K integer
+    nodes to its monomial coefficients, lowest power first. Column i holds
+    the coefficients of node i's Lagrange basis polynomial, the product
+    over the other nodes x of (s - x)/(node - x): its numerator (np.poly of
+    the other nodes) and its denominator are integers, exact in floating
+    point, so each entry is rounded once, in its division. Inverting the
+    Vandermonde matrix instead erred by about 3e-13 of a peak."""
+    fit = np.empty((nodes.size, nodes.size))
+    for i, node in enumerate(nodes):
+        others = np.delete(nodes, i)
+        fit[:, i] = np.poly(others)[::-1] / np.prod(node - others)
+    fit.flags.writeable = False
+    return fit
+
+
+_FIT = _monomial_fit(_NODES)
+_POWERS = np.arange(_NODES.size)
+
+
+@lru_cache(maxsize=8)
+def _fit_tables(grid: AfdmGrid):
+    """Cached per grid: where stage 1's refine reads the coarse chirp-z
+    outputs, and the phase that makes them samples of a smooth function.
+
+    With kappa = best + s/steps, best the center (c + 1/2)/steps of cell c,
+    the readout at bin a of the profile is |Z(f_t)|/sqrt(N) at the output
+    index t = a*steps + c + s of :func:`_coarse_czt`, s now real. Output t
+    is Z(f_t)/sqrt(N) times exp(-2 pi i t^2/(2 steps N)), the output chirp
+    the transform leaves in place. Multiplied by phase[t], which undoes
+    that chirp and centers the sum with exp(-2 pi i t (N - 1)/(2 steps N)),
+    it is g_a(s) at s = t - a*steps - c:
+
+        g_a(s) = sum_n u_n exp(i w_n s) / sqrt(N),  |u_n| = |z[n]|,
+        w_n = 2 pi (n - (N - 1)/2) / (steps N),  |w_n| < pi/steps,
+
+    z the dechirped body, and |g_a(s)| is the readout. The K = 11 nodes
+    s = -5 .. 5 are outputs already computed for every bin a = 1 .. J-2 (t
+    from steps - 5 to (J-1) steps + 4, inside the m = J*steps), the only
+    bins any peak or PSPR window reads. The degree-10 polynomial through
+    them errs, for |s| <= 1, by at most max|prod_x (s - x)| / 11! *
+    max|g_a^(11)| <= 4805/11! * (pi/64)^11 * sum|z|/sqrt(N), about 5e-19 of
+    sum|z|/sqrt(N), which bounds every readout: far below a readout's
+    rounding. Nine nodes would leave 8.9e-16 of it, about 2e-14 of a
+    pilot's peak at N=4096. So a refine step scores a frame in O(11 J),
+    whatever N is.
+
+    Returns (near, phase): the (J-2, K) output indices a*steps + x of the
+    nodes x of bins a = 1 .. J-2 around cell 0, and the m phases
+    exp(2 pi i t (t - N + 1)/(2 steps N)), t(t - N + 1) reduced mod
+    2 steps N in integers. The cached arrays are shared, so they are
+    read-only.
+    """
+    n, steps = grid.n, _COARSE_STEPS
+    j = profile_bins(grid).size
+    near = np.add.outer(np.arange(1, j - 1) * steps, _NODES)
+    t = np.arange(j * steps, dtype=np.int64)
+    period = 2 * steps * n
+    phase = np.exp(2j * np.pi * (t * (t - n + 1) % period) / period)
+    for a in (near, phase):
+        a.flags.writeable = False
+    return near, phase
+
+
+def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
+    """Stage 1's coarse search of an (F, N) stack r, as (best, coef): the
+    center of each frame's best coarse cell, and the (F, K, J) monomial
+    coefficients, in s = steps*(kappa - best), of each frame's complex
+    readout near it (:func:`_fit_tables`), zero at bins 0 and J-1, which no
+    peak or PSPR window reads. They are fitted while the chirp-z outputs
+    are at hand."""
+    cand, scores, outputs = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+    cell = np.argmax(scores, axis=-1)
+    near, phase = _fit_tables(grid)
+    t = near + cell[:, None, None]
+    block, at = np.divmod(t, outputs.shape[-1])
+    values = outputs[np.arange(len(r))[:, None, None], block, at]
+    values *= phase[t]
+    coef = np.zeros((len(r), _NODES.size, near.shape[0] + 2), dtype=complex)
+    np.matmul(_FIT, values.swapaxes(-1, -2), out=coef[..., 1:-1])
+    return cand[cell], coef
+
+
+def _fitted_score(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray):
+    """Stage 1's per-step scorer from :func:`_best_cells`' (best, coef):
+    score(kappa) takes every frame's compensation, in frame order, and
+    returns the PSPR of each frame's fitted readout at its :func:`_peak`.
+    A step is one power row of s = steps*(kappa - best), one product with
+    the coefficients (taken as reals, real and imaginary parts side by
+    side), a magnitude and the PSPR.
+
+    It has two forms, chosen from the stack height, with the same bits: a
+    one-row stack is scored with a vector-matrix product and :func:`pspr`,
+    a taller one with a batched product and :func:`_pspr_rows`. On one
+    frame the stacked form cost 2.5 times as much per step, 21-34 against
+    8-13 us at N=256 and at N=4096, in numpy call overhead."""
+    parts = coef.view(np.float64)
+    if len(best) > 1:
+
+        def score(kappa) -> np.ndarray:
+            s = (np.asarray(kappa) - best) * _COARSE_STEPS
+            fitted = (s[:, None, None] ** _POWERS @ parts).view(complex)
+            return _pspr_rows(grid, np.abs(fitted[:, 0]))
+
+        return score
+    (b,), (part,) = best, parts
+
+    def score_row(kappa) -> tuple:
+        (k,) = kappa
+        profile = np.abs((((k - b) * _COARSE_STEPS) ** _POWERS @ part).view(complex))
+        return (pspr(profile, int(_peak(grid, profile)), grid.n_seg),)
+
+    return score_row
 
 
 def _refine(best: np.ndarray, score) -> list:
@@ -594,24 +697,24 @@ def estimate_doppler_frac(
 
     Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
     coarse grid of candidate compensations over [0, 1), a block of rows at
-    a time (_SCORE_BLOCK_BYTES bounds a block's work array); the golden refines of
-    the frames' best cells then step together, one readout of the stack per
-    step. The PSPR objective is evaluated on the pilot readout region only.
-    Returns (kappa, p): the F compensations and the (F, J) pilot readout
-    magnitudes over profile_bins, row f with kappa[f] compensated. Raises
-    ValueError as :func:`_check_frames` does.
+    a time (_SCORE_BLOCK_BYTES bounds a block's work array), and fit each
+    frame's readout near its best cell (:func:`_best_cells`); the golden
+    refines of the frames' best cells then step together, each step one
+    score of the fits (:func:`_fitted_score`). The stack is read once, at
+    the refined compensations. The PSPR objective is evaluated on the pilot
+    readout region only. Returns (kappa, p): the F compensations and the
+    (F, J) pilot readout magnitudes over profile_bins, row f with kappa[f]
+    compensated. Raises ValueError as :func:`_check_frames` does.
     """
     r = _check_frames(grid, r, layout)
     # near-equal blocks of at least one row, each within _SCORE_BLOCK_BYTES
     rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
     count = -(-len(r) // rows)
     edges = [len(r) * i // count for i in range(count + 1)]
-    best = np.concatenate([_best_cells(grid, layout, r[a:b]) for a, b in zip(edges, edges[1:])])
-    # the readout's work arrays are made after the chirp-z transforms have
-    # run: made before them, they slowed a frame by a fifth at N=4096
-    read, score = _readout(grid, r, layout)
-    kappa = np.array(_refine(best, score))
-    return kappa, read(kappa)
+    cells = [_best_cells(grid, layout, r[a:b]) for a, b in zip(edges, edges[1:])]
+    best, coef = map(np.concatenate, zip(*cells))
+    kappa = np.array(_refine(best, _fitted_score(grid, best, coef)))
+    return kappa, _readout(grid, r, layout, kappa)
 
 
 @lru_cache(maxsize=8)

@@ -9,6 +9,7 @@ nature and are held to the tolerances the pipeline is designed around:
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,11 +31,14 @@ from afdmest.core import (
 from afdmest.effective import elg_theory
 from afdmest.estimator import (
     _COARSE_STEPS,
+    _FIT,
     _INTEGER_SHARE,
     _NO_ESTIMATE,
+    _NODES,
     _REFINE_TOL,
     Estimate,
     PilotLayout,
+    _best_cells,
     _coarse_czt,
     _coarse_scores,
     _decode,
@@ -44,6 +48,7 @@ from afdmest.estimator import (
     _pspr_rows,
     _pruned_dft,
     _readout,
+    _refine,
     _window_pspr,
     build_pilot_frame,
     estimate_doppler_frac,
@@ -74,8 +79,7 @@ def compensated(r, kappa):
 def read_one(grid, r, layout):
     """The pilot readout of the single body r, read as a stack of one: a
     function of one compensation kappa."""
-    read, _ = _readout(grid, r[None], layout)
-    return lambda kappa: read(np.array([kappa]))[0]
+    return lambda kappa: _readout(grid, r[None], layout, np.array([kappa]))[0]
 
 
 def decode_one(grid, p):
@@ -218,6 +222,21 @@ class TestProfile:
         p = np.random.default_rng(0).uniform(0.1, 3.0, 1000)
         assert all(pspr(p, pos, 1) == np.inf for pos in range(p.size))
         assert np.all(_window_pspr(p[:, None]) == np.inf)
+
+    @pytest.mark.parametrize("c", [1, 7, 8])
+    def test_pspr_window_must_lie_inside_the_profile(self, c):
+        """The C-bin window may touch either end of the profile; one bin
+        past either end raises, where it was cut short or indexed past its
+        end."""
+        p = np.random.default_rng(c).uniform(0.1, 3.0, 10)
+        half = c // 2
+        first, last = half, p.size - (c - half)
+        for pos in (first, last):
+            assert pspr(p, pos, c) == both_psprs(p, pos, c)[1]
+        with pytest.raises(ValueError, match=rf"\[-1, {c - 1}\) .* 10 bins"):
+            pspr(p, first - 1, c)
+        with pytest.raises(ValueError, match=rf"\[{11 - c}, 11\) .* 10 bins"):
+            pspr(p, last + 1, c)
 
     def test_pspr_prefers_cleaner_peak(self):
         p = np.full(48, 0.1)
@@ -410,7 +429,7 @@ class TestCoarseScores:
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         read = read_one(grid, r, layout)
         j = profile_bins(grid)
-        cand, scores = _coarse_scores(grid, layout, r[None], steps)
+        cand, scores, _ = _coarse_scores(grid, layout, r[None], steps)
         scores = scores[0]
         assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
         profiles = np.array([read(kappa) for kappa in cand])
@@ -457,7 +476,7 @@ class TestCoarseScores:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-        _, got = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+        _, got, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
         expect = bluestein_scores(grid, layout, r, _COARSE_STEPS)
         assert np.array_equal(np.isinf(got), np.isinf(expect))
         np.testing.assert_allclose(got, expect, rtol=1e-12)
@@ -477,7 +496,7 @@ class TestCoarseScores:
         rng = np.random.default_rng(n)
         r = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         assert _coarse_czt(grid, LAYOUT, _COARSE_STEPS)[1].shape[0] == 1
-        _, got = _coarse_scores(grid, LAYOUT, r, _COARSE_STEPS)
+        _, got, _ = _coarse_scores(grid, LAYOUT, r, _COARSE_STEPS)
         assert np.array_equal(got, bluestein_scores(grid, LAYOUT, r, _COARSE_STEPS))
 
     @pytest.mark.parametrize(
@@ -545,19 +564,156 @@ class TestCoarseScores:
         )
         ests = joint_estimate_rows(grid, r, layout)
         assert all(abs(e.doppler - k) <= _REFINE_TOL for e, (_, k) in zip(ests, truth))
-        cand, scores = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+        cand, scores, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
         order = np.argsort(scores, axis=-1)
         top = np.take_along_axis(scores, order[:, -2:], axis=-1)
         tied = np.flatnonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
         assert tied.size > 0
         for i in tied:
             _, k = truth[i]
-            both = []
+            both, starts = [], []
             for cell in order[i, -2:]:
-                with mock.patch.object(estimator, "_best_cells", return_value=cand[[cell]]):
+                # the cell is forced by its coarse score, so the refine's
+                # polynomial fit is taken around it too
+                def forced(*args, cell=cell):
+                    cand, scores, outputs = _coarse_scores(*args)
+                    scores[:, cell] = np.inf
+                    return cand, scores, outputs
+
+                with (
+                    mock.patch.object(estimator, "_coarse_scores", forced),
+                    mock.patch.object(estimator, "_refine", wraps=estimator._refine) as refine,
+                ):
                     both.append(joint_estimate(grid, r[i], layout))
+                starts.append(refine.call_args.args[0].tolist())
+            assert starts == [cand[[cell]].tolist() for cell in order[i, -2:]]
+            assert starts[0] != starts[1]
             assert all(abs(e.doppler - k) <= _REFINE_TOL for e in both)
             assert both[0].delay == both[1].delay
+
+
+def pruned_dft_refine(grid, layout, r):
+    """Stage 1's compensations of the (F, N) stack r as the golden refine
+    found them when each step read every frame at its probe with one
+    pruned DFT of the stack and scored the readouts with the stacked PSPR:
+    the form the fitted polynomials replaced, kept as their reference.
+    Returns (kappa, close): close marks the rows two of whose probes scored
+    within 1e-12 relative, where the two forms may part on rounding."""
+    best, _ = _best_cells(grid, layout, r)
+    seen = []
+
+    def score(kappa):
+        seen.append(_pspr_rows(grid, _readout(grid, r, layout, np.array(kappa))))
+        return seen[-1]
+
+    kappa = np.array(_refine(best, score))
+    probes = np.sort(np.array(seen).T, axis=-1)
+    # a C = 1 window has no sidelobe: every probe scores +inf, far from none
+    with np.errstate(invalid="ignore"):
+        close = np.diff(probes, axis=-1) <= 1e-12 * probes[:, 1:]
+    return kappa, close.any(axis=-1)
+
+
+def assert_fit_is_the_readout(grid, layout, r):
+    """The fitted readout of every row of r, at compensations from one
+    coarse step below its best cell to one above, is the pruned-DFT
+    readout to 1e-13 of its peak, and zero at the two end bins no peak or
+    window reads."""
+    best, coef = _best_cells(grid, layout, r)
+    for s in (-1.0, -0.61, -0.25, 0.0, 0.13, 0.5, 0.999, 1.0):
+        expect = _readout(grid, r, layout, best + s / _COARSE_STEPS)
+        got = np.abs(np.polynomial.polynomial.polyval(s, coef.swapaxes(0, 1)))
+        assert not np.any(got[:, [0, -1]])
+        err = np.max(np.abs(got - expect)[:, 1:-1], axis=-1)
+        assert np.all(err <= 1e-13 * np.max(expect, axis=-1))
+
+
+class TestFittedRefine:
+    def test_fit_matrix_is_the_lagrange_basis_rounded_once(self):
+        """Every entry of the monomial fit is the exact rational coefficient
+        of its node's Lagrange basis polynomial, correctly rounded."""
+        for i, node in enumerate(_NODES.tolist()):
+            basis = [Fraction(1)]
+            for other in _NODES.tolist():
+                if other != node:
+                    # times (s - other)/(node - other), lowest power first
+                    scale = Fraction(1, node - other)
+                    shifted = [Fraction(0)] + basis
+                    basis = [
+                        scale * (hi - other * lo)
+                        for hi, lo in zip(shifted, basis + [Fraction(0)])
+                    ]
+            assert _FIT[:, i].tolist() == [float(b) for b in basis]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(16, 1100),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 20),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(0, 10**6),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_is_the_readout_and_refines_as_its_reference(
+        self, n, k_max, pad, l_max, pilot, rows, seed
+    ):
+        """Over N (primes included), the parity of C*N, C up to 26 and the
+        pilot position: the fit is the readout near the best cell, and the
+        refine finds the reference's compensations bit for bit, but where
+        two of its probes scored within 1e-12 relative."""
+        try:
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        except ValueError:
+            assume(False)
+        layout = PilotLayout(pilot_index=pilot % n)
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        assert_fit_is_the_readout(grid, layout, r)
+        kappa, _ = estimate_doppler_frac(grid, r, layout)
+        expect, close = pruned_dft_refine(grid, layout, r)
+        assert np.array_equal(kappa[~close], expect[~close])
+
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_large_n(self, n):
+        """Fixed cases above the property's range, on loaded frames over a
+        fractional channel at 20 dB."""
+        grid = AfdmGrid(n=n)
+        layout = PilotLayout(pilot_index=40)
+        rng = np.random.default_rng(n)
+        r = []
+        for delay, doppler in ((0.3, -1.37), (2.71, 2.05)):
+            ch = LosChannel(
+                gain=np.exp(2j * np.pi * rng.uniform()),
+                delay=delay,
+                doppler=doppler,
+                noise_var=noise_variance(grid, layout, 20.0),
+            )
+            r.append(pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng))
+        r = np.array(r)
+        assert_fit_is_the_readout(grid, layout, r)
+        kappa, _ = estimate_doppler_frac(grid, r, layout)
+        expect, close = pruned_dft_refine(grid, layout, r)
+        assert not close.any()
+        assert np.array_equal(kappa, expect)
+
+    @pytest.mark.parametrize("block_rows", [1, 6])
+    def test_stage_one_reads_the_stack_once(self, block_rows):
+        """The refine reads no frame: stage 1 reads the stack through the
+        pruned DFT once, at the refined compensations, whether its coarse
+        grid is scored a row at a time or all rows at once."""
+        grid, layout = GRID, LAYOUT
+        rng = np.random.default_rng(6)
+        r = rng.standard_normal((6, grid.n)) + 1j * rng.standard_normal((6, grid.n))
+        row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
+        with (
+            mock.patch.object(estimator, "_readout", wraps=_readout) as read,
+            mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", block_rows * row_bytes),
+        ):
+            kappa, p = estimate_doppler_frac(grid, r, layout)
+        assert read.call_count == 1
+        assert np.array_equal(read.call_args.args[3], kappa)
+        assert np.array_equal(p, _readout(grid, r, layout, kappa))
 
 
 class TestIntegerDecode:

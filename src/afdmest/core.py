@@ -51,8 +51,9 @@ class AfdmGrid:
     doppler_pad : int
         Sweep-slope margin: C = 2*k_max + doppler_pad. It must be at least
         1, so that C covers the 2*k_max + 1 integer Doppler bins and a
-        readout peak at k + C*l splits into one (l, k) pair. Kept as a knob
-        because fractional Doppler leaks outside the integer bins.
+        readout peak at k + C*l splits into one (l, k) pair, and C at least
+        2, so that a PSPR window holds a sidelobe. Kept as a knob because
+        fractional Doppler leaks outside the integer bins.
     c2 : float
         Quadratic phase coefficient on the subcarrier index. Any irrational
         value decorrelates data symbols; sqrt(2) by default.
@@ -104,10 +105,13 @@ class AfdmGrid:
             raise ValueError("frame length too small")
         if self.k_max < 0 or self.l_max < 0:
             raise ValueError("negative search box")
-        # i.e. doppler_pad >= 1 (see the class docstring); with k_max >= 0
-        # this also gives C >= 1
+        # i.e. doppler_pad >= 1 (see the class docstring)
         if self.n_seg <= 2 * self.k_max:
             raise ValueError("every C must exceed 2*k_max")
+        # a one-bin PSPR window holds only its peak, so at C = 1 every
+        # compensation scores +inf and stage 1 cannot tell them apart
+        if self.n_seg < 2:
+            raise ValueError("C must be at least 2")
         if 2 * self.guard_width >= self.n:
             raise ValueError("guard band swallows the whole frame")
         # the estimator reads C*(l_max + 3) transform bins around the pilot;

@@ -21,21 +21,18 @@ one-row stack. Estimation runs in three stages:
    at hand, each frame's complex readout near its best cell is fitted by a
    degree-10 polynomial in the compensation, through the 11 outputs one
    coarse step apart around that cell of every bin (``_fit_tables`` derives
-   why 11 nodes reproduce the readout to rounding). Golden-section
-   refinement of each frame's best cell follows, the frames of a stack
-   stepping together: each step scores every frame at its own probe from
-   its polynomial, in O(11 J) whatever N is, and reads no frame. The
-   per-step scorer is the one piece with two forms, chosen from the stack
-   height, with the same bits: a one-row stack is scored with a
-   vector-matrix product and ``pspr``, a taller one with a batched product
-   and the stacked PSPR, which on one frame costs about 2.5 times as much
-   per step in numpy call overhead. The stack is then read once at the
-   refined compensations by a pruned DFT. With N = P*M and P the smallest
-   divisor of N at or above the J readout bins, each dechirped body is read
-   as M rows of P, the compensation phasor is folded into their P-point
-   FFTs and the readout bins are summed over the rows, in O(N log P + N)
-   time per frame with O(N) tables built once per grid and pilot position.
-   Only the pilot region of the transform output is ever computed.
+   why 11 nodes reproduce the readout to rounding). The refine then scores
+   every frame's polynomial at 33 fixed probes, evenly spaced over one
+   coarse step either side of its best cell, in one product per block of
+   rows, in O(11 J) per probe whatever N is, and takes each frame's best
+   probe: one form for any stack height, and no frame is read. The stack
+   is then read once at the refined compensations by a pruned DFT. With
+   N = P*M and P the smallest divisor of N at or above the J readout bins,
+   each dechirped body is read as M rows of P, the compensation phasor is
+   folded into their P-point FFTs and the readout bins are summed over the
+   rows, in O(N log P + N) time per frame with O(N) tables built once per
+   grid and pilot position. Only the pilot region of the transform output
+   is ever computed.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -43,14 +40,16 @@ one-row stack. Estimation runs in three stages:
    split of every peak position, its flag and the peak index are one table
    per grid (``_decode_table``), so the rounding and the box rule are
    written once, where the table is built. Every decodeable peak rounds to
-   a delay in [0, l_max], so ``flagged`` marks an integer Doppler outside
-   +-k_max.
+   a delay in [0, l_max], so the table's flag marks an integer Doppler
+   outside +-k_max.
 
 3. fractional delay: under the envelope the two comb taps bracketing the
    true delay stand as (1 - iota) : iota (see effective.elg_theory), so the
    later tap's share of the pair is the delay fraction itself. The gate
    picks the bracket, reads that share, and takes the bracket's lower
-   integer as the delay floor.
+   integer as the delay floor. At a peak of delay 0 the bracket below
+   can win, and its floor of -1 lies outside the search box, so such an
+   estimate is flagged too: an unflagged delay lies in [0, l_max + 1).
 
 Stages 2 and 3 run over all rows at once with array operations: one
 argmax per row, one gather of every row's PSPR window and its two comb
@@ -305,8 +304,8 @@ def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: np.ndarr
     n / N), factored over the (P, M) split of :func:`_pruned_dft`, is folded
     into P-point FFTs of its M rows, so a readout costs O(N log P + N) per
     frame with O(N) tables. Stage 1 reads its stack once, at the refined
-    compensations: its golden refine scores the polynomials of
-    :func:`_best_cells` and reads no frame.
+    compensations: its refine scores the polynomials of :func:`_best_cells`
+    and reads no frame.
     """
     pre, tw, rates, cols = _pruned_dft(grid, layout)
     m, p = pre.shape
@@ -469,9 +468,8 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p), outputs
 
 
-# fractional Doppler search: coarse cells over [0, 1), golden refine width
+# fractional Doppler search: coarse cells over [0, 1)
 _COARSE_STEPS = 64
-_REFINE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -513,33 +511,15 @@ _NO_ESTIMATE = Estimate(
 )
 
 
-def _golden_max(a: float, b: float, tol: float):
-    """Golden-section search for a maximum on [a, b], as a generator: it
-    yields each probe, is sent that probe's score, and returns the midpoint
-    of its first bracket narrower than tol."""
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = yield c
-    fd = yield d
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = yield d
-    return (a + b) / 2.0
-
-
-# a stack's coarse grid is scored in blocks of rows whose chirp-z work
-# arrays, (blocks, S) complex per row as kernel_fft, stay within this many
-# bytes: 8 rows at N=256 and C=8, 5 at C=12. On the 30-row stacks of a
-# sweep at N=256, 1 MiB peaked 0.3 MiB higher and ran no faster, 256 KiB
-# ran 6% slower; the single long convolution's rows had peaked 2.9 MiB
-# higher with one block per stack and run 4-8% slower
+# a stack's coarse grid is scored, fitted and refined in blocks of rows
+# whose chirp-z work arrays, (blocks, S) complex per row as kernel_fft,
+# stay within this many bytes: 8 rows at N=256 and C=8, 5 at C=12. On the
+# 30-row stacks of a sweep at N=256, 1 MiB peaked 0.3 MiB higher and ran
+# no faster, 256 KiB ran 6% slower; the single long convolution's rows had
+# peaked 2.9 MiB higher with one block per stack and run 4-8% slower. A
+# block's refine product, (rows, 33, J) complex, is smaller still. One
+# product over all 30 rows instead peaked 1.8 MiB higher in the sweep, and
+# stage 1 took 14% longer per frame (2 vCPU, interleaved calls)
 _SCORE_BLOCK_BYTES = 1 << 19
 
 
@@ -564,7 +544,16 @@ def _monomial_fit(nodes: np.ndarray) -> np.ndarray:
 
 
 _FIT = _monomial_fit(_NODES)
-_POWERS = np.arange(_NODES.size)
+
+# the refine's probes, in coarse steps from the best cell, and their (33, K)
+# monomial powers. 33 probes over +-1 step lie 2/(32*64) = 1/1024 apart in
+# kappa, so the best one lies within 1/2048 (4.9e-4) of the fit's maximum:
+# the precision of a golden-section search run to a bracket narrower than
+# 1e-3, whose midpoint lies within 5e-4 of it, without its sequential steps
+_PROBES = np.linspace(-1.0, 1.0, 33)
+_PROBE_POWERS = _PROBES[:, None] ** np.arange(_NODES.size)
+_PROBES.flags.writeable = False
+_PROBE_POWERS.flags.writeable = False
 
 
 @lru_cache(maxsize=8)
@@ -591,8 +580,8 @@ def _fit_tables(grid: AfdmGrid):
     max|g_a^(11)| <= 4805/11! * (pi/64)^11 * sum|z|/sqrt(N), about 5e-19 of
     sum|z|/sqrt(N), which bounds every readout: far below a readout's
     rounding. Nine nodes would leave 8.9e-16 of it, about 2e-14 of a
-    pilot's peak at N=4096. So a refine step scores a frame in O(11 J),
-    whatever N is.
+    pilot's peak at N=4096. So the refine scores a frame at a probe in
+    O(11 J), whatever N is.
 
     Returns (near, phase): the (J-2, K) output indices a*steps + x of the
     nodes x of bins a = 1 .. J-2 around cell 0, and the m phases
@@ -630,61 +619,16 @@ def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     return cand[cell], coef
 
 
-def _fitted_score(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray):
-    """Stage 1's per-step scorer from :func:`_best_cells`' (best, coef):
-    score(kappa) takes every frame's compensation, in frame order, and
-    returns the PSPR of each frame's fitted readout at its :func:`_peak`.
-    A step is one power row of s = steps*(kappa - best), one product with
-    the coefficients (taken as reals, real and imaginary parts side by
-    side), a magnitude and the PSPR.
-
-    It has two forms, chosen from the stack height, with the same bits: a
-    one-row stack is scored with a vector-matrix product and :func:`pspr`,
-    a taller one with a batched product and :func:`_pspr_rows`. On one
-    frame the stacked form cost 2.5 times as much per step, 21-34 against
-    8-13 us at N=256 and at N=4096, in numpy call overhead."""
-    parts = coef.view(np.float64)
-    if len(best) > 1:
-
-        def score(kappa) -> np.ndarray:
-            s = (np.asarray(kappa) - best) * _COARSE_STEPS
-            fitted = (s[:, None, None] ** _POWERS @ parts).view(complex)
-            return _pspr_rows(grid, np.abs(fitted[:, 0]))
-
-        return score
-    (b,), (part,) = best, parts
-
-    def score_row(kappa) -> tuple:
-        (k,) = kappa
-        profile = np.abs((((k - b) * _COARSE_STEPS) ** _POWERS @ part).view(complex))
-        return (pspr(profile, int(_peak(grid, profile)), grid.n_seg),)
-
-    return score_row
-
-
-def _refine(best: np.ndarray, score) -> list:
-    """Stage 1's compensations in [0, 1): the coarse cells centered on best,
-    one per frame, golden-section refined. The refines step together:
-    score(probes) takes every frame's probe, in frame order, and returns
-    their scores. Every bracket starts 2/_COARSE_STEPS wide, so all take
-    the same steps; a search done early is probed again at its last point,
-    its score unused."""
-    searches = [
-        _golden_max(k - 1.0 / _COARSE_STEPS, k + 1.0 / _COARSE_STEPS, _REFINE_TOL)
-        for k in best
-    ]
-    probes = [next(search) for search in searches]
-    kappa = [None] * len(searches)
-    left = len(searches)
-    while left:
-        for i, f in enumerate(score(probes)):
-            if kappa[i] is None:
-                try:
-                    probes[i] = searches[i].send(f)
-                except StopIteration as done:
-                    kappa[i] = done.value % 1.0
-                    left -= 1
-    return kappa
+def _refine(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Stage 1's compensations in [0, 1) from :func:`_best_cells`' (best,
+    coef): every frame's fitted readout is scored at each of _PROBES around
+    its best cell by one product with the coefficients (taken as reals,
+    real and imaginary parts side by side), a magnitude and the stacked
+    PSPR, and its best probe, the first of equals, is taken. It reads no
+    frame, and one form serves any stack height."""
+    fitted = (_PROBE_POWERS @ coef.view(np.float64)).view(complex)
+    scores = _pspr_rows(grid, np.abs(fitted))
+    return (best + _PROBES[scores.argmax(axis=-1)] / _COARSE_STEPS) % 1.0
 
 
 def estimate_doppler_frac(
@@ -698,10 +642,10 @@ def estimate_doppler_frac(
     Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
     coarse grid of candidate compensations over [0, 1), a block of rows at
     a time (_SCORE_BLOCK_BYTES bounds a block's work array), and fit each
-    frame's readout near its best cell (:func:`_best_cells`); the golden
-    refines of the frames' best cells then step together, each step one
-    score of the fits (:func:`_fitted_score`). The stack is read once, at
-    the refined compensations. The PSPR objective is evaluated on the pilot
+    frame's readout near its best cell (:func:`_best_cells`); one dense
+    pass over the block's fits then refines every best cell at once
+    (:func:`_refine`). The stack is read once, at the refined
+    compensations. The PSPR objective is evaluated on the pilot
     readout region only. Returns (kappa, p): the F compensations and the
     (F, J) pilot readout magnitudes over profile_bins, row f with kappa[f]
     compensated. Raises ValueError as :func:`_check_frames` does.
@@ -711,9 +655,8 @@ def estimate_doppler_frac(
     rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
     count = -(-len(r) // rows)
     edges = [len(r) * i // count for i in range(count + 1)]
-    cells = [_best_cells(grid, layout, r[a:b]) for a, b in zip(edges, edges[1:])]
-    best, coef = map(np.concatenate, zip(*cells))
-    kappa = np.array(_refine(best, _fitted_score(grid, best, coef)))
+    blocks = zip(edges, edges[1:])
+    kappa = np.concatenate([_refine(grid, *_best_cells(grid, layout, r[a:b])) for a, b in blocks])
     return kappa, _readout(grid, r, layout, kappa)
 
 
@@ -729,8 +672,10 @@ def _decode_table(grid: AfdmGrid):
     doppler_int, delay_round and flagged. The peak at js = k + C*l splits
     with l = round(js/C), half to even, and k = js - C*l the centered
     residue; flagged marks |k| > k_max, an integer Doppler outside the
-    search box. It is the only flag: the decodeable range, js from
-    -floor(C/2) to C*l_max + C - floor(C/2) - 1, rounds to l in [0, l_max].
+    search box. The decode flags nothing else: the decodeable range, js
+    from -floor(C/2) to C*l_max + C - floor(C/2) - 1, rounds to l in
+    [0, l_max] (the gate's bracket may still fall below it, which
+    :func:`joint_estimate_rows` flags).
     The cached arrays are shared, so they are read-only.
     """
     c, half = grid.n_seg, grid.n_seg // 2
@@ -823,10 +768,12 @@ def joint_estimate_rows(
 
     Stage 1 is :func:`estimate_doppler_frac`; the integer decode
     (:func:`_decode`) and the gate (:func:`_gate`) then run over all rows at
-    once. An all-zero row gives the flagged no-estimate. Raises ValueError
-    as :func:`_check_frames` does.
+    once. A row is flagged when its integer Doppler lies outside +-k_max or
+    its gated delay below 0. An all-zero row gives the flagged no-estimate.
+    Raises ValueError as :func:`_check_frames` does.
     """
     kappa, p = estimate_doppler_frac(grid, r, layout)
     (peak_index, k, l_round, flagged), score, taps = _decode(grid, p)
     floor, iota = _gate(l_round, taps)
+    flagged = flagged | (floor < 0)
     return _estimates(p, (floor, iota, k, kappa, score, peak_index, flagged))

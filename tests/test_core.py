@@ -45,11 +45,14 @@ class TestAfdmGrid:
             assert g.c1 * 2 * g.n == c
 
     def test_degenerate_single_segment_grid(self):
-        """A k_max=0 single-sweep grid is legal (C=1 corner case)."""
-        g = AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=1, c2=0.0, n_prefix=0)
-        g.validate()
-        assert g.n_seg == 1
-        assert g.c1 == pytest.approx(1.0 / 32.0, abs=0)
+        """A k_max=0 single-sweep grid (C=1) is refused: its one-bin PSPR
+        window holds only the peak, so stage 1 cannot tell one compensation
+        from another. Two sweeps (C=2) is the smallest grid."""
+        with pytest.raises(ValueError, match="C must be at least 2"):
+            AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=1, c2=0.0, n_prefix=0)
+        g = AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=2, c2=0.0, n_prefix=0)
+        assert g.n_seg == 2
+        assert g.c1 == pytest.approx(2.0 / 32.0, abs=0)
         assert g.guard_width == 0
 
     def test_alternate_sweep_count(self):

@@ -434,13 +434,13 @@ class TestSerialization:
             master_seed=2024,
         )
         # (estimator, snr_db, ep_ei_db, C, delay_rmse, doppler_rmse, trials, mean_pspr);
-        # joint's delay_rmse re-recorded when the gate came to read the late
-        # tap's share in closed form
+        # joint's rows re-recorded when stage 1's refine came to take the
+        # best of 33 fixed probes of each frame's fit
         expect = [
-            ("joint", 0.0, 10.0, 8, 0.8767778807211221, 0.25899665686446666, 3, 18.592887965096292),
+            ("joint", 0.0, 10.0, 8, 0.876769723482966, 0.2590131866667962, 3, 18.59083464816082),
             ("integer_only", 0.0, 10.0, 8, 0.25290372574699665, 0.2918853550509565, 3, 10.491467841199706),
             ("two_d_search", 0.0, 10.0, 8, 0.07517782860291755, 0.1260689960132108, 3, 16.398117156954743),
-            ("joint", 20.0, 10.0, 8, 0.03084890148727692, 0.007749059219147947, 3, 333.7280052013742),
+            ("joint", 20.0, 10.0, 8, 0.03084582264307273, 0.007629257068220182, 3, 333.72425402753487),
             ("integer_only", 20.0, 10.0, 8, 0.32187225231723543, 0.17848242829341746, 3, 82.76301430017607),
             ("two_d_search", 20.0, 10.0, 8, 0.03823845931541414, 0.007432267844738708, 3, 329.77830318580544),
         ]

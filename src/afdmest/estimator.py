@@ -12,21 +12,27 @@ one-row stack. Estimation runs in three stages:
    compensated is |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame
    body, so the coarse candidates times the readout bins form one uniform
    frequency grid. One cached chirp-z transform, over a block of a stack's
-   rows at once, scores that grid in one pass, then a vectorised PSPR
-   covers all candidates. Its Bluestein convolution runs by overlap-save:
-   one FFT of each frame at block length S, the smaller of the 5-smooth
-   lengths at or above 4N and at or above the single-block length, then
-   one product and one inverse FFT per block of S - N + 1 outputs (one
-   block, the single long convolution, at N=4096). While its outputs are
-   at hand, each frame's complex readout near its best cell is fitted by a
-   degree-10 polynomial in the compensation, through the 11 outputs one
-   coarse step apart around that cell of every bin (``_fit_tables`` derives
-   why 11 nodes reproduce the readout to rounding). The refine then scores
-   every frame's polynomial at 33 fixed probes, evenly spaced over one
-   coarse step either side of its best cell, in one product per block of
-   rows, in O(11 J) per probe whatever N is, and takes each frame's best
-   probe: one form for any stack height, and no frame is read. The stack
-   is then read once at the refined compensations by a pruned DFT. With
+   rows at once, scores that grid at 16 cells in one pass, then a
+   vectorised PSPR covers all candidates. Its Bluestein convolution runs
+   by overlap-save, one FFT of each frame and then one product and one
+   inverse FFT per block of outputs, or as one long convolution where
+   that takes fewer FFT points (at C = 8 and 12 on N=256, and at N=4096).
+   While its outputs are at hand, each frame's complex readout near its
+   best cell is fitted by a degree-14 polynomial in the compensation,
+   through the 15 outputs one coarse step apart around that cell of every
+   bin (``_fit_tables`` derives the cell count and the node count together
+   from the fit's error bound, so the fit reproduces the readout to
+   rounding). The refine then scores every frame's polynomial at 17 probes
+   over one coarse step either side of its best cell, 1/128 apart in the
+   compensation, and at 17 more over 1/8 step either side of the best of
+   those, 1/1024 apart, in one product per pass and block of rows, in
+   O(15 J) per probe whatever N is: one form for any stack height. The
+   readout at the refined compensation is read from the fit too, so stage
+   1 reads the stack once, in the chirp-z; the transform's outputs reach
+   one bin beyond each end of the profile, where a compensation that wraps
+   past 0 or 1 reads it.
+
+   ``two_d_search``'s quality read takes its readout by a pruned DFT. With
    N = P*M and P the smallest divisor of N at or above the J readout bins,
    each dechirped body is read as M rows of P, the compensation phasor is
    folded into their P-point FFTs and the readout bins are summed over the
@@ -58,8 +64,8 @@ estimate reports is the one that gather gives.
 
 Every estimator checks its frames through one helper and decodes the
 readout through another, so all see the same bin. integer_only reads the
-demodulated frame's pilot bins; every other readout that is decoded is the
-pruned DFT's.
+demodulated frame's pilot bins, joint the fit of stage 1 and two_d_search
+the pruned DFT's.
 """
 
 from __future__ import annotations
@@ -303,9 +309,9 @@ def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: np.ndarr
     Each frame is dechirped, and the compensation phasor exp(2 pi i kappa
     n / N), factored over the (P, M) split of :func:`_pruned_dft`, is folded
     into P-point FFTs of its M rows, so a readout costs O(N log P + N) per
-    frame with O(N) tables. Stage 1 reads its stack once, at the refined
-    compensations: its refine scores the polynomials of :func:`_best_cells`
-    and reads no frame.
+    frame with O(N) tables. ``two_d_search``'s quality read uses it; stage
+    1 reads its stack only in the coarse chirp-z, and its readouts come
+    from the fit of :func:`_best_cells`.
     """
     pre, tw, rates, cols = _pruned_dft(grid, layout)
     m, p = pre.shape
@@ -345,10 +351,14 @@ def _window_pspr(window: np.ndarray) -> np.ndarray:
 
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     """pspr of every profile of a (..., profiles, bins) stack, each taken at
-    its profile's :func:`_peak`, with the bits pspr gives that profile."""
+    its profile's :func:`_peak`, with the bits pspr gives that profile. The
+    profiles are read as one (rows, bins) array, so one gather indexed by
+    row and bin takes every window, as :func:`_decode` takes its own."""
     c, half = grid.n_seg, grid.n_seg // 2
-    pos = _peak(grid, p)[..., None]
-    return _window_pspr(np.take_along_axis(p, pos + np.arange(-half, c - half), axis=-1))
+    rows = p.reshape(-1, p.shape[-1])
+    pos = _peak(grid, rows)
+    window = rows[np.arange(len(rows))[:, None], pos[:, None] + np.arange(-half, c - half)]
+    return _window_pspr(window).reshape(p.shape[:-1])
 
 
 def _smooth_length(target: int) -> int:
@@ -368,6 +378,20 @@ def _smooth_length(target: int) -> int:
     return best
 
 
+# stage 1's coarse cells over [0, 1), and the interpolation nodes of its
+# fit, in coarse steps from the best cell: derived together from the fit's
+# error bound in _fit_tables
+_COARSE_STEPS = 16
+_NODES = np.arange(-7, 8)
+
+
+def _lead(steps: int) -> int:
+    # the chirp-z outputs before the first profile bin's, and after the
+    # last's: one coarse step, for the readout a bin either side that a
+    # wrapped compensation reads, and the fit's half-width (_fit_tables)
+    return steps + int(_NODES[-1])
+
+
 @lru_cache(maxsize=8)
 def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     """Cached factors of the chirp-z transform that scores the coarse grid.
@@ -377,24 +401,26 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     dechirped body z = conj(e1)*r. The J readout bins b = pilot - j0 - a
     (a = 0 .. J-1, j0 the first of profile_bins) step down by one and the
     candidates are (i + 1/2)/steps, so every (candidate, bin) pair lies on
-    the one grid f_t = pilot - j0 - 1/(2 steps) - t/steps, t = a*steps + i.
-    Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum over that
-    grid into the first m = J*steps outputs of a linear convolution of the
-    N pre-multiplied samples with the chirp kernel w^(-k^2),
-    w = exp(2 pi i / (2 steps N)), over the lags k in (-N, m).
+    the one grid f_t = pilot - j0 - 1/(2 steps) - (t - L)/steps, output
+    t = L + a*steps + i, where L = :func:`_lead` outputs before and after
+    the J*steps of the profile let the refine's fit read a bin beyond
+    either end. Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum
+    over that grid into the first m = J*steps + 2L outputs of a linear
+    convolution of the N pre-multiplied samples with the chirp kernel
+    w^(-k^2), w = exp(2 pi i / (2 steps N)), over the lags k in (-N, m).
 
     The convolution is computed by overlap-save in blocks of S points, S
-    the smaller of the 5-smooth lengths (no prime factor above 5) at or
-    above 4N and at or above N + m - 1: each block gives S - N + 1 outputs
-    from one product with the FFT of its kernel block and one inverse FFT,
-    and all blocks share one FFT of the zero-padded samples. Where the
-    length for N + m - 1 is the shorter (always when m <= 3N + 1, as at
-    N=4096 and C=8), that is one block: the single long Bluestein
-    convolution, with its bits. At N=256 it is 4 blocks of 1024 points
-    instead of one of 3375 at C=8, 6 instead of 5000 at C=12 and 13 instead
-    of 10240 at C=26, and the coarse stage took 26%, 31% and 41% less time
-    on one frame, 16%, 13% and 21% less per frame of a 30-frame stack
-    (2 vCPU, interleaved rounds).
+    the 5-smooth length (no prime factor above 5) at or above 4N: each
+    block gives S - N + 1 outputs from one product with the FFT of its
+    kernel block and one inverse FFT, and all blocks share one FFT of the
+    zero-padded samples. Where one block at the 5-smooth length at or above
+    N + m - 1, the single long Bluestein convolution with its bits, takes
+    no more FFT points (two transforms against the blocks' count plus one)
+    it is taken instead: at N=256 one block of 1080 points at C=8 and 1458
+    at C=12 in place of 2 of 1024, which ran 24% faster per frame of a
+    16-frame stack at C=8 and as fast at C=12, but 4 blocks of 1024 at C=26
+    against one of 2880; at N=4096 one of 5000 (2 vCPU, interleaved
+    calls).
 
     Returns (pre, kernel_fft, m): the input pre-multiplier (conj(e1), the
     start-frequency phase, the input chirp and 1/sqrt(N)), the (blocks, S)
@@ -403,23 +429,26 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     fit puts it back where it reads (:func:`_fit_tables`). The cached
     arrays are shared, so they are read-only.
     """
-    n, period = grid.n, 2 * steps * grid.n
+    n, period, lead = grid.n, 2 * steps * grid.n, _lead(steps)
     j = profile_bins(grid)
-    m = j.size * steps
-    size = min(_smooth_length(4 * n), _smooth_length(n + m - 1))
+    m = j.size * steps + 2 * lead
+    size = _smooth_length(4 * n)
+    blocks = -(-m // (size - n + 1))
+    if 2 * _smooth_length(n + m - 1) <= (blocks + 1) * size:
+        size, blocks = _smooth_length(n + m - 1), 1
     out = size - n + 1
-    blocks = -(-m // out)
     # every phase is reduced in integers before it is exponentiated: the
-    # chirp index k^2 mod 2*steps*N and the pilot offset (pilot - j0)*n mod
-    # N; the 1/(2 steps) start offset adds n/(2 steps N) < 1/(2 steps)
+    # chirp index k^2 mod 2*steps*N and the start phase, the pilot offset
+    # (pilot - j0)*n mod N less the 1/(2 steps) - L/steps start offset
     k = np.arange(max(m, n), dtype=np.int64)
     chirp = np.exp(2j * np.pi * (k * k % period) / period)
     offset = (layout.pilot_index - int(j[0])) * k[:n] % n
+    offset = ((1 - 2 * lead) * k[:n] - 2 * steps * offset) % period
     e1, _ = _chirps(n, grid.c1, grid.c2)
     # pre is built and the kernel transformed in place, and the index arrays
     # are dropped before the kernel: with a 5-smooth S, length-N temporaries
     # weigh about as much as a length-S kernel block
-    start = 2j * np.pi * (k[:n] - 2 * steps * offset)
+    start = 2j * np.pi * offset
     start /= period
     pre = np.conj(e1)
     pre *= chirp[:n]
@@ -446,11 +475,12 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     """PSPR of every coarse compensation candidate (i + 1/2)/steps of every
     row of an (F, N) stack r, with all readouts from one blocked chirp-z
     transform (:func:`_coarse_czt`), as (candidates, (F, candidates) scores,
-    outputs). outputs is the (F, blocks, S - N + 1) complex view of the
-    transform's outputs, output t at [f, t // (S - N + 1), t % (S - N + 1)],
-    without the output chirp."""
+    work). work is the transform's (F, blocks, S) complex work array,
+    output t at [f, t // (S - N + 1), t % (S - N + 1)], without the output
+    chirp."""
     pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
     blocks, size = kernel_fft.shape
+    lead = _lead(steps)
     # one (F, blocks, S) work array: the samples are transformed in block 0,
     # whose own product is taken last, in place
     spec = np.zeros((len(r), blocks, size), dtype=complex)
@@ -460,16 +490,12 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: in
     np.multiply(head, kernel_fft[1:], out=spec[:, 1:])
     head *= kernel_fft[:1]
     np.fft.ifft(spec, out=spec)
-    # the first S - N + 1 outputs of each block, in order, are the m outputs
-    outputs = spec[..., : size - grid.n + 1]
-    mag = np.abs(outputs).reshape(len(r), -1)[:, :m]
+    # the first S - N + 1 outputs of each block, in order, are the m outputs,
+    # the profile's J*steps of them after the lead
+    mag = np.abs(spec[..., : size - grid.n + 1]).reshape(len(r), -1)[:, lead : m - lead]
     # (F, bins, candidates) -> a profile over the bins per candidate
     p = mag.reshape(len(r), -1, steps).swapaxes(-1, -2)
-    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p), outputs
-
-
-# fractional Doppler search: coarse cells over [0, 1)
-_COARSE_STEPS = 64
+    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p), spec
 
 
 @dataclass(frozen=True)
@@ -513,18 +539,16 @@ _NO_ESTIMATE = Estimate(
 
 # a stack's coarse grid is scored, fitted and refined in blocks of rows
 # whose chirp-z work arrays, (blocks, S) complex per row as kernel_fft,
-# stay within this many bytes: 8 rows at N=256 and C=8, 5 at C=12. On the
-# 30-row stacks of a sweep at N=256, 1 MiB peaked 0.3 MiB higher and ran
-# no faster, 256 KiB ran 6% slower; the single long convolution's rows had
-# peaked 2.9 MiB higher with one block per stack and run 4-8% slower. A
-# block's refine product, (rows, 33, J) complex, is smaller still. One
-# product over all 30 rows instead peaked 1.8 MiB higher in the sweep, and
-# stage 1 took 14% longer per frame (2 vCPU, interleaved calls)
-_SCORE_BLOCK_BYTES = 1 << 19
-
-
-# the refine's interpolation nodes, in coarse steps from the best cell
-_NODES = np.arange(-5, 6)
+# stay within this many bytes: 22 rows at N=256 and C=8 (one block of
+# 1080), 16 at C=12, 6 at C=26 and 4 at N=4096. On 30-row stacks at N=256,
+# against 512 KiB, joint took 0.85, 0.91-0.93 and 0.92-0.95 of the time
+# per frame at C = 8, 12 and 26; 256 KiB took 0.76, 1.00 and 1.02-1.07,
+# 1 MiB 1.05, 1.32 and 1.39-1.42. Only 10-row stacks at N=4096, which a
+# sweep never forms (its chunks hold 2 rows there), ran faster with more
+# rows: 1.10 here, 0.87 at 1 MiB. 40 such stacks at C = 8 and 12 peaked at
+# 38.7 MiB RSS, 38.3 at 256 KiB and 39.0 at 512 KiB (2 vCPU, interleaved
+# calls, CPU time)
+_SCORE_BLOCK_BYTES = 3 << 17
 
 
 def _monomial_fit(nodes: np.ndarray) -> np.ndarray:
@@ -545,90 +569,122 @@ def _monomial_fit(nodes: np.ndarray) -> np.ndarray:
 
 _FIT = _monomial_fit(_NODES)
 
-# the refine's probes, in coarse steps from the best cell, and their (33, K)
-# monomial powers. 33 probes over +-1 step lie 2/(32*64) = 1/1024 apart in
-# kappa, so the best one lies within 1/2048 (4.9e-4) of the fit's maximum:
-# the precision of a golden-section search run to a bracket narrower than
-# 1e-3, whose midpoint lies within 5e-4 of it, without its sequential steps
-_PROBES = np.linspace(-1.0, 1.0, 33)
+# the refine's probes, in coarse steps from the best cell: a first pass of
+# 17 over +-1 step, 1/8 apart (1/128 in kappa), then 17 over +-1/8 step
+# around the best of them, 1/64 apart (1/1024 in kappa). The second pass
+# holds the best first probe and both its neighbours, so where the fitted
+# PSPR has one maximum over the bracket, the best probe lies within 1/2048
+# (4.9e-4) of it, on the 1/1024 lattice of kappa. _FINE_PROBES[i] are the
+# second pass's probes after first probe i, and the powers are the probes'
+# monomials: (17, K) for the first pass, (17, 17, K) for the second
+_PROBES = np.linspace(-1.0, 1.0, 17)
+_FINE_PROBES = _PROBES[:, None] + np.linspace(-0.125, 0.125, 17)
 _PROBE_POWERS = _PROBES[:, None] ** np.arange(_NODES.size)
-_PROBES.flags.writeable = False
-_PROBE_POWERS.flags.writeable = False
+_FINE_POWERS = _FINE_PROBES[..., None] ** np.arange(_NODES.size)
+for _table in (_PROBES, _FINE_PROBES, _PROBE_POWERS, _FINE_POWERS):
+    _table.flags.writeable = False
+del _table
 
 
 @lru_cache(maxsize=8)
-def _fit_tables(grid: AfdmGrid):
-    """Cached per grid: where stage 1's refine reads the coarse chirp-z
-    outputs, and the phase that makes them samples of a smooth function.
+def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
+    """Cached per grid and pilot position: where stage 1's refine reads the
+    coarse chirp-z outputs, and the phase that makes them samples of a
+    smooth function.
 
     With kappa = best + s/steps, best the center (c + 1/2)/steps of cell c,
     the readout at bin a of the profile is |Z(f_t)|/sqrt(N) at the output
-    index t = a*steps + c + s of :func:`_coarse_czt`, s now real. Output t
-    is Z(f_t)/sqrt(N) times exp(-2 pi i t^2/(2 steps N)), the output chirp
+    index t = L + a*steps + c + s of :func:`_coarse_czt`, s now real. Output
+    t is Z(f_t)/sqrt(N) times exp(-2 pi i t^2/(2 steps N)), the output chirp
     the transform leaves in place. Multiplied by phase[t], which undoes
     that chirp and centers the sum with exp(-2 pi i t (N - 1)/(2 steps N)),
-    it is g_a(s) at s = t - a*steps - c:
+    it is g_a(s) at s = t - L - a*steps - c:
 
         g_a(s) = sum_n u_n exp(i w_n s) / sqrt(N),  |u_n| = |z[n]|,
         w_n = 2 pi (n - (N - 1)/2) / (steps N),  |w_n| < pi/steps,
 
-    z the dechirped body, and |g_a(s)| is the readout. The K = 11 nodes
-    s = -5 .. 5 are outputs already computed for every bin a = 1 .. J-2 (t
-    from steps - 5 to (J-1) steps + 4, inside the m = J*steps), the only
-    bins any peak or PSPR window reads. The degree-10 polynomial through
-    them errs, for |s| <= 1, by at most max|prod_x (s - x)| / 11! *
-    max|g_a^(11)| <= 4805/11! * (pi/64)^11 * sum|z|/sqrt(N), about 5e-19 of
-    sum|z|/sqrt(N), which bounds every readout: far below a readout's
-    rounding. Nine nodes would leave 8.9e-16 of it, about 2e-14 of a
-    pilot's peak at N=4096. So the refine scores a frame at a probe in
-    O(11 J), whatever N is.
+    z the dechirped body, and |g_a(s)| is the readout. The polynomial
+    through K nodes s = -(K-1)/2 .. (K-1)/2 errs, for |s| <= 9/8 (the
+    refine's reach), by at most max|prod_x (s - x)| / K! * max|g_a^(K)|,
+    that is the node polynomial's maximum times (pi/steps)^K/K! times
+    sum|z|/sqrt(N), which bounds every readout. That bound sizes steps and K
+    together: at 16 steps the 15 nodes -7 .. 7 leave 8.4e6/15! *
+    (pi/16)^15 = 1.6e-16 of it, rounding; 13 would leave 1.8e-14, and at 8
+    steps rounding takes 23. So the chirp-z computes 16 outputs per bin,
+    and the refine scores a frame at a probe in O(15 J), whatever N is.
+    The nodes are outputs already computed for every bin a = -1 .. J, one
+    beyond each end of the profile: t runs from L - steps - 7 = 0 to
+    L + J*steps + steps + 6 = m - 1.
 
-    Returns (near, phase): the (J-2, K) output indices a*steps + x of the
-    nodes x of bins a = 1 .. J-2 around cell 0, and the m phases
+    Returns (starts, place, phase). place and phase are (K, windows) views
+    whose column i holds the K outputs t = i .. i + K - 1, the nodes of bin
+    a around cell c at i = starts[a + 1] + c: place their positions in a
+    frame's flattened (blocks, S) work array, phase their phases
     exp(2 pi i t (t - N + 1)/(2 steps N)), t(t - N + 1) reduced mod
     2 steps N in integers. The cached arrays are shared, so they are
     read-only.
     """
     n, steps = grid.n, _COARSE_STEPS
     j = profile_bins(grid).size
-    near = np.add.outer(np.arange(1, j - 1) * steps, _NODES)
-    t = np.arange(j * steps, dtype=np.int64)
+    size = _coarse_czt(grid, layout, steps)[1].shape[-1]
+    t = np.arange(j * steps + 2 * _lead(steps), dtype=np.int64)
     period = 2 * steps * n
+    place = t // (size - n + 1) * size + t % (size - n + 1)
     phase = np.exp(2j * np.pi * (t * (t - n + 1) % period) / period)
-    for a in (near, phase):
+    starts = np.arange(j + 2) * steps
+    for a in (starts, place, phase):
         a.flags.writeable = False
-    return near, phase
+    return starts, *(sliding_window_view(a, _NODES.size).T for a in (place, phase))
 
 
 def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     """Stage 1's coarse search of an (F, N) stack r, as (best, coef): the
-    center of each frame's best coarse cell, and the (F, K, J) monomial
+    center of each frame's best coarse cell, and the (K, F, J+2) monomial
     coefficients, in s = steps*(kappa - best), of each frame's complex
-    readout near it (:func:`_fit_tables`), zero at bins 0 and J-1, which no
-    peak or PSPR window reads. They are fitted while the chirp-z outputs
-    are at hand."""
-    cand, scores, outputs = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+    readout near it (:func:`_fit_tables`) at the J profile bins and one
+    beyond each end. They are fitted while the chirp-z outputs are at
+    hand: one gather of the nodes, node-major, and one real product with
+    the fit's matrix, real and imaginary parts side by side."""
+    cand, scores, work = _coarse_scores(grid, layout, r, _COARSE_STEPS)
     cell = np.argmax(scores, axis=-1)
-    near, phase = _fit_tables(grid)
-    t = near + cell[:, None, None]
-    block, at = np.divmod(t, outputs.shape[-1])
-    values = outputs[np.arange(len(r))[:, None, None], block, at]
-    values *= phase[t]
-    coef = np.zeros((len(r), _NODES.size, near.shape[0] + 2), dtype=complex)
-    np.matmul(_FIT, values.swapaxes(-1, -2), out=coef[..., 1:-1])
-    return cand[cell], coef
+    starts, place, phase = _fit_tables(grid, layout)
+    i = starts + cell[:, None]
+    at = place[:, i]
+    at += (np.arange(len(r)) * work[0].size)[:, None]
+    values = work.take(at)
+    values *= phase[:, i]
+    coef = _FIT @ values.view(np.float64).reshape(_NODES.size, -1)
+    return cand[cell], coef.view(complex).reshape(values.shape)
 
 
-def _refine(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Stage 1's compensations in [0, 1) from :func:`_best_cells`' (best,
-    coef): every frame's fitted readout is scored at each of _PROBES around
-    its best cell by one product with the coefficients (taken as reals,
-    real and imaginary parts side by side), a magnitude and the stacked
-    PSPR, and its best probe, the first of equals, is taken. It reads no
-    frame, and one form serves any stack height."""
-    fitted = (_PROBE_POWERS @ coef.view(np.float64)).view(complex)
-    scores = _pspr_rows(grid, np.abs(fitted))
-    return (best + _PROBES[scores.argmax(axis=-1)] / _COARSE_STEPS) % 1.0
+def _refine(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray):
+    """Stage 1's compensations in [0, 1) and their readouts, from
+    :func:`_best_cells`' (best, coef), as (kappa, p).
+
+    Every frame's fitted readout is scored at the _PROBES around its best
+    cell by one product with the coefficients (taken as reals, real and
+    imaginary parts side by side), a magnitude and the stacked PSPR, then
+    at the _FINE_PROBES around its best probe by one product with a gather
+    of _FINE_POWERS; each pass takes the first of equal scores. The PSPR
+    scores the profile of the unwrapped compensation k_u = best + s/steps,
+    which may leave [0, 1) by up to 9/128. The best fine probe gives
+    kappa = k_u - floor(k_u), and p is the fit there: compensating k less
+    moves the readout k bins along the profile, so row f reads its fitted
+    bins a - floor(k_u), a = 0 .. J-1, one of them beyond the profile's
+    end where k_u wraps. It reads no frame, and one form serves any stack
+    height.
+    """
+    real = coef.view(np.float64)
+    fitted = (_PROBE_POWERS @ real.reshape(len(real), -1)).view(complex)
+    profiles = np.abs(fitted.reshape(len(_PROBES), *coef.shape[1:])[..., 1:-1])
+    first = _pspr_rows(grid, profiles).argmax(axis=0)
+    fitted = np.abs((_FINE_POWERS[first] @ real.swapaxes(0, 1)).view(complex))
+    second = _pspr_rows(grid, fitted[..., 1:-1]).argmax(axis=-1)
+    kappa = best + _FINE_PROBES[first, second] / _COARSE_STEPS
+    shift = np.floor(kappa).astype(np.int64)
+    rows = np.arange(len(kappa))[:, None]
+    bins = (1 - shift)[:, None] + np.arange(coef.shape[-1] - 2)
+    return kappa % 1.0, fitted[rows, second[:, None], bins]
 
 
 def estimate_doppler_frac(
@@ -642,10 +698,10 @@ def estimate_doppler_frac(
     Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
     coarse grid of candidate compensations over [0, 1), a block of rows at
     a time (_SCORE_BLOCK_BYTES bounds a block's work array), and fit each
-    frame's readout near its best cell (:func:`_best_cells`); one dense
-    pass over the block's fits then refines every best cell at once
-    (:func:`_refine`). The stack is read once, at the refined
-    compensations. The PSPR objective is evaluated on the pilot
+    frame's readout near its best cell (:func:`_best_cells`); two dense
+    passes over the block's fits then refine every best cell at once and
+    read each frame's readout from its fit (:func:`_refine`). The stack is
+    read once, by the chirp-z. The PSPR objective is evaluated on the pilot
     readout region only. Returns (kappa, p): the F compensations and the
     (F, J) pilot readout magnitudes over profile_bins, row f with kappa[f]
     compensated. Raises ValueError as :func:`_check_frames` does.
@@ -655,9 +711,9 @@ def estimate_doppler_frac(
     rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
     count = -(-len(r) // rows)
     edges = [len(r) * i // count for i in range(count + 1)]
-    blocks = zip(edges, edges[1:])
-    kappa = np.concatenate([_refine(grid, *_best_cells(grid, layout, r[a:b])) for a, b in blocks])
-    return kappa, _readout(grid, r, layout, kappa)
+    refined = [_refine(grid, *_best_cells(grid, layout, r[a:b])) for a, b in zip(edges, edges[1:])]
+    kappa, p = zip(*refined)
+    return np.concatenate(kappa), np.concatenate(p)
 
 
 @lru_cache(maxsize=8)

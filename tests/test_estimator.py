@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from afdmest import estimator
@@ -31,6 +31,7 @@ from afdmest.core import (
 from afdmest.effective import elg_theory
 from afdmest.estimator import (
     _COARSE_STEPS,
+    _FINE_PROBES,
     _FIT,
     _INTEGER_SHARE,
     _NO_ESTIMATE,
@@ -45,6 +46,7 @@ from afdmest.estimator import (
     _decode_table,
     _gate,
     _inner_slice,
+    _lead,
     _pspr_rows,
     _pruned_dft,
     _readout,
@@ -373,18 +375,19 @@ def smooth_at_or_above(target):
 def bluestein_scores(grid, layout, r, steps):
     """The coarse scores of the (F, N) stack r from one long Bluestein
     convolution, zero-padded to the smallest 5-smooth length at or above
-    N + m - 1 (m = J*steps): the form the blocked transform replaced, kept
+    N + m - 1 (m = J*steps plus the lead of _lead(steps) outputs before
+    and after the profile's): the form the blocked transform replaced, kept
     as its reference. On a grid where the block rule gives one block, the
     two run the same arithmetic and give the same bits."""
-    n, period = grid.n, 2 * steps * grid.n
+    n, period, lead = grid.n, 2 * steps * grid.n, _lead(steps)
     j = profile_bins(grid)
-    m = j.size * steps
+    m = j.size * steps + 2 * lead
     size = smooth_at_or_above(n + m - 1)
     k = np.arange(max(m, n), dtype=np.int64)
     chirp = np.exp(2j * np.pi * (k * k % period) / period)
     offset = (layout.pilot_index - int(j[0])) * k[:n] % n
     e1, _ = _chirps(n, grid.c1, grid.c2)
-    start = 2j * np.pi * (k[:n] - 2 * steps * offset)
+    start = 2j * np.pi * (((1 - 2 * lead) * k[:n] - 2 * steps * offset) % period)
     start /= period
     pre = np.conj(e1)
     pre *= chirp[:n]
@@ -398,7 +401,7 @@ def bluestein_scores(grid, layout, r, steps):
     np.fft.fft(spec, out=spec)
     spec *= np.fft.fft(kernel)
     np.fft.ifft(spec, out=spec)
-    p = np.abs(spec[:, :m]).reshape(len(r), -1, steps).swapaxes(-1, -2)
+    p = np.abs(spec[:, lead : m - lead]).reshape(len(r), -1, steps).swapaxes(-1, -2)
     return _pspr_rows(grid, p)
 
 
@@ -499,24 +502,31 @@ class TestCoarseScores:
 
     @pytest.mark.parametrize(
         "n,pad,blocks,size",
-        [(256, 2, 4, 1024), (256, 6, 6, 1024), (256, 20, 13, 1024), (4096, 2, 1, 7200)],
+        [(256, 2, 1, 1080), (256, 6, 1, 1458), (256, 20, 4, 1024), (4096, 2, 1, 5000)],
     )
     def test_block_rule(self, n, pad, blocks, size):
-        """S is the smaller of the 5-smooth lengths at or above 4N and at or
-        above N + m - 1, and the blocks of S - N + 1 outputs cover m."""
+        """The m = J*steps + 2L outputs come from blocks of S - N + 1 at S,
+        the 5-smooth length at or above 4N, unless one block at the 5-smooth
+        length at or above N + m - 1 takes no more FFT points: its two
+        transforms against the blocks' one forward and one inverse each."""
         grid = AfdmGrid(n=n, doppler_pad=pad)
         _, kernel_fft, m = _coarse_czt(grid, LAYOUT, _COARSE_STEPS)
+        assert m == profile_bins(grid).size * _COARSE_STEPS + 2 * _lead(_COARSE_STEPS)
         assert kernel_fft.shape == (blocks, size)
-        assert size == min(smooth_at_or_above(4 * n), smooth_at_or_above(n + m - 1))
+        quad = smooth_at_or_above(4 * n)
+        count = -(-m // (quad - n + 1))
+        single = smooth_at_or_above(n + m - 1)
+        one = 2 * single <= (count + 1) * quad
+        assert (blocks, size) == ((1, single) if one else (count, quad))
         assert (blocks - 1) * (size - n + 1) < m <= blocks * (size - n + 1)
 
     def test_czt_cache_is_read_only_and_memory_is_linear(self):
         """At N=8192 the block rule gives one block of the padded length S,
         the cached chirp-z factors are read-only, and building them plus one
         scoring call stays within 4 complex vectors of S; the N x steps
-        phasor matrix of a one-product scoring (8 MiB here) would not fit."""
+        phasor matrix of a one-product scoring (2 MiB here) would not fit."""
         grid = AfdmGrid(n=8192)
-        steps = 64
+        steps = _COARSE_STEPS
         r = daft_modulate(grid, build_pilot_frame(grid, LAYOUT, np.random.default_rng(2)))
         _coarse_czt.cache_clear()
         tracemalloc.start()
@@ -533,7 +543,7 @@ class TestCoarseScores:
         assert grid.n + m - 1 <= size and smooth(size)
         assert not any(smooth(v) for v in range(grid.n + m - 1, size))
         assert size < smooth_at_or_above(4 * grid.n)
-        assert m == profile_bins(grid).size * steps
+        assert m == profile_bins(grid).size * steps + 2 * _lead(steps)
         assert peak <= 4 * 16 * size < 16 * grid.n * steps
         for a in (pre, kernel_fft):
             assert not a.flags.writeable
@@ -592,33 +602,81 @@ class TestCoarseScores:
 
 def pruned_dft_refine(grid, layout, r):
     """Stage 1's compensations of the (F, N) stack r as the refine finds
-    them when each of its probes reads every frame with one pruned DFT of
-    the stack and scores the readouts with the stacked PSPR: the form the
-    fitted polynomials replaced, kept as their reference. Returns (kappa,
-    close): close marks the rows two of whose probes scored within 1e-12
-    relative, where the two forms may part on rounding."""
+    them when each probe of its two passes reads every frame with one
+    pruned DFT of the stack and scores the readouts with the stacked PSPR:
+    the form the fitted polynomials replaced, kept as their reference.
+    Returns (kappa, close): close marks the rows two of whose probes in
+    one pass scored within 1e-12 relative, where the two forms may part on
+    rounding."""
     best, _ = _best_cells(grid, layout, r)
-    scores = np.array(
-        [_pspr_rows(grid, _readout(grid, r, layout, best + s / _COARSE_STEPS)) for s in _PROBES]
-    ).T
-    kappa = (best + _PROBES[scores.argmax(axis=-1)] / _COARSE_STEPS) % 1.0
-    probes = np.sort(scores, axis=-1)
-    close = np.diff(probes, axis=-1) <= 1e-12 * probes[:, 1:]
-    return kappa, close.any(axis=-1)
+    rows = np.arange(len(r))
+
+    def scores(probes):
+        # (F, probes) PSPRs at the (F, probes) offsets, in coarse steps
+        kappas = best + probes.T / _COARSE_STEPS
+        return np.array([_pspr_rows(grid, _readout(grid, r, layout, k)) for k in kappas]).T
+
+    first = scores(np.broadcast_to(_PROBES, (len(r), _PROBES.size)))
+    fine = _FINE_PROBES[first.argmax(axis=-1)]
+    second = scores(fine)
+    kappa = (best + fine[rows, second.argmax(axis=-1)] / _COARSE_STEPS) % 1.0
+    close = np.zeros(len(r), dtype=bool)
+    for probes in (np.sort(first, axis=-1), np.sort(second, axis=-1)):
+        close |= (np.diff(probes, axis=-1) <= 1e-12 * probes[:, 1:]).any(axis=-1)
+    return kappa, close
 
 
 def assert_fit_is_the_readout(grid, layout, r):
-    """The fitted readout of every row of r, at compensations from one
-    coarse step below its best cell to one above, is the pruned-DFT
-    readout to 1e-13 of its peak, and zero at the two end bins no peak or
-    window reads."""
+    """The fitted readout of every row of r, at compensations from 9/8
+    coarse step below its best cell to 9/8 above, is the pruned-DFT
+    readout to 1e-13 of its peak, over the J profile bins and over the
+    bin beyond each end, which the readout one compensation lower (for
+    the bin before) or higher (after) holds at its own end."""
     best, coef = _best_cells(grid, layout, r)
-    for s in (-1.0, -0.61, -0.25, 0.0, 0.13, 0.5, 0.999, 1.0):
-        expect = _readout(grid, r, layout, best + s / _COARSE_STEPS)
-        got = np.abs(np.polynomial.polynomial.polyval(s, coef.swapaxes(0, 1)))
-        assert not np.any(got[:, [0, -1]])
-        err = np.max(np.abs(got - expect)[:, 1:-1], axis=-1)
+    for s in (-1.125, -1.0, -0.61, -0.25, 0.0, 0.13, 0.5, 0.999, 1.0, 1.125):
+        kappa = best + s / _COARSE_STEPS
+        expect = np.column_stack(
+            [
+                _readout(grid, r, layout, kappa - 1.0)[:, 0],
+                _readout(grid, r, layout, kappa),
+                _readout(grid, r, layout, kappa + 1.0)[:, -1],
+            ]
+        )
+        got = np.abs(np.polynomial.polynomial.polyval(s, coef))
+        err = np.max(np.abs(got - expect), axis=-1)
         assert np.all(err <= 1e-13 * np.max(expect, axis=-1))
+
+
+def fit_bound(grid, r):
+    """The fit's error bound of _fit_tables for each row of r over the
+    refine's reach |s| <= 9/8, max|prod_x (s - x)|/K! (pi/steps)^K
+    sum|r|/sqrt(N), plus 32 ulps of sum|r|/sqrt(N) for the rounding of the
+    fit and of the pruned DFT it is held against."""
+    s = np.linspace(-1.125, 1.125, 4501)
+    nodes = np.max(np.abs(np.prod(s[:, None] - _NODES, axis=-1)))
+    k = _NODES.size
+    scale = np.abs(r).sum(axis=-1) / math.sqrt(grid.n)
+    bound = nodes / math.factorial(k) * (math.pi / _COARSE_STEPS) ** k
+    return (bound + 32 * np.finfo(float).eps) * scale
+
+
+def forcing(cell):
+    """_coarse_scores with the coarse cell ``cell`` scored best in every
+    row, so stage 1 fits and refines around it."""
+
+    def forced(*args):
+        cand, scores, work = _coarse_scores(*args)
+        scores[:, cell] = np.inf
+        return cand, scores, work
+
+    return forced
+
+
+def unwrapped_floor(cell, kappa):
+    """floor(best + s/steps) of the unwrapped compensations that stage 1,
+    refined from the center ``best`` of ``cell``, wrapped to ``kappa``."""
+    best = (cell + 0.5) / _COARSE_STEPS
+    return np.floor(best + (kappa - best + 0.5) % 1.0 - 0.5).astype(int)
 
 
 class TestFittedRefine:
@@ -692,21 +750,106 @@ class TestFittedRefine:
 
     @pytest.mark.parametrize("block_rows", [1, 6])
     def test_stage_one_reads_the_stack_once(self, block_rows):
-        """The refine reads no frame: stage 1 reads the stack through the
-        pruned DFT once, at the refined compensations, whether its coarse
-        grid is scored a row at a time or all rows at once."""
+        """Stage 1 reads the stack once, in the coarse chirp-z, whether its
+        coarse grid is scored a row at a time or all rows at once: the
+        refine and the readout it returns come from the fit, and the pruned
+        DFT is not called. The readout is the pruned DFT's at the refined
+        compensations, within the fit's bound."""
         grid, layout = GRID, LAYOUT
         rng = np.random.default_rng(6)
         r = rng.standard_normal((6, grid.n)) + 1j * rng.standard_normal((6, grid.n))
         row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
         with (
             mock.patch.object(estimator, "_readout", wraps=_readout) as read,
+            mock.patch.object(estimator, "_coarse_scores", wraps=_coarse_scores) as scored,
             mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", block_rows * row_bytes),
         ):
             kappa, p = estimate_doppler_frac(grid, r, layout)
-        assert read.call_count == 1
-        assert np.array_equal(read.call_args.args[3], kappa)
-        assert np.array_equal(p, _readout(grid, r, layout, kappa))
+        assert read.call_count == 0
+        assert scored.call_count == -(-len(r) // block_rows)
+        assert np.vstack([call.args[2] for call in scored.call_args_list]).tolist() == r.tolist()
+        err = np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1)
+        assert np.all(err <= fit_bound(grid, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(36, 1100),  # the default 36-sample prefix fits
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 20),
+        l_max=st.integers(0, 3),
+        pilot=st.integers(1, 10**6),
+        dopplers=st.lists(st.floats(-0.02, 0.02), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_readout_is_the_fit_at_the_refined_compensation(
+        self, n, k_max, pad, l_max, pilot, dopplers, seed
+    ):
+        """Over N (primes included), the parity of C*N, C up to 26 and pilots
+        off 0: the readout stage 1 returns is the pruned DFT's at the
+        refined compensation within the fit's bound, on a random row and on
+        noise-free pilot-only rows with Doppler fractions near 0. Those are
+        also refined from the first and from the last coarse cell, forced
+        by their coarse scores, where the unwrapped compensation best +
+        s/steps lies below 0 or at or above 1 and the readout is the fit
+        read a bin along the profile."""
+        try:
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        except ValueError:
+            assume(False)
+        layout = PilotLayout(pilot_index=1 + pilot % (n - 1))
+        rng = np.random.default_rng(seed)
+        s = add_prefix(grid, daft_modulate(grid, build_pilot_frame(grid, layout)))
+        channels = [
+            LosChannel(delay=rng.uniform(0, l_max), doppler=rng.integers(-k_max, k_max + 1) + f)
+            for f in dopplers
+        ]
+        r = np.array(
+            [rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+            + [strip_prefix(grid, apply_los_channel(grid, s, ch)) for ch in channels]
+        )
+        kappa, p = estimate_doppler_frac(grid, r, layout)
+        bound = fit_bound(grid, r)
+        assert np.all(np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1) <= bound)
+        for cell in (0, _COARSE_STEPS - 1):
+            with mock.patch.object(estimator, "_coarse_scores", forcing(cell)):
+                kappa, p = estimate_doppler_frac(grid, r, layout)
+            event(f"unwrapped floors {sorted(set(unwrapped_floor(cell, kappa).tolist()))}")
+            assert np.all(np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1) <= bound)
+
+    @pytest.mark.parametrize("cell,fraction,shift", [(_COARSE_STEPS - 1, 0.0, 1), (0, -0.01, -1)])
+    def test_an_edge_cell_refined_past_the_edge_reads_its_channel(self, cell, fraction, shift):
+        """Noise-free pilot-only frames over every integer channel of the
+        box: their best coarse cell is the last one, and the refine lands on
+        best + s/steps = 1, which wraps to a doppler_frac of 0.0 with the
+        right integer split, and a readout one bin along the fitted profile.
+        The same holds below 0, from the first cell forced on Doppler
+        fractions of -0.01 whose integer part lies in the box."""
+        grid, layout = GRID, LAYOUT
+        s = add_prefix(grid, daft_modulate(grid, build_pilot_frame(grid, layout)))
+        box = [
+            (l, k)
+            for l in range(grid.l_max + 1)
+            for k in range(-grid.k_max, grid.k_max + 1)
+            if math.floor(k + fraction) >= -grid.k_max
+        ]
+        channels = [LosChannel(delay=l, doppler=k + fraction) for l, k in box]
+        r = np.array([strip_prefix(grid, apply_los_channel(grid, s, ch)) for ch in channels])
+        if fraction == 0.0:
+            _, scores, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+            assert np.all(scores.argmax(axis=-1) == cell)
+        with mock.patch.object(estimator, "_coarse_scores", forcing(cell)):
+            kappa, p = estimate_doppler_frac(grid, r, layout)
+            ests = joint_estimate_rows(grid, r, layout)
+        assert np.all(unwrapped_floor(cell, kappa) == shift)
+        np.testing.assert_allclose(kappa, fraction % 1.0, atol=1e-3)
+        assert fraction != 0.0 or np.all(kappa == 0.0)
+        err = np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1)
+        assert np.all(err <= fit_bound(grid, r))
+        for (l, k), est, frac in zip(box, ests, kappa):
+            doppler_int = math.floor(k + fraction)
+            assert (est.delay_int, est.doppler_int, est.flagged) == (l, doppler_int, False)
+            assert est.doppler_frac == frac
+            assert est.peak_index == (doppler_int + grid.n_seg * l) % grid.n
 
 
 class TestIntegerDecode:

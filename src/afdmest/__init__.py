@@ -6,7 +6,7 @@ Layers, bottom to top:
 * ``channel``   LOS channel models: FIR production path and continuous-time oracle
 * ``effective`` exact transform-domain channel and its closed-form envelope
 * ``estimator`` pilot frames, PSPR Doppler loop, early-late-gate delay
-* ``baselines`` integer-only decode and 2-D simplex comparator
+* ``baselines`` integer-only decode and 2-D grid-search comparator
 * ``harness``   Monte Carlo sweeps, validation mode, CSV/JSON reports
 * ``cli``       `afdmest` command line entry point
 

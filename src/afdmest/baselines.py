@@ -8,30 +8,29 @@ rounding residual). ``integer_only_rows`` is its one body, over every row
 of a stack at once with no loop over the rows; ``integer_only`` runs it on
 a single frame as a stack of one.
 
-``two_d_search`` is a continuous comparator: a Nelder-Mead simplex over
-(delay, Doppler) maximizing the magnitude correlation between the observed
-pilot readout and the effective-channel model column, summed exactly under
-the floor wrap convention of ``effective.segment_index`` by closed-form run
-sums at the readout bins, so no simplex step costs more than O(C*J) model
-work, whatever N is. It represents the family of 2-D maximum-correlation
-searches without reproducing any specific published variant.
-
-It runs on numpy alone. Its simplex, ``_nelder_mead``, is the bounded,
-non-adaptive Nelder-Mead method (Nelder and Mead, Comput. J. 1965) as
-scipy 1.17's ``minimize(method="Nelder-Mead")`` implements it, step for
-step, so it returns scipy's bits without the half second and 48 MiB that
-importing scipy.optimize costs. Each search caches its model column's
-tables across simplex steps (see ``two_d_search``).
+``two_d_search`` is a continuous comparator, the classic 2-D grid search:
+it searches the (delay, Doppler) box for the largest magnitude
+correlation between the observed pilot readout and the effective-channel
+model column, summed exactly under the floor wrap convention of
+``effective.segment_index`` by closed-form run sums at the readout bins
+(``effective._run_sums``), in O(C*J) model work per point whatever N is.
+Every frame of a stack is scored at once against a cached dictionary of
+the model columns on a grid over the box, in one product, and each
+frame's best cell is refined by three zoom levels of 9 x 9 points, every
+row's points scored in one batch (``two_d_search_rows``). It represents
+the family of 2-D maximum-correlation searches without reproducing any
+specific published variant, and runs on numpy alone.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .core import AfdmGrid, daft_modulate
-from .effective import _column
+from .core import AfdmGrid, _chirps, daft_modulate
+from .effective import _run_sums
 from .estimator import (
-    _NO_ESTIMATE,
     Estimate,
     PilotLayout,
     _check_frames,
@@ -43,74 +42,30 @@ from .estimator import (
     read_profile,
 )
 
-__all__ = ["integer_only", "integer_only_rows", "two_d_search"]
+__all__ = ["integer_only", "integer_only_rows", "two_d_search", "two_d_search_rows"]
 
-# two_d_search stops once its simplex spans at most _XATOL in (samples,
-# bins) and its objective at most _FATOL across the vertices, or flags its
-# estimate after _MAXITER iterations
-_XATOL = 1e-3
-_FATOL = 1e-9
-_MAXITER = 200
-
-
-def _nelder_mead(f, x0, lo, hi, xatol, fatol, maxiter):
-    """Minimize f over the box [lo, hi] in two dimensions: (x, f(x), ok).
-
-    scipy 1.17's bounded, non-adaptive ``_minimize_neldermead`` for N=2,
-    operation for operation, so it returns the same bits: reflection 1,
-    expansion 2, contraction and shrink 1/2; a start simplex that scales
-    each coordinate of x0 by 1.05 (0.00025 for a zero), reflects vertices
-    above ``hi`` into the interior and clips; every trial point clipped;
-    the vertices stably re-sorted by f after each iteration. It stops when
-    every vertex lies within ``xatol`` of the best in each coordinate and
-    within ``fatol`` of it in f. ``ok`` is false when the iteration count
-    reached ``maxiter``, as scipy's ``success`` is.
-    """
-    (lo0, lo1), (hi0, hi1) = lo, hi
-
-    def clip(x, y):
-        # numpy's clip: max then min, a tie taking the bound
-        return min(hi0, max(lo0, x)), min(hi1, max(lo1, y))
-
-    def step(c, w, s):  # (1 + s)*c - s*w, on the ray from w through c
-        return clip((1 + s) * c[0] - s * w[0], (1 + s) * c[1] - s * w[1])
-
-    def by_f(*vertices):  # stable, as scipy's argsort of three is
-        return sorted(vertices, key=lambda v: v[0])
-
-    x, y = clip(*x0)
-    start = [(x, y), (1.05 * x if x != 0 else 0.00025, y), (x, 1.05 * y if y != 0 else 0.00025)]
-    start = [clip(2 * hi0 - x if x > hi0 else x, 2 * hi1 - y if y > hi1 else y) for x, y in start]
-    (fb, b), (fg, g), (fw, w) = by_f(*((f(p), p) for p in start))
-    it = 1
-    while it < maxiter and not (
-        max(abs(g[0] - b[0]), abs(g[1] - b[1]), abs(w[0] - b[0]), abs(w[1] - b[1])) <= xatol
-        and max(abs(fb - fg), abs(fb - fw)) <= fatol
-    ):
-        c = ((b[0] + g[0]) / 2, (b[1] + g[1]) / 2)
-        xr = step(c, w, 1)
-        fr = f(xr)
-        if fr < fb:
-            xe = step(c, w, 2)
-            fe = f(xe)
-            fw, w = (fe, xe) if fe < fr else (fr, xr)
-        elif fr < fg:
-            fw, w = fr, xr
-        else:
-            # contract outside if xr beats the worst vertex, else inside
-            outside = fr < fw
-            xc = step(c, w, 0.5 if outside else -0.5)
-            fc = f(xc)
-            if (fc <= fr) if outside else (fc < fw):
-                fw, w = fc, xc
-            else:  # shrink toward the best vertex
-                g = clip(b[0] + 0.5 * (g[0] - b[0]), b[1] + 0.5 * (g[1] - b[1]))
-                fg = f(g)
-                w = clip(b[0] + 0.5 * (w[0] - b[0]), b[1] + 0.5 * (w[1] - b[1]))
-                fw = f(w)
-        it += 1
-        (fb, b), (fg, g), (fw, w) = by_f((fb, b), (fg, g), (fw, w))
-    return b, fb, it < maxiter
+# two_d_search's grid, in samples of delay and bins of Doppler. The
+# dictionary spaces the box's cells _CELL apart: noise-free, the objective
+# falls about 2.5% from its peak over 1/8 bin in Doppler and 2.5% to 4%
+# over 1/8 sample in delay (C = 8 and 12), so the best cell lies next to
+# the peak unless noise lifts another. Each zoom level scores the 9 x 9
+# points _ZOOM steps from the best point so far, its step a quarter of the
+# previous spacing, so it reaches one previous spacing either side: the
+# objective is tilted across the grid and up to ten times narrower in
+# delay than in Doppler, so a level's best point need not be the one
+# nearest the peak. Three levels bring the spacing to 1/512: where the
+# objective has one maximum near the best cell, the last level's best
+# point lies within half of that, 1/1024 < 1e-3, of it, the tolerance the
+# Nelder-Mead simplex this search replaced stopped at. On 1200 frames
+# (N = 255 to 4096, C = 8 to 26, 0 to 30 dB), steps of 1/8 and two levels
+# ended within 0.05 of the simplex's estimate and lower in the objective
+# on 118 frames, steps of a quarter and three levels on 61, 57 of them at
+# C = 26: there the objective ripples in delay with period 1/C, in lobes
+# whose heights differ by 0.25%, closer than a 9-point level tells apart
+_CELL = 1 / 8
+_LEVELS = (_CELL / 4, _CELL / 16, _CELL / 64)
+_ZOOM = np.stack(np.meshgrid(np.arange(-4, 5), np.arange(-4, 5), indexing="ij"), -1).reshape(-1, 2)
+_ZOOM.flags.writeable = False
 
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
@@ -141,68 +96,98 @@ def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> lis
     return _estimates(p, (l_round, zero, k, zero, score, peak_index, flagged))
 
 
-def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Continuous (delay, Doppler) search by downhill simplex.
+@lru_cache(maxsize=8)
+def _search_tables(grid: AfdmGrid, layout: PilotLayout):
+    """Cached per grid and pilot position: what ``two_d_search_rows`` reads
+    for every stack, as (points, atoms, chirp, sums).
 
-    Maximizes |<readout, model column>| / ||model column|| over
-    (L, K) in [0, l_max] x [-k_max, k_max], where the model column is the
+    points is the (G, 2) grid of (delay, Doppler) cells _CELL apart over
+    the box [0, l_max] x [-k_max, k_max]; atoms the (G, J) dictionary of
+    their model columns' run sums S at the readout bins, conjugated and
+    normalized, conj(S)/||S||; chirp the readout bins' chirp factors e2[b];
+    sums the ``effective._run_sums`` of those bins, whose per-key tables the
+    zoom levels reuse. The model column is gain/N * lead * conj(e2[b]) *
+    S[b] (``effective.effective_column``), so the objective |<column,
+    y[b]>|/||column|| is |<S, e2[b] y[b]>|/||S||: the gain and the lead
+    phase drop out, and a cell's score is |atoms @ (chirp * y[bins])|. The
+    cached arrays are shared, so they are read-only (G = 1225 at k_max =
+    l_max = 3, 0.9 MiB at C = 8).
+    """
+    bins = _pilot_bins(grid, layout)
+    m_src = layout.pilot_index
+    sums = _run_sums(grid, m_src, bins - m_src)
+    delay = np.arange(round(grid.l_max / _CELL) + 1) * _CELL
+    doppler = np.arange(-round(grid.k_max / _CELL), round(grid.k_max / _CELL) + 1) * _CELL
+    points = np.stack(np.meshgrid(delay, doppler, indexing="ij"), axis=-1).reshape(-1, 2)
+    # the cells of one delay at a time, so that the run sums' work arrays
+    # stay a row's size: at N=256, C=8 the whole grid at once lifted the
+    # peak RSS by 3.5 MiB and a row at a time by 0.9, the dictionary's own
+    # size, for a build of about 6 ms against 2.5 (2 vCPU)
+    atoms = np.empty((delay.size, doppler.size, bins.size), dtype=complex)
+    for row, d in zip(atoms, delay):
+        row[:] = sums(d, doppler)
+    atoms = atoms.reshape(len(points), -1)
+    atoms /= np.linalg.norm(atoms, axis=-1, keepdims=True)
+    np.conjugate(atoms, out=atoms)
+    chirp = _chirps(grid.n, grid.c1, grid.c2)[1][bins]
+    for a in (points, atoms, chirp):
+        a.flags.writeable = False
+    return points, atoms, chirp, sums
+
+
+def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
+    """Continuous (delay, Doppler) search of one demodulated frame:
+    :func:`two_d_search_rows` of the frame as a stack of one. Raises
+    ValueError as ``joint_estimate`` does."""
+    return two_d_search_rows(grid, _one_frame(grid, y), layout)[0]
+
+
+def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> list[Estimate]:
+    """Continuous (delay, Doppler) search of every row of an (F, N) stack of
+    demodulated frames, as a list in row order, each the Estimate of that
+    row alone.
+
+    Searches (L, K) in [0, l_max] x [-k_max, k_max] for the largest
+    |<readout, model column>| / ||model column||, where the model column is the
     effective-channel response of the pilot at the readout bins, under the
     floor wrap convention of ``effective.segment_index`` (which departs from
-    the oracle's; see ``effective``).
-    Starts from ``integer_only``'s decode of the readout it gathers. Stops when
-    every vertex lies within ``_XATOL`` of the best in each coordinate and
-    ``_FATOL`` in f, or flags the best point so far at ``_MAXITER``. An
-    all-zero pilot readout gives the flagged no-estimate of ``joint_estimate``,
-    and the simplex does not run. Raises ValueError as ``joint_estimate`` does.
-
-    Runs on numpy alone: the simplex is ``_nelder_mead``, scipy's bounded
-    Nelder-Mead step for step. The model column is one ``effective._column``
-    closure per search, fed each simplex point as floats the box bounds. It
-    reads the bins' chirp factors once and caches the run-sum tables per
-    (floor(L), ceil(L), round(K + C*L)), so a step that revisits a key
-    computes only the fraction's phases.
+    the oracle's; see ``effective``). Every row is scored at every cell of
+    the cached dictionary (:func:`_search_tables`) in one product, then its
+    best cell is refined by the _LEVELS zoom levels of 9 x 9 points around
+    the best point so far, clipped to the box, the points of all rows run
+    through the run sums as one batch; each takes the first of equal scores.
+    The quality metadata (PSPR and peak index) are read off the pilot
+    readout with the found fractional Doppler compensated, taken from the
+    frame bodies (the demodulation is unitary, so a body is the forward
+    transform of its y). No estimate is flagged: the search always ends in
+    the box. An all-zero pilot readout gives the flagged no-estimate of
+    ``joint_estimate``. Raises ValueError as ``joint_estimate_rows`` does.
     """
-    y = _check_frames(grid, _one_frame(grid, y), layout)[0]
-    bins = _pilot_bins(grid, layout)
-    obs = y[bins]
-    if not np.any(obs):
-        return _NO_ESTIMATE
-    amp = layout.pilot_amplitude
-    col = _column(grid, layout.pilot_index, bins)
-
-    def neg_corr(theta) -> float:
-        model = amp * col(float(theta[0]), float(theta[1]))
-        nrm = np.linalg.norm(model)
-        if nrm == 0.0:
-            return 0.0
-        return float(-abs(np.vdot(model, obs)) / nrm)
-
-    (_, k0, l0, _), _, _ = _decode(grid, np.abs(obs)[None])
-    x, _, ok = _nelder_mead(
-        neg_corr,
-        (float(l0[0]), float(k0[0])),
-        (0.0, float(-grid.k_max)),
-        (float(grid.l_max), float(grid.k_max)),
-        _XATOL,
-        _FATOL,
-        _MAXITER,
+    y = _check_frames(grid, y, layout)
+    points, atoms, chirp, sums = _search_tables(grid, layout)
+    obs = y.take(_pilot_bins(grid, layout), axis=-1)
+    z = obs * chirp
+    # one vector-matrix product per row, so a row's scores do not depend on
+    # the stack it came in
+    best = points[np.abs(atoms @ z[..., None])[..., 0].argmax(axis=-1)]
+    lo, hi = np.array([0.0, -grid.k_max]), np.array([grid.l_max, grid.k_max])
+    rows = np.arange(len(z))
+    for step in _LEVELS:
+        cand = np.minimum(np.maximum(best[:, None] + step * _ZOOM, lo), hi)
+        s = sums(cand[..., 0].ravel(), cand[..., 1].ravel()).reshape(*cand.shape[:2], -1)
+        score = np.abs(s @ z.conj()[..., None])[..., 0] / np.linalg.norm(s, axis=-1)
+        best = cand[rows, score.argmax(axis=-1)]
+    delay, doppler = best.T
+    l_floor, k_floor = np.floor(delay), np.floor(doppler)
+    p = _readout(grid, daft_modulate(grid, y), layout, doppler - k_floor)
+    (peak_index, *_), score, _ = _decode(grid, p)
+    fields = (
+        l_floor.astype(np.int64),
+        delay - l_floor,
+        k_floor.astype(np.int64),
+        doppler - k_floor,
+        score,
+        peak_index,
+        np.zeros(len(z), dtype=bool),
     )
-    delay = float(x[0])
-    doppler = float(x[1])
-    l_floor = int(np.floor(delay))
-    k_floor = int(np.floor(doppler))
-
-    # quality metadata: the pilot readout with the found fractional Doppler
-    # compensated, read off the frame body (the demodulation is unitary, so
-    # the body is just the forward transform of y)
-    p = _readout(grid, daft_modulate(grid, y)[None], layout, np.array([doppler - k_floor]))
-    ((peak_index, *_), score, _) = _decode(grid, p)
-    return Estimate(
-        delay_int=l_floor,
-        delay_frac=delay - l_floor,
-        doppler_int=k_floor,
-        doppler_frac=doppler - k_floor,
-        pspr=float(score[0]),
-        peak_index=int(peak_index[0]),
-        flagged=not ok,
-    )
+    return _estimates(obs, fields)

@@ -59,7 +59,8 @@ class AfdmGrid:
         value decorrelates data symbols; sqrt(2) by default.
     n_prefix : int
         Chirp-periodic prefix length in samples. Must cover the worst-case
-        channel memory (integer delay plus FIR tap half-width).
+        channel memory (integer delay plus FIR tap half-width), and be no
+        longer than the frame, whose tail it repeats.
     """
 
     n: int = 256
@@ -120,6 +121,10 @@ class AfdmGrid:
             raise ValueError("pilot readout longer than the frame")
         if self.n_prefix < self.l_max:
             raise ValueError("prefix shorter than the largest delay")
+        # the prefix repeats the frame's tail, so it holds at most N samples:
+        # for a longer one add_prefix prepended fewer samples than n_prefix
+        if self.n_prefix > self.n:
+            raise ValueError("prefix longer than the frame")
 
 
 def _check_integer(name: str, value) -> None:

@@ -13,8 +13,9 @@ divides q*N - m; elsewhere their pilot readouts differ by up to 3.7e-1
 The wrap count is constant on at most C + 2 runs of samples, so the sum
 is evaluated in closed form as that many geometric series per output bin;
 ``effective_column`` reads only the bins it is asked for, in work
-independent of N, and a search that evaluates many channels on the same
-bins builds one ``_column`` closure and reuses its tables.
+independent of N. One run-sum routine, ``_run_sums``, serves both and
+takes arrays of (delay, Doppler) points, so a search that scores many
+channels on the same bins builds it once and reuses its per-key tables.
 ``envelope_magnitude`` is the two-factor closed form (a
 Dirichlet-style comb factor times a broad sinc width factor) that predicts
 |exact sum| to within eps*N at the leading bins, eps = 2*(l+1)/N +
@@ -91,79 +92,127 @@ def _wrap_runs(grid: AfdmGrid, m_src: int, lo: int, hi: int):
 
 @lru_cache(maxsize=8)
 def _half_turns(n: int) -> np.ndarray:
-    # exp(-i*pi*k/N) for k = 0..2N-1, the phasors of the run sums' integer
-    # phase products; shared, so read-only
-    w = np.exp(-1j * np.pi * np.arange(2 * n) / n)
+    # exp(-i*pi*k/N) for k = 0..4N-1, the phasors of the run sums' integer
+    # phase products, each from k reduced to [-N/2, N/2) mod N and the sign
+    # (-1)^(wraps), so the sine near a multiple of pi keeps its relative
+    # precision; shared, so read-only
+    k = np.arange(4 * n) + n // 2
+    w = np.exp(-1j * np.pi * (k % n - n // 2) / n) * (1 - 2 * (k // n % 2))
     w.flags.writeable = False
     return w
 
 
 def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     """``sums(delay, doppler)``: the exact sum F of ``exact_spectrum`` at the
-    output bins m_src + offsets (mod N), for any channel's fields as floats.
+    output bins m_src + offsets (mod N), offsets distinct mod N, one row per
+    (delay, Doppler) point, for arrays (or scalars) of the channel's fields
+    as floats: a (P, J) array for P points and J offsets.
 
-    The integer tables a channel's sums read (u, the table phasors of u*mid
-    and -u*length, the runs and mid) depend on the channel only through
-    (floor(L), ceil(L), round(l_eq)), and are cached per key in the closure,
-    so a search that revisits a key pays only the fraction's phases."""
-    # On a run of `length` samples from `start` with count q the sum over n
+    The tables a point reads depend on it only through (floor(L), ceil(L)),
+    at most 2*l_max + 1 keys in the search box, and are cached per key in
+    ``sums.tables``, read-only. Every point takes one phasor per run edge,
+    one vector-matrix product with its key's (C + 3, J) edge table, and one
+    sine over its bins, so a point's bits do not depend on the other points
+    of its batch."""
+    # On a run of `length` samples from `start` to `end` with count q the sum
     #   F = sum_n exp(i*2*pi*(iota*q_n - (t + l_eq)*n/N)),  t = offset,
-    # is geometric; in Dirichlet form it is
-    #   exp(i*2*pi*iota*q - i*pi*x*(2*start + length - 1)/N)
-    #     * sin(pi*x*length/N) / sin(pi*x/N),  x = t + l_eq,
-    # which is well conditioned at the bin where x is near a multiple of N,
-    # and tends to `length` where x is one. The sum is N-periodic in t, so x
-    # is split into an integer u, reduced to [-N/2, N/2), and a fraction
-    # f in [-1/2, 1/2]. The phases of u times an integer are reduced mod 2N
-    # in integers and read from a table, so none loses bits to a large
-    # argument; only the fraction's phases are exponentiated, once per run.
-    n = grid.n
+    # is geometric, (e(start) - e(end)) / (1 - exp(-2 pi i x/N)) with
+    # e(s) = exp(-2 pi i x s/N) and x = t + l_eq, so summed over the runs
+    #   F = sum_e d_e exp(-i pi x (2 s_e - 1)/N) / (2i sin(pi x/N))
+    # over the R + 1 run edges s_e = 0, start_1, .., N, d_e the step of
+    # exp(2 pi i iota q) across edge e. With x = (t + li) + f, li =
+    # round(l_eq) and f in [-1/2, 1/2], exp(-i pi x (2s - 1)/N) is
+    # exp(-i pi t (2s - 1)/N), the key's edge table, times the point's
+    # phasor exp(-i pi (li (2s - 1) + f (2s - 1))/N); the integer products
+    # are reduced mod 2N in integers and read from ``_half_turns``, and the
+    # fraction's phasors are exp(i pi f/N) times the running product of
+    # exp(-2 pi i f length/N) over the runs. The sine is
+    # sin(pi (t + li)/N) cos(pi f/N) + cos(pi (t + li)/N) sin(pi f/N), the
+    # first factors read from that table too. Where t + li is not a
+    # multiple of N, |sin(pi x/N)| is at least sin(pi/(2N)), so the ratio
+    # loses no more than a few eps*R of the peak. Where it is (u = 0), the
+    # sine vanishes with f: that bin, the Dirichlet kernel's removable
+    # singularity, is summed per run in the form
+    #   exp(2 pi i iota q - i pi f (2 start + length - 1)/N)
+    #     * sin(pi f length/N) / sin(pi f/N),
+    # which tends to `length` as f does, and is taken so at f = 0. Every
+    # key's runs are padded to C + 2 (``_wrap_runs``' bound) by runs of the
+    # last count and no length, whose edges sit at N and step by 0, so the
+    # points of all keys share one form.
+    n, width = grid.n, grid.n_seg + 2
     w = _half_turns(n)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    at_t = offsets % (2 * n)
+    # the offsets sorted by residue, to find each point's u = 0 bin
+    order = np.argsort(offsets % n)
+    residues = (offsets % n)[order]
     tables = {}
 
-    def sums(delay: float, doppler: float) -> np.ndarray:
-        lo, hi = math.floor(delay), math.ceil(delay)
-        l_eq = doppler + grid.n_seg * delay
-        li = round(l_eq)
-        t = tables.get((lo, hi, li))
-        if t is None:
-            q, start, length = _wrap_runs(grid, m_src, lo, hi)
-            mid = 2 * start + length - 1
-            u = (offsets + (li + n // 2)) % n - n // 2
-            t = tables[lo, hi, li] = (
-                q, mid, length, u, w[u * mid % (2 * n)], w[-u * length % (2 * n)]
-            )
-        q, mid, length, u, w_mid, w_length = t
-        f = l_eq - li
-        head = np.exp(2j * np.pi * ((delay - lo) * q - f * mid / (2 * n))) * w_mid
-        num = (np.exp(1j * np.pi * f * length / n) * w_length).imag
-        den = np.sin((u + f) * (np.pi / n))
-        if f == 0.0:
-            # integer l_eq: the bin u = 0 is the removable singularity
-            num = np.where(u == 0, length, num)
-            den = np.where(u == 0, 1.0, den)
-        return (head * (num / den)).sum(axis=0)
+    def table(lo: int, hi: int):
+        # the runs' counts, lengths and edge products 2s - 1 side by side,
+        # and the edge table, times the 1/(2i) of the sine
+        q, start, length = (a[:, 0] for a in _wrap_runs(grid, m_src, lo, hi))
+        runs = np.empty(3 * width + 1, dtype=np.int64)
+        runs[:width], runs[width : 2 * width], runs[2 * width :] = q[-1], 0, 2 * n - 1
+        runs[: q.size], runs[width : width + q.size] = q, length
+        runs[2 * width : 2 * width + q.size] = 2 * start - 1
+        phase = -0.5j * w.take(np.multiply.outer(runs[2 * width :], at_t) % (2 * n))
+        for a in (runs, phase):
+            a.flags.writeable = False
+        return runs, phase
 
-    return sums
-
-
-def _column(grid: AfdmGrid, m_src: int, bins: np.ndarray):
-    """``col(delay, doppler, gain=1.0)``: ``effective_column`` at ``bins``, with
-    the bins' chirp factors read once and the run-sum tables cached (see ``_run_sums``)."""
-    n = grid.n
-    bins = np.asarray(bins) % n
-    _, e2 = _chirps(n, grid.c1, grid.c2)
-    e2_src = e2[m_src]
-    e2_bins = np.conj(e2[bins])
-    sums = _run_sums(grid, int(m_src), bins - m_src)
-
-    def col(delay: float, doppler: float, gain: complex = 1.0) -> np.ndarray:
-        lead = gain / n * e2_src * cmath.exp(
-            2j * math.pi * (grid.c1 * delay**2 - delay * m_src / n)
+    def sums(delay, doppler) -> np.ndarray:
+        delay, doppler = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(delay, dtype=float)), np.asarray(doppler, dtype=float)
         )
-        return lead * e2_bins * sums(delay, doppler)
+        lo = np.floor(delay)
+        code = (lo + np.ceil(delay)).astype(np.int64)  # 2*lo, or 2*lo + 1
+        l_eq = doppler + grid.n_seg * delay
+        li = np.rint(l_eq)
+        f = l_eq - li
+        li = li.astype(np.int64) % (2 * n)
+        codes = np.flatnonzero(np.bincount(code))
+        keys = [(key // 2, key - key // 2) for key in codes.tolist()]
+        for key in keys:
+            if key not in tables:
+                tables[key] = table(*key)
+        # each point's run counts, lengths and edges
+        at = np.searchsorted(codes, code)
+        runs = np.stack([tables[key][0] for key in keys])[at]
+        q, length, edges = runs[:, :width], runs[:, width : 2 * width], runs[:, 2 * width :]
+        head = np.exp((2j * np.pi) * ((delay - lo)[:, None] * q))
+        step = np.concatenate([head[:, :1], np.diff(head, axis=-1), -head[:, -1:]], axis=-1)
+        c = np.exp((1j * np.pi / n) * (f[:, None] * length))
+        shift = np.empty(step.shape, dtype=complex)
+        shift[:, 0] = np.exp((1j * np.pi / n) * f)
+        np.square(c.conj(), out=shift[:, 1:])
+        np.cumprod(shift, axis=-1, out=shift)
+        step *= shift
+        step *= w.take(li[:, None] * edges % (2 * n))
+        out = np.empty((delay.size, 1, offsets.size), dtype=complex)
+        for i, key in enumerate(keys):
+            rows = np.flatnonzero(at == i)
+            out[rows] = step[rows, None] @ tables[key][1]
+        out = out[:, 0]
+        # sin(pi (t + li + f)/N), its integer angle read from the table
+        den = w.take(li[:, None] + at_t)
+        den *= (np.sin((np.pi / n) * f) + 1j * np.cos((np.pi / n) * f))[:, None]
+        den = den.real
+        # each point's u = 0 bin, the offset where t + li is a multiple of N,
+        # summed per run in Dirichlet form
+        zero = (f == 0.0)[:, None]
+        c *= np.where(zero, length, c.imag / np.sin((np.pi / n) * np.where(zero, 1.0, f[:, None])))
+        target = -li % n
+        pos = np.searchsorted(residues, target).clip(max=residues.size - 1)
+        rows = np.flatnonzero(residues[pos] == target)
+        cols = order[pos[rows]]
+        den[rows, cols] = 1.0
+        out /= den
+        out[rows, cols] = (head[rows] * shift[rows, :-1] * c[rows].conj()).sum(axis=-1)
+        return out
 
-    return col
+    sums.tables = tables
+    return sums
 
 
 def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
@@ -180,7 +229,7 @@ def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
     |F| never exceeds N and equals N exactly for an integer channel on its
     peak bin.
     """
-    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch.delay, ch.doppler)
+    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch.delay, ch.doppler)[0]
 
 
 def exact_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
@@ -205,7 +254,17 @@ def effective_column(
     requested output bins; the 2-D search baseline correlates measured pilot
     readouts against it.
     """
-    return _column(grid, m_src, bins)(ch.delay, ch.doppler, ch.gain)
+    n = grid.n
+    bins = np.asarray(bins) % n
+    distinct, back = np.unique(bins, return_inverse=True)
+    if distinct.size < bins.size:  # the run sums take each bin once
+        return effective_column(grid, m_src, ch, distinct)[back]
+    _, e2 = _chirps(n, grid.c1, grid.c2)
+    lead = ch.gain / n * e2[m_src] * cmath.exp(
+        2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
+    )
+    sums = _run_sums(grid, int(m_src), bins - m_src)(ch.delay, ch.doppler)[0]
+    return lead * np.conj(e2[bins]) * sums
 
 
 def _comb_factor(x: np.ndarray, c: int, n: int) -> np.ndarray:

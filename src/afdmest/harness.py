@@ -72,15 +72,13 @@ CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_ps
 SCHEMA_VERSION = 3
 
 # estimator name -> the Estimates of an (F, N) stack of frame bodies, one
-# per row: joint and integer_only on the whole stack (integer_only
-# demodulated), two_d_search row by row on the demodulated stack; each
-# looks its functions up when called, so a patched attribute is seen
+# per row, each estimator on the whole stack (the baselines on it
+# demodulated); each looks its functions up when called, so a patched
+# attribute is seen
 ESTIMATORS = {
     "joint": lambda g, r, lay: joint_estimate_rows(g, r, lay),
     "integer_only": lambda g, r, lay: baselines.integer_only_rows(g, daft_demodulate(g, r), lay),
-    "two_d_search": lambda g, r, lay: [
-        baselines.two_d_search(g, y, lay) for y in daft_demodulate(g, r)
-    ],
+    "two_d_search": lambda g, r, lay: baselines.two_d_search_rows(g, daft_demodulate(g, r), lay),
 }
 
 # a chunk of a cell's trials holds at most this many frame samples (frames

@@ -82,6 +82,21 @@ class TestAfdmGrid:
         with pytest.raises(ValueError, match="readout longer than the frame"):
             AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=c - 2 * k_max)
 
+    def test_rejects_a_prefix_longer_than_the_frame(self):
+        """The prefix repeats the frame's tail, so it holds at most N
+        samples. A 16-sample frame with the default 36-sample prefix is
+        refused when it is built; at the parent it built, and add_prefix
+        returned 32 samples where strip_prefix wanted 52. A prefix of the
+        whole frame still builds."""
+        with pytest.raises(ValueError, match="prefix longer than the frame"):
+            AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=2)
+        with pytest.raises(ValueError, match="prefix longer than the frame"):
+            AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=2, n_prefix=17)
+        g = AfdmGrid(n=16, k_max=0, l_max=0, doppler_pad=2, n_prefix=16)
+        s = np.arange(16.0)
+        assert np.array_equal(strip_prefix(g, add_prefix(g, s)), s)
+        assert add_prefix(g, s).shape == (32,)
+
     def test_a_replaced_grid_checks_itself(self):
         """A grid derived from a valid one by ``dataclasses.replace`` is built
         anew, so it is checked too."""

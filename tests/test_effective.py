@@ -18,10 +18,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
-from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
+from afdmest.core import (
+    AfdmGrid,
+    _chirps,
+    add_prefix,
+    daft_demodulate,
+    daft_modulate,
+    strip_prefix,
+)
 from afdmest.effective import (
-    _column,
     _half_turns,
+    _run_sums,
     _wrap_runs,
     effective_column,
     elg_theory,
@@ -180,6 +187,18 @@ class TestEffectiveGain:
         for b, v in zip(bins, col):
             assert v == pytest.approx(effective_gain(GRID, int(b), 5, CH), abs=1e-12)
 
+    def test_a_repeated_bin_reads_as_often_as_asked(self):
+        """Bins given twice, the second time as the same bin plus N, come
+        back twice with the column's value there: the run sums take each bin
+        once, so the removable singularity is found at every copy (an integer
+        channel puts it at bin 239 with f = 0)."""
+        ch = LosChannel(gain=np.exp(0.4j), delay=2.0, doppler=1.0)
+        bins = np.array([239, 17, 239 + GRID.n, 100, 17])
+        col = effective_column(GRID, 0, ch, bins)
+        assert np.array_equal(col, effective_column(GRID, 0, ch, bins % GRID.n))
+        for b, v in zip(bins % GRID.n, col):
+            assert v == pytest.approx(effective_gain(GRID, int(b), 0, ch), abs=1e-12)
+
     def test_integer_delay_pipeline_match(self):
         """For an integer channel the FIR path is exact, so demodulating the
         pipeline output must reproduce the model column entry for entry."""
@@ -251,7 +270,7 @@ class TestRunSums:
         pilot position, integer delays and Dopplers and their near
         neighbours."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         pilot %= n
@@ -262,14 +281,18 @@ class TestRunSums:
 
     @pytest.mark.parametrize("n", [4096, 16384])
     @pytest.mark.parametrize(
-        "pilot,delay,doppler", [(None, 1.37, 0.61), (0, 2.0, -1.0), (40, 1 - 1e-9, 2.5)]
+        "pilot,delay,doppler",
+        [(None, 1.37, 0.61), (0, 2.0, -1.0), (40, 1 - 1e-9, 2.5), (40, 2.25, 2.5)],
     )
     def test_large_n_readout_bins(self, n, pilot, delay, doppler):
         """On the pilot readout bins at N=4096 and 16384 the column equals
         the direct sum with its lead phase reduced exactly, to 1e-12 of its
         peak. The lead phase c2*(b^2 - m^2) reaches 2.4e7 cycles at N=4096:
         formed as a raw product, it misses by 2.9e-8 there and 4.6e-7 at
-        N=16384."""
+        N=16384. At K + C*L = 20.5 the bins either side of the removable
+        singularity divide by sin(pi/(2N)); read from a phasor table of
+        angles up to 4*pi, not reduced to [-pi/2, pi/2), they miss by
+        1.9e-12 at N=16384."""
         grid = AfdmGrid(n=n)
         layout = PilotLayout() if pilot is None else PilotLayout(pilot_index=pilot)
         bins = readout_bins(grid, layout)
@@ -308,22 +331,80 @@ class TestRunSums:
         assert peak < 64 * 1024
 
     def test_search_closure_matches_fresh_columns_bitwise(self):
-        """One _column closure, walked as a search walks it, gives at every
-        point the bits a fresh effective_column gives. The path crosses the
-        integer delay 1 (and stops on it), moves round(K + C*L) through
-        several values, and comes back over keys whose tables are cached."""
+        """One _run_sums, given a search's path as one batch of points and
+        then again, gives at every point the bits a fresh _run_sums gives it
+        alone, and effective_column is that row times its lead. The path
+        crosses the integer delay 1 (and stops on it), moves round(K + C*L)
+        through several values, and comes back over keys whose tables are
+        cached."""
         grid = AfdmGrid(n=4096)
         bins = readout_bins(grid, PilotLayout(pilot_index=40))
-        col = _column(grid, 40, bins)
+        sums = _run_sums(grid, 40, bins - 40)
         out = [(0.8, 0.3), (0.95, -2.2), (1.0, 0.1), (1.05, 2.4), (1.3, -1.7), (1.3, -1.65)]
         path = out + [(d + 1e-3, k - 2e-3) for d, k in reversed(out)]
-        keys = []
-        for d, k in path:
+        delay, doppler = np.array(path).T
+        batch = sums(delay, doppler)
+        assert sums(delay, doppler).tobytes() == batch.tobytes()
+        _, e2 = _chirps(grid.n, grid.c1, grid.c2)
+        assert set(sums.tables) == {(0, 1), (1, 1), (1, 2)}
+        assert len({round(k + grid.n_seg * d) for d, k in path}) >= 4
+        for (d, k), row in zip(path, batch):
+            assert _run_sums(grid, 40, bins - 40)(d, k)[0].tobytes() == row.tobytes()
             ch = LosChannel(gain=np.exp(0.4j), delay=d, doppler=k)
-            keys.append((np.floor(d), np.ceil(d), round(k + grid.n_seg * d)))
-            assert col(d, k, ch.gain).tobytes() == effective_column(grid, 40, ch, bins).tobytes()
-        assert len({key[:2] for key in keys}) == 3 and len({key[2] for key in keys}) >= 4
-        assert len(set(keys)) < len(keys)
+            lead = effective_column(grid, 40, ch, bins) / (np.conj(e2[bins]) * row)
+            assert np.allclose(lead, lead[0], rtol=1e-12, atol=0.0)
+            assert abs(lead[0]) == pytest.approx(1.0 / grid.n, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(36, 320),
+        k_max=st.integers(0, 3),
+        pad=st.integers(1, 6),
+        l_max=st.integers(0, 3),
+        odd_cn=st.booleans(),
+        pilot=st.integers(1, 10**6),
+        points=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(_EDGES, st.floats(0.0, 1.0, exclude_max=True)),
+                st.integers(-3, 3),
+                st.one_of(_EDGES, st.floats(0.0, 1.0, exclude_max=True)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        on_bin=st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(-3, 3)),
+    )
+    def test_a_batch_of_points_matches_the_direct_sum(
+        self, n, k_max, pad, l_max, odd_cn, pilot, points, on_bin
+    ):
+        """The array form of _run_sums, on a batch of points, equals the
+        direct N-term sum that effective_gain scales, at every bin, to 1e-12
+        of each point's peak (test_column_matches_direct_sum's bound), over
+        odd C*N, pilots off 0, integer delays and Dopplers and their near
+        neighbours, and a point whose K + C*L is an integer (its u = 0 bin
+        at f = 0). Each point gets the bits it gets alone."""
+        if odd_cn:
+            n, pad = n | 1, pad | 1
+        try:
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+        except ValueError:
+            assume(False)
+        pilot = 1 + pilot % (n - 1)
+        delay = [max(l + iota, 0.0) for l, iota, _, _ in points]
+        doppler = [k + kappa for _, _, k, kappa in points]
+        # a delay on the 1/8 grid, so that C*L and K + C*L are exact
+        l, eighths, k = on_bin
+        delay.append(l + eighths / 8)
+        doppler.append(k - grid.n_seg * eighths / 8)
+        offsets = np.arange(n) - pilot
+        sums = _run_sums(grid, pilot, offsets)
+        batch = sums(np.array(delay), np.array(doppler))
+        for d, k, row in zip(delay, doppler, batch):
+            ch = LosChannel(delay=d, doppler=k)
+            ref = np.array([exact_channel_sum(grid, b, pilot, ch) for b in range(n)])
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert _run_sums(grid, pilot, offsets)(d, k)[0].tobytes() == row.tobytes()
 
     def test_cold_and_warm_calls_agree_bitwise(self):
         """A column computed with empty caches and the same column computed

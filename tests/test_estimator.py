@@ -18,7 +18,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from afdmest import estimator
-from afdmest.baselines import integer_only, integer_only_rows, two_d_search
+from afdmest.baselines import integer_only, integer_only_rows, two_d_search, two_d_search_rows
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import (
     AfdmGrid,
@@ -343,7 +343,7 @@ class TestProfile:
         the compensated body, to 1e-12 of its peak, over N, the parity of
         C*N, the pilot position and the compensation."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         layout = PilotLayout(pilot_index=pilot % n)
@@ -423,7 +423,7 @@ class TestCoarseScores:
         parity of C, the pilot position and zero search boxes; a flat profile
         and a lone spike take the same path through the vectorised PSPR."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         layout = PilotLayout(pilot_index=pilot % n)
@@ -714,7 +714,7 @@ class TestFittedRefine:
         refine finds the reference's compensations bit for bit, but where
         two of its probes scored within 1e-12 relative."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         layout = PilotLayout(pilot_index=pilot % n)
@@ -908,7 +908,7 @@ class TestDecodeProperties:
         the integer split of the first largest decodeable bin, and the
         early/late gate's bracket and range."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         c = grid.n_seg
@@ -977,7 +977,7 @@ class TestDecodeProperties:
         entry. Every such l lies in [0, l_max], so the flag is the Doppler
         box alone."""
         try:
-            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad)
+            grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
             assume(False)
         c = grid.n_seg
@@ -1525,6 +1525,18 @@ class TestStacks:
         y = daft_demodulate(grid, np.insert(r, where % (len(r) + 1), 0.0, axis=0))
         got = integer_only_rows(grid, y, layout)
         assert got == [integer_only(grid, row, layout) for row in y]
+        assert _NO_ESTIMATE in got
+
+    @settings(max_examples=20, deadline=None)
+    @given(stack=loaded_stacks(), where=st.integers(0, 5))
+    def test_every_row_of_two_d_search_rows_is_its_own_estimate(self, stack, where):
+        """With an all-zero row inserted, which is the flagged no-estimate:
+        the dictionary scores and the zoom levels' run sums give each row,
+        and each point, the bits it gets alone."""
+        grid, layout, r = stack
+        y = daft_demodulate(grid, np.insert(r, where % (len(r) + 1), 0.0, axis=0))
+        got = two_d_search_rows(grid, y, layout)
+        assert got == [two_d_search(grid, row, layout) for row in y]
         assert _NO_ESTIMATE in got
 
     def test_integer_only_rows_on_odd_cn_and_a_nonzero_pilot(self):

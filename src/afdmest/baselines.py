@@ -17,9 +17,11 @@ model column, summed exactly under the floor wrap convention of
 Every frame of a stack is scored at once against a cached dictionary of
 the model columns on a grid over the box, in one product, and each
 frame's best cell is refined by three zoom levels of 9 x 9 points, every
-row's points scored in one batch (``two_d_search_rows``). It represents
-the family of 2-D maximum-correlation searches without reproducing any
-specific published variant, and runs on numpy alone.
+row's points scored in one batch (``two_d_search_rows``). Its PSPR and
+peak index are read off ``read_profile`` of each frame demodulated again
+with the found fractional Doppler compensated. It represents the family of
+2-D maximum-correlation searches without reproducing any specific
+published variant, and runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, _chirps, daft_modulate
+from .core import AfdmGrid, _chirps, daft_demodulate, daft_modulate
 from .effective import _run_sums
 from .estimator import (
     Estimate,
@@ -38,7 +40,6 @@ from .estimator import (
     _estimates,
     _one_frame,
     _pilot_bins,
-    _readout,
     read_profile,
 )
 
@@ -156,12 +157,13 @@ def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> lis
     best cell is refined by the _LEVELS zoom levels of 9 x 9 points around
     the best point so far, clipped to the box, the points of all rows run
     through the run sums as one batch; each takes the first of equal scores.
-    The quality metadata (PSPR and peak index) are read off the pilot
-    readout with the found fractional Doppler compensated, taken from the
-    frame bodies (the demodulation is unitary, so a body is the forward
-    transform of its y). No estimate is flagged: the search always ends in
-    the box. An all-zero pilot readout gives the flagged no-estimate of
-    ``joint_estimate``. Raises ValueError as ``joint_estimate_rows`` does.
+    The quality metadata (PSPR and peak index) are ``_decode`` of the pilot
+    readout with the found fractional Doppler kappa compensated: each row's
+    body, the forward transform of its y, times the phasor exp(2 pi i kappa
+    n / N), demodulated and read by ``read_profile``. No estimate is
+    flagged: the search always ends in the box. An all-zero pilot readout
+    gives the flagged no-estimate of ``joint_estimate``. Raises ValueError
+    as ``joint_estimate_rows`` does.
     """
     y = _check_frames(grid, y, layout)
     points, atoms, chirp, sums = _search_tables(grid, layout)
@@ -179,13 +181,16 @@ def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> lis
         best = cand[rows, score.argmax(axis=-1)]
     delay, doppler = best.T
     l_floor, k_floor = np.floor(delay), np.floor(doppler)
-    p = _readout(grid, daft_modulate(grid, y), layout, doppler - k_floor)
+    kappa = doppler - k_floor
+    n = np.arange(grid.n)
+    body = daft_modulate(grid, y) * np.exp(2j * np.pi * kappa[:, None] * n / grid.n)
+    p = read_profile(grid, daft_demodulate(grid, body), layout)
     (peak_index, *_), score, _ = _decode(grid, p)
     fields = (
         l_floor.astype(np.int64),
         delay - l_floor,
         k_floor.astype(np.int64),
-        doppler - k_floor,
+        kappa,
         score,
         peak_index,
         np.zeros(len(z), dtype=bool),

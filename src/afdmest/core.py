@@ -102,6 +102,10 @@ class AfdmGrid:
     def validate(self) -> None:
         for name in ("n", "k_max", "l_max", "doppler_pad", "n_prefix"):
             _check_integer(name, getattr(self, name))
+        # the chirp phases reduce c2*m^2 to a fraction of a cycle, which no
+        # NaN or infinity has
+        if not np.isfinite(self.c2):
+            raise ValueError("c2 must be finite")
         if self.n < 8:
             raise ValueError("frame length too small")
         if self.k_max < 0 or self.l_max < 0:

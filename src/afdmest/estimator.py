@@ -36,14 +36,6 @@ one-row stack. Estimation runs in three stages:
    one bin beyond each end of the profile, where a compensation that wraps
    past 0 or 1 reads it.
 
-   ``two_d_search``'s quality read takes its readout by a pruned DFT. With
-   N = P*M and P the smallest divisor of N at or above the J readout bins,
-   each dechirped body is read as M rows of P, the compensation phasor is
-   folded into their P-point FFTs and the readout bins are summed over the
-   rows, in O(N log P + N) time per frame with O(N) tables built once per
-   grid and pilot position. Only the pilot region of the transform output
-   is ever computed.
-
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
    splits into an integer delay and an integer Doppler by rounding. The
@@ -68,8 +60,8 @@ estimate reports is the one that gather gives.
 
 Every estimator checks its frames through one helper and decodes the
 readout through another, so all see the same bin. integer_only reads the
-demodulated frame's pilot bins, joint the fit of stage 1 and two_d_search
-the pruned DFT's.
+demodulated frame's pilot bins and joint the fit of stage 1; two_d_search
+reads the pilot bins of its frame compensated and demodulated again.
 """
 
 from __future__ import annotations
@@ -225,17 +217,7 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
     lo, hi = peak_pos - half, peak_pos + (c - half)
     if lo < 0 or hi > len(p):
         raise ValueError(f"PSPR window [{lo}, {hi}) runs outside the profile of {len(p)} bins")
-    # the peak power is taken from the squared window itself (squaring the
-    # scalar separately may round differently by one ulp), then zeroed in it
-    # so the sidelobes are summed directly: the window sum minus the peak
-    # power would cancel, and err by about eps*PSPR/C relative
-    sq = p[lo:hi] ** 2
-    peak = sq[half]
-    sq[half] = 0.0
-    denom = np.sum(sq) / c
-    if denom <= 0.0:
-        return np.inf
-    return float(peak / denom)
+    return float(_window_pspr(p[lo:hi]))
 
 
 def _check_frames(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
@@ -271,62 +253,6 @@ def _one_frame(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
     return r[None]
 
 
-@lru_cache(maxsize=8)
-def _pruned_dft(grid: AfdmGrid, layout: PilotLayout):
-    """Cached tables of the pruned DFT that reads the pilot region.
-
-    P is the smallest divisor of N at or above the readout length J (a prime
-    N gives P = N, one full FFT). With N = P*M and n = q*M + m (q < P,
-    m < M), the readout at bin b of the
-    dechirped body with kappa compensated is
-    sum_m exp(2 pi i kappa m/N) tw[m, b mod P] * FFT_q(z[m, q] exp(2 pi i
-    kappa q/P))[b mod P], where z[m, q] = r[qM + m] conj(e1[qM + m])/sqrt(N)
-    and tw[m, b mod P] = exp(-2 pi i (b m mod N)/N). The J readout bins are
-    contiguous and J <= P, so their residues mod P are distinct. Returns
-    (pre, tw, rates, cols): the (M, P) dechirp, the (M, P) twiddle table
-    (zero off the readout columns), the P + M phase rates 2 pi i q/P and
-    2 pi i m/N, and the readout columns b mod P in profile_bins order. The
-    cached arrays are shared, so they are read-only.
-    """
-    n = grid.n
-    bins = readout_bins(grid, layout)
-    p = next(d for d in range(bins.size, n + 1) if n % d == 0)
-    m = n // p
-    e1, _ = _chirps(n, grid.c1, grid.c2)
-    pre = np.conj(e1.reshape(p, m).T, order="C")
-    pre /= np.sqrt(n)
-    cols = bins % p
-    tw = np.zeros((m, p), dtype=complex)
-    # b*m reduced mod N in integers before it is exponentiated
-    tw[:, cols] = np.exp(-2j * np.pi * (np.multiply.outer(np.arange(m), bins) % n) / n)
-    rates = 2j * np.pi * np.concatenate([np.arange(p) / p, np.arange(m) / n])
-    for a in (pre, tw, rates, cols):
-        a.flags.writeable = False
-    return pre, tw, rates, cols
-
-
-def _readout(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout, kappa: np.ndarray):
-    """Pilot readout of an (F, N) stack of frame bodies with F
-    compensations, one per row: the (F, J) magnitudes over profile_bins,
-    row f with kappa[f] compensated.
-
-    Each frame is dechirped, and the compensation phasor exp(2 pi i kappa
-    n / N), factored over the (P, M) split of :func:`_pruned_dft`, is folded
-    into P-point FFTs of its M rows, so a readout costs O(N log P + N) per
-    frame with O(N) tables. ``two_d_search``'s quality read uses it; stage
-    1 reads its stack only in the coarse chirp-z, and its readouts come
-    from the fit of :func:`_best_cells`.
-    """
-    pre, tw, rates, cols = _pruned_dft(grid, layout)
-    m, p = pre.shape
-    ab = np.exp(rates * kappa[:, None])
-    y = np.multiply(r.reshape(len(r), p, m).swapaxes(-1, -2), pre, order="C")
-    y *= ab[:, None, :p]
-    np.fft.fft(y, axis=-1, out=y)
-    y *= tw
-    return np.abs((ab[:, None, p:] @ y)[:, 0, cols])
-
-
 def _inner_slice(grid: AfdmGrid) -> slice:
     # positions of the decodeable peak range inside the profile array
     # (strips the one-comb-period margin on each side)
@@ -342,9 +268,12 @@ def _peak(grid: AfdmGrid, p: np.ndarray):
 
 def _window_pspr(window: np.ndarray) -> np.ndarray:
     """pspr of every window of a (..., C) stack, each the C bins of a
-    profile around its peak (the peak at C // 2), with the zeroed peak and
-    the denom <= 0 -> inf rule of :func:`pspr`, so each score has the bits
-    pspr gives that profile at that peak."""
+    profile around its peak (the peak at C // 2); :func:`pspr` is this rule
+    on one window. The peak power is taken from the squared window itself
+    (squaring the scalar separately may round differently by one ulp), then
+    zeroed in it so the sidelobes are summed directly: the window sum minus
+    the peak power would cancel, and err by about eps*PSPR/C relative. A
+    window with no sidelobe power scores +inf."""
     sq = window**2
     c = sq.shape[-1]
     peak = sq[..., c // 2].copy()

@@ -23,7 +23,6 @@ from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, s
 from afdmest.estimator import (
     PilotLayout,
     _coarse_czt,
-    _pruned_dft,
     build_pilot_frame,
     joint_estimate,
     readout_bins,
@@ -162,16 +161,18 @@ def searched_frames():
 # (delay_int, delay_frac, doppler_int, doppler_frac, pspr, peak_index,
 # flagged) per searched frame, recorded when the grid search replaced the
 # Nelder-Mead simplex (each delay and Doppler within 9.5e-4 of the
-# simplex's, on the 1/512 grid of the last zoom level)
+# simplex's, on the 1/512 grid of the last zoom level); the PSPRs restated
+# when the quality read became read_profile of the compensated frame, each
+# within 1.8e-15 relative of the pruned DFT's
 SEARCHED = [
-    (2, 0.185546875, -3, 0.73828125, 44.35375186873156, 13, False),
-    (2, 0.759765625, 1, 0.9140625, 69.8311108586602, 25, False),
-    (1, 0.150390625, -1, 0.60546875, 461.9860877890909, 7, False),
-    (1, 0.876953125, 2, 0.056640625, 1418.5214395636658, 18, False),
-    (2, 0.37890625, -1, 0.318359375, 7.199180255423694, 15, False),
-    (2, 0.82421875, -1, 0.681640625, 84.58446772204626, 23, False),
-    (0, 0.98828125, 0, 0.60546875, 815.2101504574359, 8, False),
-    (1, 0.564453125, -1, 0.2578125, 118.88535775021057, 15, False),
+    (2, 0.185546875, -3, 0.73828125, 44.35375186873154, 13, False),
+    (2, 0.759765625, 1, 0.9140625, 69.83111085866017, 25, False),
+    (1, 0.150390625, -1, 0.60546875, 461.9860877890904, 7, False),
+    (1, 0.876953125, 2, 0.056640625, 1418.5214395636683, 18, False),
+    (2, 0.37890625, -1, 0.318359375, 7.199180255423698, 15, False),
+    (2, 0.82421875, -1, 0.681640625, 84.58446772204638, 23, False),
+    (0, 0.98828125, 0, 0.60546875, 815.210150457435, 8, False),
+    (1, 0.564453125, -1, 0.2578125, 118.88535775021047, 15, False),
 ]
 
 
@@ -210,10 +211,13 @@ def test_every_estimator_checks_its_input(estimate, case):
     frame raise joint_estimate's ValueError from all three estimators,
     before any readout table is built."""
     frame, layout, match = BAD_INPUTS[case]
-    built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
+    # cleared first, so a table looked up before the check is a miss even
+    # where an earlier test cached it
+    _coarse_czt.cache_clear()
+    _search_tables.cache_clear()
     with pytest.raises(ValueError, match=match):
         estimate(GRID, frame, layout)
-    assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+    assert _coarse_czt.cache_info().misses == _search_tables.cache_info().misses == 0
 
 
 # grids that fail AfdmGrid.validate: at the frame lengths 16 and 48 the 54
@@ -230,6 +234,8 @@ BAD_GRIDS = {
     # C <= 2*k_max: a peak at k + C*l splits into no unique (l, k) pair
     "c6": (dict(doppler_pad=0), r"every C must exceed 2\*k_max"),
     "c5": (dict(doppler_pad=-1), r"every C must exceed 2\*k_max"),
+    # the chirp phases reduce c2*m^2 to a fraction of a cycle, which NaN has not
+    "c2-nan": (dict(c2=float("nan")), "c2 must be finite"),
 }
 
 
@@ -237,15 +243,18 @@ BAD_GRIDS = {
 @pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])
 def test_every_estimator_rejects_an_invalid_grid(estimate, case):
     """A grid that fails its own check raises that ValueError when it is
-    built, so no estimator reaches a readout table with it: no bare
-    StopIteration from the readout's divisor search, and no estimate read
-    off bins that repeat or lie under the guards."""
+    built, so no estimator reaches a readout table with it: no estimate
+    read off bins that repeat or lie under the guards, and no error from
+    inside the chirp phases."""
     kwargs, match = BAD_GRIDS[case]
-    built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
+    # cleared first, so a table looked up before the check is a miss even
+    # where an earlier test cached it
+    _coarse_czt.cache_clear()
+    _search_tables.cache_clear()
     with pytest.raises(ValueError, match=match):
         grid = AfdmGrid(**kwargs)
         estimate(grid, np.ones(grid.n, dtype=complex), LAYOUT)
-    assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+    assert _coarse_czt.cache_info().misses == _search_tables.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("estimate", [joint_estimate, integer_only, two_d_search])

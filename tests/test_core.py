@@ -73,6 +73,10 @@ class TestAfdmGrid:
         # C >= N: C*(l_max + 3) > N, so the readout rule refuses it
         with pytest.raises(ValueError, match="readout longer than the frame"):
             AfdmGrid(n=8, k_max=0, l_max=0, doppler_pad=8, n_prefix=0)
+        # no chirp phase can be reduced for a c2 that is not finite
+        for c2 in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="c2 must be finite"):
+                AfdmGrid(c2=c2)
 
     def test_rejects_readout_longer_than_frame(self):
         """The guards fit, but the C*(l_max + 3) = 40 readout bins of this

@@ -18,7 +18,13 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from afdmest import estimator
-from afdmest.baselines import integer_only, integer_only_rows, two_d_search, two_d_search_rows
+from afdmest.baselines import (
+    _search_tables,
+    integer_only,
+    integer_only_rows,
+    two_d_search,
+    two_d_search_rows,
+)
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import (
     AfdmGrid,
@@ -48,8 +54,6 @@ from afdmest.estimator import (
     _inner_slice,
     _lead,
     _pspr_rows,
-    _pruned_dft,
-    _readout,
     _window_pspr,
     build_pilot_frame,
     estimate_doppler_frac,
@@ -73,14 +77,29 @@ def pipeline(grid, x, ch, rng=None):
 
 def compensated(r, kappa):
     """The body r with a fractional Doppler kappa undone by the defining
-    phasor exp(2 pi i kappa n / N)."""
-    return r * np.exp(2j * np.pi * kappa * np.arange(r.size) / r.size)
+    phasor exp(2 pi i kappa n / N), or every row of an (F, N) stack of
+    bodies r with kappa[f] undone in row f."""
+    n = r.shape[-1]
+    return r * np.exp(2j * np.pi * np.asarray(kappa)[..., None] * np.arange(n) / n)
 
 
-def read_one(grid, r, layout):
-    """The pilot readout of the single body r, read as a stack of one: a
-    function of one compensation kappa."""
-    return lambda kappa: _readout(grid, r[None], layout, np.array([kappa]))[0]
+def readout(grid, r, layout, kappa):
+    """The pilot readout of the body r with kappa compensated, or of every
+    row of a stack with its own kappa: read_profile of the full
+    demodulation of the compensated body, the readout the PSPR is defined
+    on."""
+    return read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
+
+
+def dtft_readout(grid, r, layout, kappa):
+    """The pilot readout of the single body r with kappa compensated, as
+    |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped body conj(e1) r,
+    summed directly at the readout bins b (b*n reduced mod N in integers
+    before it is exponentiated)."""
+    n = np.arange(grid.n)
+    e1, _ = _chirps(grid.n, grid.c1, grid.c2)
+    cycles = (np.multiply.outer(readout_bins(grid, layout), n) % grid.n - kappa * n) / grid.n
+    return np.abs(np.exp(-2j * np.pi * cycles) @ (np.conj(e1) * r)) / math.sqrt(grid.n)
 
 
 def decode_one(grid, p):
@@ -257,76 +276,48 @@ class TestProfile:
         s = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         kappa = 0.37
         r = s * np.exp(-2j * np.pi * kappa * np.arange(GRID.n) / GRID.n)
-        got = read_one(GRID, r, LAYOUT)(kappa)
-        assert np.allclose(got, read_one(GRID, s, LAYOUT)(0.0), atol=1e-12)
+        got = readout(GRID, r, LAYOUT, kappa)
+        assert np.allclose(got, readout(GRID, s, LAYOUT, 0.0), atol=1e-12)
 
     @pytest.mark.parametrize("n", [255, 256, 4096, 8193])
     @pytest.mark.parametrize("kappa", [0.0, 0.37, 0.999, 1.5, -0.2])
     def test_compensate_matches_direct_phasor(self, n, kappa):
-        """The compensation phasor the readout folds in, exp(2 pi i kappa
-        q/P) on the P columns times exp(2 pi i kappa m/N) on the M rows of
-        n = q*M + m, equals the one built with N exponentials, for odd N,
+        """The direct phasor exp(2 pi i kappa n / N) compensates kappa as a
+        shift of the transform: one more bin of compensation reads the
+        demodulated body one bin along, the rule by which stage 1 reads a
+        compensation that leaves [0, 1) off its fitted profile, for odd N,
         non-square N and kappa outside [0, 1)."""
-        pre, _, rates, _ = _pruned_dft(AfdmGrid(n=n), LAYOUT)
-        p = pre.shape[1]
-        ab = np.exp(rates * kappa)
-        folded = np.multiply.outer(ab[:p], ab[p:]).ravel()
-        direct = np.exp(2j * np.pi * kappa * np.arange(n) / n)
-        assert np.max(np.abs(folded - direct)) < 1e-13
+        grid = AfdmGrid(n=n)
+        rng = np.random.default_rng(n)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = np.abs(daft_demodulate(grid, compensated(r, kappa)))
+        below = np.abs(daft_demodulate(grid, compensated(r, kappa - 1.0)))
+        assert np.max(np.abs(y - np.roll(below, 1))) <= 1e-12 * np.max(y)
 
     def test_readout_matches_full_demodulation_at_zero(self):
-        """Uncompensated, the readout drops only U^H's unit-modulus row phase
-        conj(e2[b]), so it gives the demodulated pilot bins in magnitude."""
+        """Uncompensated, the readout drops U^H's unit-modulus row phase
+        conj(e2[b]), so it is the same for any c2."""
         rng = np.random.default_rng(8)
         r = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
-        full = daft_demodulate(GRID, r)[readout_bins(GRID, LAYOUT)]
-        assert np.max(np.abs(read_one(GRID, r, LAYOUT)(0.0) - np.abs(full))) < 1e-10
+        other = AfdmGrid(c2=0.5)
+        assert other.c2 != GRID.c2
+        got = readout(GRID, r, LAYOUT, 0.0)
+        assert np.max(np.abs(got - readout(other, r, LAYOUT, 0.0))) < 1e-10
 
     @pytest.mark.parametrize("n", [4096, 16384, 4093])
     @pytest.mark.parametrize("pilot", [0, 40])
     def test_readout_matches_full_demodulation_at_large_n(self, n, pilot):
-        """Fixed cases above the property's range, where P < N matters most,
-        and a prime N, where P = N and the readout is one full FFT."""
+        """Fixed cases above the property's range, a prime N among them: the
+        full demodulation of the compensated body reads the DTFT of the
+        dechirped body at b - kappa."""
         grid = AfdmGrid(n=n)
         layout = PilotLayout(pilot_index=pilot)
         rng = np.random.default_rng(n + pilot)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        read = read_one(grid, r, layout)
         for kappa in (0.0, 0.37, 0.999, -0.004):
-            expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
-            assert np.max(np.abs(read(kappa) - expect)) <= 1e-12 * np.max(expect)
-
-    @pytest.mark.parametrize(
-        "n,k_max,split",
-        [(4096, 3, 64), (256, 5, 128), (256, 3, 64), (4093, 3, 4093)],
-    )
-    def test_split_is_smallest_divisor_at_or_above_readout_length(self, n, k_max, split):
-        """P is the smallest divisor of N with P >= J: 64 at N=4096 (C=8,
-        J=48), 128 at N=256 (C=12, J=72), and N itself for a prime N."""
-        grid = AfdmGrid(n=n, k_max=k_max)
-        pre, tw, _, cols = _pruned_dft(grid, LAYOUT)
-        assert pre.shape == tw.shape == (n // split, split)
-        # the readout columns are distinct, and the twiddle table is zero
-        # off them
-        assert np.unique(cols).size == cols.size == profile_bins(grid).size
-        assert not np.any(np.delete(tw, cols, axis=1))
-
-    def test_first_readout_memory_is_linear_in_n(self):
-        """The first readout at N=16384, C=8 builds its tables and reads the
-        region within 8 arrays of N complex samples (2 MiB); a J x N table of
-        readout rows alone would take 12 MiB."""
-        n = 16384
-        grid = AfdmGrid(n=n)
-        rng = np.random.default_rng(5)
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        _pruned_dft.cache_clear()
-        tracemalloc.start()
-        try:
-            read_one(grid, r, LAYOUT)(0.37)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * 16
+            expect = dtft_readout(grid, r, layout, kappa)
+            got = readout(grid, r, layout, kappa)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -339,9 +330,10 @@ class TestProfile:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_readout_matches_full_demodulation(self, n, k_max, pad, l_max, pilot, kappa, seed):
-        """The pilot readout equals read_profile of the full demodulation of
-        the compensated body, to 1e-12 of its peak, over N, the parity of
-        C*N, the pilot position and the compensation."""
+        """read_profile of the full demodulation of the compensated body is
+        the DTFT of the dechirped body at b - kappa, the readout stage 1's
+        chirp-z samples, to 1e-12 of its peak, over N, the parity of C*N,
+        the pilot position and the compensation."""
         try:
             grid = AfdmGrid(n=n, k_max=k_max, l_max=l_max, doppler_pad=pad, n_prefix=min(n, 36))
         except ValueError:
@@ -349,8 +341,8 @@ class TestProfile:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        expect = read_profile(grid, daft_demodulate(grid, compensated(r, kappa)), layout)
-        got = read_one(grid, r, layout)(kappa)
+        expect = dtft_readout(grid, r, layout, kappa)
+        got = readout(grid, r, layout, kappa)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(expect)
 
 
@@ -429,14 +421,13 @@ class TestCoarseScores:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        read = read_one(grid, r, layout)
         j = profile_bins(grid)
         cand, scores, _ = _coarse_scores(grid, layout, r[None], steps)
         scores = scores[0]
         assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
-        profiles = np.array([read(kappa) for kappa in cand])
+        profiles = np.array([readout(grid, r, layout, kappa) for kappa in cand])
         expect = np.array([scalar_pspr(grid, p) for p in profiles])
-        # one chirp-z transform against a pruned readout per candidate: equal
+        # one chirp-z transform against a readout per candidate: equal
         # up to rounding, with +inf (no sidelobe power) in the same places
         assert np.array_equal(np.isinf(scores), np.isinf(expect))
         np.testing.assert_allclose(scores, expect, rtol=1e-9)
@@ -600,11 +591,11 @@ class TestCoarseScores:
             assert both[0].delay == both[1].delay
 
 
-def pruned_dft_refine(grid, layout, r):
+def reference_refine(grid, layout, r):
     """Stage 1's compensations of the (F, N) stack r as the refine finds
-    them when each probe of its two passes reads every frame with one
-    pruned DFT of the stack and scores the readouts with the stacked PSPR:
-    the form the fitted polynomials replaced, kept as their reference.
+    them when each probe of its two passes reads every frame's compensated
+    readout (``readout``) and scores the readouts with the stacked PSPR:
+    the refine without the fitted polynomials, kept as their reference.
     Returns (kappa, close): close marks the rows two of whose probes in
     one pass scored within 1e-12 relative, where the two forms may part on
     rounding."""
@@ -614,7 +605,7 @@ def pruned_dft_refine(grid, layout, r):
     def scores(probes):
         # (F, probes) PSPRs at the (F, probes) offsets, in coarse steps
         kappas = best + probes.T / _COARSE_STEPS
-        return np.array([_pspr_rows(grid, _readout(grid, r, layout, k)) for k in kappas]).T
+        return np.array([_pspr_rows(grid, readout(grid, r, layout, k)) for k in kappas]).T
 
     first = scores(np.broadcast_to(_PROBES, (len(r), _PROBES.size)))
     fine = _FINE_PROBES[first.argmax(axis=-1)]
@@ -628,18 +619,18 @@ def pruned_dft_refine(grid, layout, r):
 
 def assert_fit_is_the_readout(grid, layout, r):
     """The fitted readout of every row of r, at compensations from 9/8
-    coarse step below its best cell to 9/8 above, is the pruned-DFT
-    readout to 1e-13 of its peak, over the J profile bins and over the
-    bin beyond each end, which the readout one compensation lower (for
-    the bin before) or higher (after) holds at its own end."""
+    coarse step below its best cell to 9/8 above, is the compensated
+    readout (``readout``) to 1e-13 of its peak, over the J profile bins
+    and over the bin beyond each end, which the readout one compensation
+    lower (for the bin before) or higher (after) holds at its own end."""
     best, coef = _best_cells(grid, layout, r)
     for s in (-1.125, -1.0, -0.61, -0.25, 0.0, 0.13, 0.5, 0.999, 1.0, 1.125):
         kappa = best + s / _COARSE_STEPS
         expect = np.column_stack(
             [
-                _readout(grid, r, layout, kappa - 1.0)[:, 0],
-                _readout(grid, r, layout, kappa),
-                _readout(grid, r, layout, kappa + 1.0)[:, -1],
+                readout(grid, r, layout, kappa - 1.0)[:, 0],
+                readout(grid, r, layout, kappa),
+                readout(grid, r, layout, kappa + 1.0)[:, -1],
             ]
         )
         got = np.abs(np.polynomial.polynomial.polyval(s, coef))
@@ -651,7 +642,7 @@ def fit_bound(grid, r):
     """The fit's error bound of _fit_tables for each row of r over the
     refine's reach |s| <= 9/8, max|prod_x (s - x)|/K! (pi/steps)^K
     sum|r|/sqrt(N), plus 32 ulps of sum|r|/sqrt(N) for the rounding of the
-    fit and of the pruned DFT it is held against."""
+    fit and of the readout it is held against."""
     s = np.linspace(-1.125, 1.125, 4501)
     nodes = np.max(np.abs(np.prod(s[:, None] - _NODES, axis=-1)))
     k = _NODES.size
@@ -722,7 +713,7 @@ class TestFittedRefine:
         r = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
         assert_fit_is_the_readout(grid, layout, r)
         kappa, _ = estimate_doppler_frac(grid, r, layout)
-        expect, close = pruned_dft_refine(grid, layout, r)
+        expect, close = reference_refine(grid, layout, r)
         assert np.array_equal(kappa[~close], expect[~close])
 
     @pytest.mark.parametrize("n", [8192, 16384])
@@ -744,31 +735,29 @@ class TestFittedRefine:
         r = np.array(r)
         assert_fit_is_the_readout(grid, layout, r)
         kappa, _ = estimate_doppler_frac(grid, r, layout)
-        expect, close = pruned_dft_refine(grid, layout, r)
+        expect, close = reference_refine(grid, layout, r)
         assert not close.any()
         assert np.array_equal(kappa, expect)
 
     @pytest.mark.parametrize("block_rows", [1, 6])
     def test_stage_one_reads_the_stack_once(self, block_rows):
         """Stage 1 reads the stack once, in the coarse chirp-z, whether its
-        coarse grid is scored a row at a time or all rows at once: the
-        refine and the readout it returns come from the fit, and the pruned
-        DFT is not called. The readout is the pruned DFT's at the refined
+        coarse grid is scored a row at a time or all rows at once: every row
+        is scored once, and the refine and the readout it returns come from
+        the fit. The readout is the compensated readout at the refined
         compensations, within the fit's bound."""
         grid, layout = GRID, LAYOUT
         rng = np.random.default_rng(6)
         r = rng.standard_normal((6, grid.n)) + 1j * rng.standard_normal((6, grid.n))
         row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
         with (
-            mock.patch.object(estimator, "_readout", wraps=_readout) as read,
             mock.patch.object(estimator, "_coarse_scores", wraps=_coarse_scores) as scored,
             mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", block_rows * row_bytes),
         ):
             kappa, p = estimate_doppler_frac(grid, r, layout)
-        assert read.call_count == 0
         assert scored.call_count == -(-len(r) // block_rows)
         assert np.vstack([call.args[2] for call in scored.call_args_list]).tolist() == r.tolist()
-        err = np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1)
+        err = np.max(np.abs(p - readout(grid, r, layout, kappa)), axis=-1)
         assert np.all(err <= fit_bound(grid, r))
 
     @settings(max_examples=60, deadline=None)
@@ -785,7 +774,7 @@ class TestFittedRefine:
         self, n, k_max, pad, l_max, pilot, dopplers, seed
     ):
         """Over N (primes included), the parity of C*N, C up to 26 and pilots
-        off 0: the readout stage 1 returns is the pruned DFT's at the
+        off 0: the readout stage 1 returns is the compensated readout at the
         refined compensation within the fit's bound, on a random row and on
         noise-free pilot-only rows with Doppler fractions near 0. Those are
         also refined from the first and from the last coarse cell, forced
@@ -809,12 +798,12 @@ class TestFittedRefine:
         )
         kappa, p = estimate_doppler_frac(grid, r, layout)
         bound = fit_bound(grid, r)
-        assert np.all(np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1) <= bound)
+        assert np.all(np.max(np.abs(p - readout(grid, r, layout, kappa)), axis=-1) <= bound)
         for cell in (0, _COARSE_STEPS - 1):
             with mock.patch.object(estimator, "_coarse_scores", forcing(cell)):
                 kappa, p = estimate_doppler_frac(grid, r, layout)
             event(f"unwrapped floors {sorted(set(unwrapped_floor(cell, kappa).tolist()))}")
-            assert np.all(np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1) <= bound)
+            assert np.all(np.max(np.abs(p - readout(grid, r, layout, kappa)), axis=-1) <= bound)
 
     @pytest.mark.parametrize("cell,fraction,shift", [(_COARSE_STEPS - 1, 0.0, 1), (0, -0.01, -1)])
     def test_an_edge_cell_refined_past_the_edge_reads_its_channel(self, cell, fraction, shift):
@@ -843,7 +832,7 @@ class TestFittedRefine:
         assert np.all(unwrapped_floor(cell, kappa) == shift)
         np.testing.assert_allclose(kappa, fraction % 1.0, atol=1e-3)
         assert fraction != 0.0 or np.all(kappa == 0.0)
-        err = np.max(np.abs(p - _readout(grid, r, layout, kappa)), axis=-1)
+        err = np.max(np.abs(p - readout(grid, r, layout, kappa)), axis=-1)
         assert np.all(err <= fit_bound(grid, r))
         for (l, k), est, frac in zip(box, ests, kappa):
             doppler_int = math.floor(k + fraction)
@@ -1136,7 +1125,7 @@ class TestJointEstimate:
             assert kappa.shape == (len(stack),) and p.shape == (len(stack), 48)
             ests = joint_estimate_rows(GRID, stack, LAYOUT)
             for row, k, prof, est in zip(stack, kappa, p, ests):
-                expect = read_profile(GRID, daft_demodulate(GRID, compensated(row, k)), LAYOUT)
+                expect = readout(GRID, row, LAYOUT, k)
                 assert np.max(np.abs(prof - expect)) < 1e-10
                 assert est.doppler_frac == k
                 assert est.pspr == scalar_pspr(GRID, prof)
@@ -1501,10 +1490,14 @@ class TestStacks:
         r = np.ones(shape, dtype=complex)
         if nan_row is not None:
             r[nan_row, 5] = np.nan
-        built = (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses)
-        with pytest.raises(ValueError, match=match):
-            joint_estimate_rows(GRID, r, LAYOUT)
-        assert (_coarse_czt.cache_info().misses, _pruned_dft.cache_info().misses) == built
+        # cleared first, so a table looked up before the check is a miss even
+        # where an earlier test cached it
+        _coarse_czt.cache_clear()
+        _search_tables.cache_clear()
+        for estimate in (joint_estimate_rows, two_d_search_rows):
+            with pytest.raises(ValueError, match=match):
+                estimate(GRID, r, LAYOUT)
+        assert _coarse_czt.cache_info().misses == _search_tables.cache_info().misses == 0
 
     @settings(max_examples=40, deadline=None)
     @given(stack=loaded_stacks(), rows=st.integers(1, 5))
@@ -1538,6 +1531,23 @@ class TestStacks:
         got = two_d_search_rows(grid, y, layout)
         assert got == [two_d_search(grid, row, layout) for row in y]
         assert _NO_ESTIMATE in got
+
+    @settings(max_examples=30, deadline=None)
+    @given(stack=loaded_stacks(), where=st.integers(0, 5))
+    def test_two_d_search_reports_the_decode_of_its_compensated_readout(self, stack, where):
+        """Every two_d_search_rows estimate reports the PSPR and peak index
+        that _decode reads, bit for bit, off its frame's pilot readout with
+        its own doppler_frac compensated (``readout`` of the frame's body);
+        an all-zero row mixed into the stack is the flagged no-estimate."""
+        grid, layout, r = stack
+        i = where % (len(r) + 1)
+        y = daft_demodulate(grid, np.insert(r, i, 0.0, axis=0))
+        got = two_d_search_rows(grid, y, layout)
+        assert got.pop(i) == _NO_ESTIMATE
+        for row, est in zip(np.delete(y, i, axis=0), got, strict=True):
+            p = readout(grid, daft_modulate(grid, row), layout, est.doppler_frac)
+            (peak_index, *_), score, _ = decode_one(grid, p)
+            assert (est.pspr, est.peak_index) == (score, peak_index)
 
     def test_integer_only_rows_on_odd_cn_and_a_nonzero_pilot(self):
         grid = AfdmGrid(n=255, doppler_pad=3)

@@ -37,7 +37,7 @@ from .estimator import (
     PilotLayout,
     _check_frames,
     _decode,
-    _estimates,
+    _finish,
     _one_frame,
     _pilot_bins,
     read_profile,
@@ -71,15 +71,15 @@ _ZOOM.flags.writeable = False
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
     """Integer delay/Doppler decode of the raw (uncompensated) readout of one
-    demodulated frame: :func:`integer_only_rows` of the frame as a stack of
-    one. Raises ValueError as ``joint_estimate`` does."""
+    demodulated frame: row 0 of :func:`integer_only_rows` of the frame as a
+    stack of one. Raises ValueError as ``joint_estimate`` does."""
     return integer_only_rows(grid, _one_frame(grid, y), layout)[0]
 
 
-def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> list[Estimate]:
+def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
     """Integer delay/Doppler decode of the raw (uncompensated) readout of
-    every row of an (F, N) stack of demodulated frames, as a list in row
-    order, each the Estimate of that row alone.
+    every row of an (F, N) stack of demodulated frames, as one Estimate of
+    (F,) columns whose row i is the Estimate of row i alone.
 
     Fractional parts are zero by definition. On a channel with fractional
     parts the decode lands on the nearest comb tap, so the delay error is
@@ -94,7 +94,7 @@ def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> lis
     p = read_profile(grid, y, layout)
     (peak_index, k, l_round, flagged), score, _ = _decode(grid, p)
     zero = np.zeros(len(p))
-    return _estimates(p, (l_round, zero, k, zero, score, peak_index, flagged))
+    return _finish(p, l_round, zero, k, zero, score, peak_index, flagged)
 
 
 @lru_cache(maxsize=8)
@@ -137,16 +137,16 @@ def _search_tables(grid: AfdmGrid, layout: PilotLayout):
 
 
 def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Continuous (delay, Doppler) search of one demodulated frame:
+    """Continuous (delay, Doppler) search of one demodulated frame: row 0 of
     :func:`two_d_search_rows` of the frame as a stack of one. Raises
     ValueError as ``joint_estimate`` does."""
     return two_d_search_rows(grid, _one_frame(grid, y), layout)[0]
 
 
-def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> list[Estimate]:
+def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
     """Continuous (delay, Doppler) search of every row of an (F, N) stack of
-    demodulated frames, as a list in row order, each the Estimate of that
-    row alone.
+    demodulated frames, as one Estimate of (F,) columns whose row i is the
+    Estimate of row i alone.
 
     Searches (L, K) in [0, l_max] x [-k_max, k_max] for the largest
     |<readout, model column>| / ||model column||, where the model column is the
@@ -186,13 +186,5 @@ def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> lis
     body = daft_modulate(grid, y) * np.exp(2j * np.pi * kappa[:, None] * n / grid.n)
     p = read_profile(grid, daft_demodulate(grid, body), layout)
     (peak_index, *_), score, _ = _decode(grid, p)
-    fields = (
-        l_floor.astype(np.int64),
-        delay - l_floor,
-        k_floor.astype(np.int64),
-        kappa,
-        score,
-        peak_index,
-        np.zeros(len(z), dtype=bool),
-    )
-    return _estimates(obs, fields)
+    columns = (l_floor.astype(np.int64), delay - l_floor, k_floor.astype(np.int64), kappa)
+    return _finish(obs, *columns, score, peak_index, np.zeros(len(z), dtype=bool))

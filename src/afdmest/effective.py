@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import LosChannel
-from .core import AfdmGrid, _chirps
+from .core import AfdmGrid, _check_integer, _chirps
 
 __all__ = [
     "segment_index",
@@ -215,6 +215,16 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     return sums
 
 
+def _check_source(grid: AfdmGrid, m_src) -> int:
+    # the source subcarrier of the exact model, an integer in [0, N): one
+    # outside would be wrapped by the modular bin arithmetic into another
+    # subcarrier's column, and a float truncated in the runs only
+    _check_integer("m_src", m_src)
+    if not 0 <= m_src < grid.n:
+        raise ValueError(f"m_src {m_src} outside the frame [0, {grid.n})")
+    return int(m_src)
+
+
 def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
     """Exact inner sum of the effective channel entry (m, m_src), every m.
 
@@ -227,13 +237,16 @@ def exact_spectrum(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
     most C + 2 runs of samples, so each bin is a sum of that many geometric
     series in closed form: O(C*N) work, no FFT.
     |F| never exceeds N and equals N exactly for an integer channel on its
-    peak bin.
+    peak bin. Raises TypeError for an m_src that is not an integer (numpy
+    integers are accepted) and ValueError for one outside [0, N).
     """
-    return _run_sums(grid, int(m_src), np.arange(grid.n) - m_src)(ch.delay, ch.doppler)[0]
+    m_src = _check_source(grid, m_src)
+    return _run_sums(grid, m_src, np.arange(grid.n) - m_src)(ch.delay, ch.doppler)[0]
 
 
 def exact_profile(grid: AfdmGrid, m_src: int, ch: LosChannel) -> np.ndarray:
-    """|exact_spectrum(grid, m_src, ch)| for every output bin m."""
+    """|exact_spectrum(grid, m_src, ch)| for every output bin m; raises as
+    exact_spectrum does."""
     return np.abs(exact_spectrum(grid, m_src, ch))
 
 
@@ -252,9 +265,9 @@ def effective_column(
 
     This is the model response a single source symbol produces across the
     requested output bins; the 2-D search baseline correlates measured pilot
-    readouts against it.
+    readouts against it. Raises as :func:`exact_spectrum` does for m_src.
     """
-    n = grid.n
+    n, m_src = grid.n, _check_source(grid, m_src)
     bins = np.asarray(bins) % n
     distinct, back = np.unique(bins, return_inverse=True)
     if distinct.size < bins.size:  # the run sums take each bin once
@@ -263,7 +276,7 @@ def effective_column(
     lead = ch.gain / n * e2[m_src] * cmath.exp(
         2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)
     )
-    sums = _run_sums(grid, int(m_src), bins - m_src)(ch.delay, ch.doppler)[0]
+    sums = _run_sums(grid, m_src, bins - m_src)(ch.delay, ch.doppler)[0]
     return lead * np.conj(e2[bins]) * sums
 
 

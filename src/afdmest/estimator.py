@@ -1,10 +1,10 @@
 """Pilot frame construction and the joint fractional delay/Doppler estimator.
 
 Every estimator has one body, over an (F, N) stack of frames that share
-grid and layout, and gives each row the Estimate it would give that row
-alone. A single frame is a stack of one: ``joint_estimate`` checks the
-shape of its frame and returns ``joint_estimate_rows`` of the frame as a
-one-row stack. Estimation runs in three stages:
+grid and layout, and returns one Estimate of (F,) columns, row i the
+Estimate of that frame alone. A single frame is a stack of one:
+``joint_estimate`` checks the shape of its frame and returns row 0 of
+``joint_estimate_rows`` of it. Estimation runs in three stages:
 
 1. fractional Doppler (``estimate_doppler_frac``): a scalar search over
    the compensation phase for a high peak-to-sidelobe power ratio (PSPR)
@@ -438,6 +438,10 @@ class Estimate:
     ``peak_index`` is the readout peak position on the equivalent-delay
     axis, stored modulo N (so a peak at k + C*l with k < 0, l = 0 shows up
     near N rather than as a negative number).
+
+    A one-frame estimate holds Python scalars, a stack's one (F,) column
+    per field; ``stack[i]`` is row i as a one-frame estimate, and
+    ``list(stack)`` every row in order.
     """
 
     delay_int: int
@@ -456,18 +460,8 @@ class Estimate:
     def doppler(self) -> float:
         return self.doppler_int + self.doppler_frac
 
-
-# what a frame whose pilot readout is all zero (nothing received) yields:
-# no estimate, flagged, zero in every field
-_NO_ESTIMATE = Estimate(
-    delay_int=0,
-    delay_frac=0.0,
-    doppler_int=0,
-    doppler_frac=0.0,
-    pspr=0.0,
-    peak_index=0,
-    flagged=True,
-)
+    def __getitem__(self, i: int) -> Estimate:
+        return Estimate(*[column.item(i) for column in vars(self).values()])
 
 
 # a stack's coarse grid is scored, fitted and refined in blocks of rows
@@ -727,13 +721,17 @@ def _gate(delay_round: np.ndarray, taps: np.ndarray):
     return delay_round - early, iota
 
 
-def _estimates(p: np.ndarray, fields) -> list[Estimate]:
-    # one Estimate per profile of the (F, J) stack p from per-row arrays of
-    # its fields, in Estimate's field order; an all-zero profile (nothing
-    # received) gives _NO_ESTIMATE
-    rows = zip(*[f.tolist() for f in fields])
-    signal = p.any(axis=-1).tolist()
-    return [Estimate(*row) if s else _NO_ESTIMATE for s, row in zip(signal, rows)]
+def _finish(p: np.ndarray, *columns: np.ndarray) -> Estimate:
+    # the Estimate of the (F, J) profiles p from its (F,) columns; a row of
+    # p all zero (nothing received) is written flagged, zero elsewhere
+    signal = p.any(axis=-1)
+    # all() of a list: a stack with no empty row takes no further numpy call
+    if not all(signal.tolist()):
+        empty = ~signal
+        for column in columns:
+            column[empty] = 0
+        columns[-1][empty] = True
+    return Estimate(*columns)
 
 
 def joint_estimate(
@@ -742,12 +740,12 @@ def joint_estimate(
     layout: PilotLayout,
 ) -> Estimate:
     """Full three-stage estimate from a received frame body (prefix stripped):
-    :func:`joint_estimate_rows` of the frame as a stack of one.
+    row 0 of :func:`joint_estimate_rows` of the frame as a stack of one.
 
     Raises ValueError for a frame not of shape (N,), and as
     :func:`_check_frames` does. A frame whose pilot readout is all zero
     (nothing received) carries no estimate: it comes back flagged, with
-    zero in every field.
+    zero in every other field.
     """
     return joint_estimate_rows(grid, _one_frame(grid, r), layout)[0]
 
@@ -756,18 +754,20 @@ def joint_estimate_rows(
     grid: AfdmGrid,
     r: np.ndarray,
     layout: PilotLayout,
-) -> list[Estimate]:
+) -> Estimate:
     """The three-stage estimate of every row of an (F, N) stack of frame
-    bodies, as a list in row order, each the Estimate of that row alone.
+    bodies, as one Estimate of (F,) columns whose row i is the Estimate of
+    row i alone.
 
     Stage 1 is :func:`estimate_doppler_frac`; the integer decode
     (:func:`_decode`) and the gate (:func:`_gate`) then run over all rows at
     once. A row is flagged when its integer Doppler lies outside +-k_max or
-    its gated delay below 0. An all-zero row gives the flagged no-estimate.
+    its gated delay below 0. An all-zero row carries no estimate: it reads
+    flagged, with zero in every other field.
     Raises ValueError as :func:`_check_frames` does.
     """
     kappa, p = estimate_doppler_frac(grid, r, layout)
     (peak_index, k, l_round, flagged), score, taps = _decode(grid, p)
     floor, iota = _gate(l_round, taps)
     flagged = flagged | (floor < 0)
-    return _estimates(p, (floor, iota, k, kappa, score, peak_index, flagged))
+    return _finish(p, floor, iota, k, kappa, score, peak_index, flagged)

@@ -71,10 +71,10 @@ __all__ = [
 CSV_HEADER = "estimator,snr_db,ep_ei_db,C,delay_rmse,doppler_rmse,trials,mean_pspr,wall_ms"
 SCHEMA_VERSION = 3
 
-# estimator name -> the Estimates of an (F, N) stack of frame bodies, one
-# per row, each estimator on the whole stack (the baselines on it
-# demodulated); each looks its functions up when called, so a patched
-# attribute is seen
+# estimator name -> the Estimate of (F,) columns of an (F, N) stack of
+# frame bodies, each estimator on the whole stack (each baseline on the
+# stack it demodulates itself); each looks its functions up when called, so
+# a patched attribute is seen
 ESTIMATORS = {
     "joint": lambda g, r, lay: joint_estimate_rows(g, r, lay),
     "integer_only": lambda g, r, lay: baselines.integer_only_rows(g, daft_demodulate(g, r), lay),
@@ -197,8 +197,9 @@ def run_trial(
     (``_run_chunk``).
 
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
-    mean_pspr, seconds)}): plain means over the estimator's kept per-frame
-    ``Estimate``s, in frame order, and its seconds in the estimator.
+    mean_pspr, seconds)}): plain means of the estimator's delay, Doppler and
+    PSPR over all of the trial's frames, flagged ones too (nothing is
+    dropped), and its seconds in the estimator.
     """
     return _run_chunk(grid, layout, noise_var, estimators, frames, [seed_seq])[0]
 
@@ -237,16 +238,11 @@ def _run_chunk(grid, layout, noise_var, estimators, frames, seed_seqs) -> list:
     out = [((ch.delay, ch.doppler), {}) for ch in channels]
     for name in estimators:
         t0 = time.perf_counter()
-        ests = ESTIMATORS[name](grid, body, layout)
+        est = ESTIMATORS[name](grid, body, layout)
         seconds = (time.perf_counter() - t0) / len(seed_seqs)
-        for t, (_, res) in enumerate(out):
-            kept = ests[t * frames : (t + 1) * frames]
-            res[name] = (
-                float(np.mean([e.delay for e in kept])),
-                float(np.mean([e.doppler for e in kept])),
-                float(np.mean([e.pspr for e in kept])),
-                seconds,
-            )
+        columns = np.stack([est.delay, est.doppler, est.pspr]).reshape(3, len(out), frames)
+        for (_, res), means in zip(out, columns.mean(axis=-1).T.tolist()):
+            res[name] = (*means, seconds)
     return out
 
 

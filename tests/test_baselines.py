@@ -118,9 +118,9 @@ def test_no_doppler_miss_where_the_oracle_is_the_model():
         ys.append(daft_demodulate(GRID, oversampled_oracle(GRID, x, ch) + np.sqrt(nv / 2) * noise))
         truth.append(ch.doppler)
     ests = two_d_search_rows(GRID, np.array(ys), LAYOUT)
-    errors = np.abs([e.doppler for e in ests] - np.array(truth))
+    errors = np.abs(ests.doppler - np.array(truth))
     assert errors.max() <= 0.05
-    assert not any(e.flagged for e in ests)
+    assert not ests.flagged.any()
 
 
 def test_search_tables_are_read_only_and_the_keys_few():

@@ -11,6 +11,7 @@ held to.
 
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ class TestExactSum:
                 delay=rng.uniform(0, GRID.l_max), doppler=rng.uniform(-GRID.k_max, GRID.k_max)
             )
             assert exact_profile(GRID, 0, ch).max() <= GRID.n + 1e-9
+
+    @pytest.mark.parametrize(
+        "m_src,error", [(-1, ValueError), (64, ValueError), (2.5, TypeError), (3.0, TypeError)]
+    )
+    def test_a_source_not_a_subcarrier_is_refused(self, m_src, error):
+        """The exact model's source subcarrier is an integer in [0, N): one
+        outside used to wrap to another subcarrier's column (64 read as 0),
+        and a float was truncated in the runs but not in the bin offsets;
+        numpy integers are accepted."""
+        grid = AfdmGrid(n=64, k_max=1, l_max=1, doppler_pad=2, n_prefix=20)
+        ch = LosChannel(delay=1.3, doppler=0.4)
+        for model in (exact_spectrum, exact_profile, partial(effective_column, bins=[0, 17])):
+            with pytest.raises(error, match="m_src"):
+                model(grid, m_src, ch)
+            assert np.array_equal(model(grid, np.int64(63), ch), model(grid, 63, ch))
 
     def test_total_energy_is_n_squared(self):
         # the inner phase vector has unit modulus per sample, so Parseval

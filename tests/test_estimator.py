@@ -40,7 +40,6 @@ from afdmest.estimator import (
     _FINE_PROBES,
     _FIT,
     _INTEGER_SHARE,
-    _NO_ESTIMATE,
     _NODES,
     _PROBES,
     Estimate,
@@ -68,6 +67,8 @@ from afdmest.harness import ESTIMATORS, noise_variance
 
 GRID = AfdmGrid()
 LAYOUT = PilotLayout()
+# what a frame whose pilot readout is all zero (nothing received) yields
+NO_ESTIMATE = Estimate(0, 0.0, 0, 0.0, 0.0, 0, True)
 
 
 def pipeline(grid, x, ch, rng=None):
@@ -1417,13 +1418,35 @@ class TestStacks:
     """A stack of frames on one grid comes out of every layer as its rows
     would one at a time, bit for bit."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(stack=loaded_stacks())
-    def test_every_row_of_the_stacked_joint_is_its_own_estimate(self, stack):
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    @settings(max_examples=25, deadline=None)
+    @given(stack=loaded_stacks(), empty=st.lists(st.integers(0, 5), max_size=2))
+    def test_every_row_of_a_stack_is_its_own_estimate(self, name, stack, empty):
+        """Each estimator's stacked form (harness.ESTIMATORS) on a stack
+        with all-zero rows inserted at random positions: one Estimate of
+        columns of length F and fixed dtypes, whose row i is the one-frame
+        entry point on row i, and whose all-zero rows are the flagged
+        no-estimate."""
         grid, layout, r = stack
-        assert joint_estimate_rows(grid, r, layout) == [
-            joint_estimate(grid, row, layout) for row in r
-        ]
+        for where in empty:
+            r = np.insert(r, where % (len(r) + 1), 0.0, axis=0)
+        one = {
+            "joint": joint_estimate,
+            "integer_only": lambda g, row, lay: integer_only(g, daft_demodulate(g, row), lay),
+            "two_d_search": lambda g, row, lay: two_d_search(g, daft_demodulate(g, row), lay),
+        }[name]
+        got = ESTIMATORS[name](grid, r, layout)
+        dtypes = dict(
+            delay_int=np.int64, delay_frac=np.float64, doppler_int=np.int64,
+            doppler_frac=np.float64, pspr=np.float64, peak_index=np.int64, flagged=np.bool_,
+        )
+        for field, dtype in dtypes.items():
+            column = getattr(got, field)
+            assert column.shape == (len(r),) and column.dtype == dtype, field
+        assert list(got) == [got[i] for i in range(len(r))]
+        for i, row in enumerate(r):
+            assert got[i] == one(grid, row, layout)
+            assert (got[i] == NO_ESTIMATE) == (not row.any())
 
     def test_stacked_joint_on_odd_cn_and_a_nonzero_pilot(self):
         """A fixed case of the property above, as a sweep trial stacks its
@@ -1440,8 +1463,8 @@ class TestStacks:
             pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng) for _ in range(6)
         ])
         ests = joint_estimate_rows(grid, r, layout)
-        assert ests == [joint_estimate(grid, row, layout) for row in r]
-        assert not any(e.flagged for e in ests)
+        assert list(ests) == [joint_estimate(grid, row, layout) for row in r]
+        assert not ests.flagged.any()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1465,15 +1488,6 @@ class TestStacks:
         assert_rows_equal(body, [strip_prefix(grid, row) for row in out])
         y = daft_demodulate(grid, body)
         assert_rows_equal(y, [daft_demodulate(grid, row) for row in body])
-
-    @settings(max_examples=30, deadline=None)
-    @given(stack=loaded_stacks(), where=st.integers(0, 5))
-    def test_an_all_zero_row_is_flagged_and_leaves_the_others(self, stack, where):
-        grid, layout, r = stack
-        i = where % (len(r) + 1)
-        ests = joint_estimate_rows(grid, np.insert(r, i, 0.0, axis=0), layout)
-        assert ests[i] == _NO_ESTIMATE
-        assert ests[:i] + ests[i + 1 :] == joint_estimate_rows(grid, r, layout)
 
     @pytest.mark.parametrize(
         "shape,nan_row,match",
@@ -1508,29 +1522,7 @@ class TestStacks:
         row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
         with mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", rows * row_bytes):
             got = joint_estimate_rows(grid, r, layout)
-        assert got == [joint_estimate(grid, row, layout) for row in r]
-
-    @settings(max_examples=40, deadline=None)
-    @given(stack=loaded_stacks(), where=st.integers(0, 5))
-    def test_every_row_of_integer_only_rows_is_its_own_estimate(self, stack, where):
-        """With an all-zero row inserted, which is the flagged no-estimate."""
-        grid, layout, r = stack
-        y = daft_demodulate(grid, np.insert(r, where % (len(r) + 1), 0.0, axis=0))
-        got = integer_only_rows(grid, y, layout)
-        assert got == [integer_only(grid, row, layout) for row in y]
-        assert _NO_ESTIMATE in got
-
-    @settings(max_examples=20, deadline=None)
-    @given(stack=loaded_stacks(), where=st.integers(0, 5))
-    def test_every_row_of_two_d_search_rows_is_its_own_estimate(self, stack, where):
-        """With an all-zero row inserted, which is the flagged no-estimate:
-        the dictionary scores and the zoom levels' run sums give each row,
-        and each point, the bits it gets alone."""
-        grid, layout, r = stack
-        y = daft_demodulate(grid, np.insert(r, where % (len(r) + 1), 0.0, axis=0))
-        got = two_d_search_rows(grid, y, layout)
-        assert got == [two_d_search(grid, row, layout) for row in y]
-        assert _NO_ESTIMATE in got
+        assert list(got) == [joint_estimate(grid, row, layout) for row in r]
 
     @settings(max_examples=30, deadline=None)
     @given(stack=loaded_stacks(), where=st.integers(0, 5))
@@ -1542,8 +1534,8 @@ class TestStacks:
         grid, layout, r = stack
         i = where % (len(r) + 1)
         y = daft_demodulate(grid, np.insert(r, i, 0.0, axis=0))
-        got = two_d_search_rows(grid, y, layout)
-        assert got.pop(i) == _NO_ESTIMATE
+        got = list(two_d_search_rows(grid, y, layout))
+        assert got.pop(i) == NO_ESTIMATE
         for row, est in zip(np.delete(y, i, axis=0), got, strict=True):
             p = readout(grid, daft_modulate(grid, row), layout, est.doppler_frac)
             (peak_index, *_), score, _ = decode_one(grid, p)
@@ -1564,8 +1556,8 @@ class TestStacks:
             r = pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng)
             y.append(daft_demodulate(grid, r))
         ests = integer_only_rows(grid, np.array(y), layout)
-        assert ests == [integer_only(grid, row, layout) for row in y]
-        assert not any(e.flagged for e in ests)
+        assert list(ests) == [integer_only(grid, row, layout) for row in y]
+        assert not ests.flagged.any()
 
     @pytest.mark.parametrize("case", ["loaded", "all-zero", "odd-cn-pilot-40"])
     def test_one_frame_entry_points_equal_one_row_stacks(self, case):
@@ -1593,8 +1585,8 @@ class TestStacks:
         }
         assert set(one) == set(ESTIMATORS)
         for name, estimate in ESTIMATORS.items():
-            assert estimate(grid, r[None], layout) == [one[name]]
-        assert all(e == _NO_ESTIMATE for e in one.values()) == (case == "all-zero")
+            assert list(estimate(grid, r[None], layout)) == [one[name]]
+        assert all(e == NO_ESTIMATE for e in one.values()) == (case == "all-zero")
 
     def test_integer_only_rows_rejects_a_single_frame(self):
         with pytest.raises(ValueError, match="a frame stack must be 2-D"):

@@ -1448,6 +1448,23 @@ class TestStacks:
             assert got[i] == one(grid, row, layout)
             assert (got[i] == NO_ESTIMATE) == (not row.any())
 
+    @settings(max_examples=40, deadline=None)
+    @given(stack=loaded_stacks())
+    def test_every_row_of_the_stacked_joint_is_its_own_estimate(self, stack):
+        grid, layout, r = stack
+        assert list(joint_estimate_rows(grid, r, layout)) == [
+            joint_estimate(grid, row, layout) for row in r
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(stack=loaded_stacks(), where=st.integers(0, 5))
+    def test_an_all_zero_row_is_flagged_and_leaves_the_others(self, stack, where):
+        grid, layout, r = stack
+        i = where % (len(r) + 1)
+        ests = list(joint_estimate_rows(grid, np.insert(r, i, 0.0, axis=0), layout))
+        assert ests[i] == NO_ESTIMATE
+        assert ests[:i] + ests[i + 1 :] == list(joint_estimate_rows(grid, r, layout))
+
     def test_stacked_joint_on_odd_cn_and_a_nonzero_pilot(self):
         """A fixed case of the property above, as a sweep trial stacks its
         frames (one channel), on a grid whose prefix is the negated tail

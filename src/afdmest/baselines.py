@@ -1,12 +1,16 @@
 """Reference estimators the joint method is compared against.
 
+Both take one demodulated frame of N samples or an (F, N) stack of them,
+as ``joint_estimate`` takes its frame bodies, and run one body over the
+stack with no loop over its rows: a frame gives an Estimate of Python
+scalars, a stack one of (F,) columns whose row i is the Estimate of frame
+i alone, bit for bit.
+
 ``integer_only`` is the classic single-pilot scheme: decode the strongest
 readout bin into integer delay/Doppler and stop. It needs no compensation
 loop, runs in one transform, and hits a quantization floor of about 0.29
 samples RMSE on fractional channels (the standard deviation of a uniform
-rounding residual). ``integer_only_rows`` is its one body, over every row
-of a stack at once with no loop over the rows; ``integer_only`` runs it on
-a single frame as a stack of one.
+rounding residual).
 
 ``two_d_search`` is a continuous comparator, the classic 2-D grid search:
 it searches the (delay, Doppler) box for the largest magnitude
@@ -17,11 +21,11 @@ model column, summed exactly under the floor wrap convention of
 Every frame of a stack is scored at once against a cached dictionary of
 the model columns on a grid over the box, in one product, and each
 frame's best cell is refined by three zoom levels of 9 x 9 points, every
-row's points scored in one batch (``two_d_search_rows``). Its PSPR and
-peak index are read off ``read_profile`` of each frame demodulated again
-with the found fractional Doppler compensated. It represents the family of
-2-D maximum-correlation searches without reproducing any specific
-published variant, and runs on numpy alone.
+row's points scored in one batch. Its PSPR and peak index are read off
+``read_profile`` of each frame demodulated again with the found fractional
+Doppler compensated. It represents the family of 2-D maximum-correlation
+searches without reproducing any specific published variant, and runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ from .estimator import (
     _check_frames,
     _decode,
     _finish,
-    _one_frame,
     _pilot_bins,
     read_profile,
 )
 
-__all__ = ["integer_only", "integer_only_rows", "two_d_search", "two_d_search_rows"]
+__all__ = ["integer_only", "two_d_search"]
 
 # two_d_search's grid, in samples of delay and bins of Doppler. The
 # dictionary spaces the box's cells _CELL apart: noise-free, the objective
@@ -56,13 +59,10 @@ __all__ = ["integer_only", "integer_only_rows", "two_d_search", "two_d_search_ro
 # delay than in Doppler, so a level's best point need not be the one
 # nearest the peak. Three levels bring the spacing to 1/512: where the
 # objective has one maximum near the best cell, the last level's best
-# point lies within half of that, 1/1024 < 1e-3, of it, the tolerance the
-# Nelder-Mead simplex this search replaced stopped at. On 1200 frames
-# (N = 255 to 4096, C = 8 to 26, 0 to 30 dB), steps of 1/8 and two levels
-# ended within 0.05 of the simplex's estimate and lower in the objective
-# on 118 frames, steps of a quarter and three levels on 61, 57 of them at
-# C = 26: there the objective ripples in delay with period 1/C, in lobes
-# whose heights differ by 0.25%, closer than a 9-point level tells apart
+# point lies within half of that, 1/1024, of it. At C = 26 the objective
+# ripples in delay with period 1/C, in lobes whose heights differ by 0.25%,
+# closer than a 9-point level tells apart, so the search can end on the
+# wrong lobe
 _CELL = 1 / 8
 _LEVELS = (_CELL / 4, _CELL / 16, _CELL / 64)
 _ZOOM = np.stack(np.meshgrid(np.arange(-4, 5), np.arange(-4, 5), indexing="ij"), -1).reshape(-1, 2)
@@ -70,16 +70,9 @@ _ZOOM.flags.writeable = False
 
 
 def integer_only(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Integer delay/Doppler decode of the raw (uncompensated) readout of one
-    demodulated frame: row 0 of :func:`integer_only_rows` of the frame as a
-    stack of one. Raises ValueError as ``joint_estimate`` does."""
-    return integer_only_rows(grid, _one_frame(grid, y), layout)[0]
-
-
-def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Integer delay/Doppler decode of the raw (uncompensated) readout of
-    every row of an (F, N) stack of demodulated frames, as one Estimate of
-    (F,) columns whose row i is the Estimate of row i alone.
+    """Integer delay/Doppler decode of the raw (uncompensated) readout of a
+    demodulated frame, or of every row of an (F, N) stack of them, as an
+    Estimate of (F,) columns whose row i is the Estimate of row i alone.
 
     Fractional parts are zero by definition. On a channel with fractional
     parts the decode lands on the nearest comb tap, so the delay error is
@@ -88,18 +81,18 @@ def integer_only_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Est
     row's pilot bins, and joint's integer decode (without its gate) runs
     over all rows at once. An all-zero pilot readout gives the flagged
     no-estimate of ``joint_estimate``. Raises ValueError as
-    ``joint_estimate_rows`` does.
+    ``joint_estimate`` does.
     """
-    y = _check_frames(grid, y, layout)
-    p = read_profile(grid, y, layout)
+    stack = _check_frames(grid, y, layout)
+    p = read_profile(grid, stack, layout)
     (peak_index, k, l_round, flagged), score, _ = _decode(grid, p)
     zero = np.zeros(len(p))
-    return _finish(p, l_round, zero, k, zero, score, peak_index, flagged)
+    return _finish(np.ndim(y) == 1, p, l_round, zero, k, zero, score, peak_index, flagged)
 
 
 @lru_cache(maxsize=8)
 def _search_tables(grid: AfdmGrid, layout: PilotLayout):
-    """Cached per grid and pilot position: what ``two_d_search_rows`` reads
+    """Cached per grid and pilot position: what ``two_d_search`` reads
     for every stack, as (points, atoms, chirp, sums).
 
     points is the (G, 2) grid of (delay, Doppler) cells _CELL apart over
@@ -137,16 +130,9 @@ def _search_tables(grid: AfdmGrid, layout: PilotLayout):
 
 
 def two_d_search(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Continuous (delay, Doppler) search of one demodulated frame: row 0 of
-    :func:`two_d_search_rows` of the frame as a stack of one. Raises
-    ValueError as ``joint_estimate`` does."""
-    return two_d_search_rows(grid, _one_frame(grid, y), layout)[0]
-
-
-def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Estimate:
-    """Continuous (delay, Doppler) search of every row of an (F, N) stack of
-    demodulated frames, as one Estimate of (F,) columns whose row i is the
-    Estimate of row i alone.
+    """Continuous (delay, Doppler) search of a demodulated frame, or of
+    every row of an (F, N) stack of them, as an Estimate of (F,) columns
+    whose row i is the Estimate of row i alone.
 
     Searches (L, K) in [0, l_max] x [-k_max, k_max] for the largest
     |<readout, model column>| / ||model column||, where the model column is the
@@ -163,11 +149,11 @@ def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Est
     n / N), demodulated and read by ``read_profile``. No estimate is
     flagged: the search always ends in the box. An all-zero pilot readout
     gives the flagged no-estimate of ``joint_estimate``. Raises ValueError
-    as ``joint_estimate_rows`` does.
+    as ``joint_estimate`` does.
     """
-    y = _check_frames(grid, y, layout)
+    stack = _check_frames(grid, y, layout)
     points, atoms, chirp, sums = _search_tables(grid, layout)
-    obs = y.take(_pilot_bins(grid, layout), axis=-1)
+    obs = stack.take(_pilot_bins(grid, layout), axis=-1)
     z = obs * chirp
     # one vector-matrix product per row, so a row's scores do not depend on
     # the stack it came in
@@ -183,8 +169,9 @@ def two_d_search_rows(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> Est
     l_floor, k_floor = np.floor(delay), np.floor(doppler)
     kappa = doppler - k_floor
     n = np.arange(grid.n)
-    body = daft_modulate(grid, y) * np.exp(2j * np.pi * kappa[:, None] * n / grid.n)
+    body = daft_modulate(grid, stack) * np.exp(2j * np.pi * kappa[:, None] * n / grid.n)
     p = read_profile(grid, daft_demodulate(grid, body), layout)
     (peak_index, *_), score, _ = _decode(grid, p)
     columns = (l_floor.astype(np.int64), delay - l_floor, k_floor.astype(np.int64), kappa)
-    return _finish(obs, *columns, score, peak_index, np.zeros(len(z), dtype=bool))
+    flagged = np.zeros(len(z), dtype=bool)
+    return _finish(np.ndim(y) == 1, obs, *columns, score, peak_index, flagged)

@@ -104,9 +104,9 @@ def _half_turns(n: int) -> np.ndarray:
 
 def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     """``sums(delay, doppler)``: the exact sum F of ``exact_spectrum`` at the
-    output bins m_src + offsets (mod N), offsets distinct mod N, one row per
-    (delay, Doppler) point, for arrays (or scalars) of the channel's fields
-    as floats: a (P, J) array for P points and J offsets.
+    output bins m_src + offsets (mod N), one row per (delay, Doppler) point,
+    for arrays (or scalars) of the channel's fields as floats: a (P, J)
+    array for P points and J offsets.
 
     The tables a point reads depend on it only through (floor(L), ceil(L)),
     at most 2*l_max + 1 keys in the search box, and are cached per key in
@@ -143,9 +143,7 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     w = _half_turns(n)
     offsets = np.asarray(offsets, dtype=np.int64)
     at_t = offsets % (2 * n)
-    # the offsets sorted by residue, to find each point's u = 0 bin
-    order = np.argsort(offsets % n)
-    residues = (offsets % n)[order]
+    residues = offsets % n
     tables = {}
 
     def table(lo: int, hi: int):
@@ -198,14 +196,11 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
         den = w.take(li[:, None] + at_t)
         den *= (np.sin((np.pi / n) * f) + 1j * np.cos((np.pi / n) * f))[:, None]
         den = den.real
-        # each point's u = 0 bin, the offset where t + li is a multiple of N,
-        # summed per run in Dirichlet form
+        # each point's u = 0 bins, the offsets where t + li is a multiple of
+        # N, summed per run in Dirichlet form
         zero = (f == 0.0)[:, None]
         c *= np.where(zero, length, c.imag / np.sin((np.pi / n) * np.where(zero, 1.0, f[:, None])))
-        target = -li % n
-        pos = np.searchsorted(residues, target).clip(max=residues.size - 1)
-        rows = np.flatnonzero(residues[pos] == target)
-        cols = order[pos[rows]]
+        rows, cols = np.nonzero(residues == (-li % n)[:, None])
         den[rows, cols] = 1.0
         out /= den
         out[rows, cols] = (head[rows] * shift[rows, :-1] * c[rows].conj()).sum(axis=-1)
@@ -269,9 +264,6 @@ def effective_column(
     """
     n, m_src = grid.n, _check_source(grid, m_src)
     bins = np.asarray(bins) % n
-    distinct, back = np.unique(bins, return_inverse=True)
-    if distinct.size < bins.size:  # the run sums take each bin once
-        return effective_column(grid, m_src, ch, distinct)[back]
     _, e2 = _chirps(n, grid.c1, grid.c2)
     lead = ch.gain / n * e2[m_src] * cmath.exp(
         2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)

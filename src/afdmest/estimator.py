@@ -1,23 +1,22 @@
 """Pilot frame construction and the joint fractional delay/Doppler estimator.
 
-Every estimator has one body, over an (F, N) stack of frames that share
-grid and layout, and returns one Estimate of (F,) columns, row i the
-Estimate of that frame alone. A single frame is a stack of one:
-``joint_estimate`` checks the shape of its frame and returns row 0 of
-``joint_estimate_rows`` of it. Estimation runs in three stages:
+Every estimator takes one frame of N samples or an (F, N) stack of frames
+that share grid and layout, as the transforms do, and runs one body over
+the stack, a frame being a stack of one. A frame gives an Estimate of
+Python scalars, a stack one of (F,) columns whose row i is the Estimate
+of frame i alone, bit for bit. Estimation runs in three stages:
 
 1. fractional Doppler (``estimate_doppler_frac``): a scalar search over
    the compensation phase for a high peak-to-sidelobe power ratio (PSPR)
    of the pilot region readout: the best of 16 coarse cells, refined within
    its basin, one coarse step either side. That is the maximum of the PSPR
    unless another cell's basin holds a higher one that scored lower on the
-   coarse grid (7 of 2250 corpus frames, 5 of them at 0 dB, when the grid
-   went from 64 cells to 16). The readout at bin b with kappa
-   compensated is |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame
-   body, so the coarse candidates times the readout bins form one uniform
-   frequency grid. One cached chirp-z transform, over a block of a stack's
-   rows at once, scores that grid at 16 cells in one pass, then a
-   vectorised PSPR covers all candidates. Its Bluestein convolution runs
+   coarse grid. The readout at bin b with kappa compensated is
+   |Z(b - kappa)|/sqrt(N), Z the DTFT of the dechirped frame body, so the
+   coarse candidates times the readout bins form one uniform frequency
+   grid. One cached chirp-z transform, over a block of a stack's rows at
+   once, scores that grid at 16 cells in one pass, then a vectorised
+   PSPR covers all candidates. Its Bluestein convolution runs
    by overlap-save, one FFT of each frame and then one product and one
    inverse FFT per block of outputs, or as one long convolution where
    that takes fewer FFT points (at C = 8 and 12 on N=256, and at N=4096).
@@ -72,7 +71,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AfdmGrid, _check_integer, _chirps
+from .core import AfdmGrid, _check_integer, _check_shape, _chirps
 
 __all__ = [
     "PilotLayout",
@@ -84,7 +83,6 @@ __all__ = [
     "pspr",
     "estimate_doppler_frac",
     "joint_estimate",
-    "joint_estimate_rows",
 ]
 
 
@@ -223,34 +221,22 @@ def pspr(p: np.ndarray, peak_pos: int, c: int) -> float:
 def _check_frames(grid: AfdmGrid, r: np.ndarray, layout: PilotLayout) -> np.ndarray:
     """The input check of every estimator, before any table is built.
 
-    r is an (F, N) stack of frames (a single frame comes as a stack of one,
-    see :func:`_one_frame`). Raises ValueError for a pilot index outside
-    [0, N), an r that is not 2-D, holds no frame or has rows not of N
-    samples, or a non-finite sample in any row (a grid checks itself when
-    built). Returns r as an array.
+    r is one frame of N samples or an (F, N) stack of them, the transforms'
+    rule (``core._check_shape``). Raises ValueError for a pilot index
+    outside [0, N), an r of another shape or holding no frame, or a
+    non-finite sample in any row (a grid checks itself when built). Returns
+    r as an (F, N) array, a frame as a stack of one.
     """
     layout.validate(grid)
     r = np.asarray(r)
-    if r.ndim != 2:
-        raise ValueError(f"a frame stack must be 2-D, (frames, {grid.n}), got shape {r.shape}")
-    if r.shape[1] != grid.n:
-        raise ValueError(f"frames of the stack must have {grid.n} samples, got shape {r.shape}")
-    if r.shape[0] == 0:
+    _check_shape(grid, r)
+    r = r.reshape(-1, grid.n)
+    if not len(r):
         raise ValueError("the frame stack holds no frames")
     if not np.isfinite(r).all():
         bad = np.argmin(np.isfinite(r).all(axis=1))
         raise ValueError(f"frame {bad} of the stack has non-finite samples")
     return r
-
-
-def _one_frame(grid: AfdmGrid, r: np.ndarray) -> np.ndarray:
-    # a one-frame entry point's frame as a stack of one, which the stacked
-    # body then checks as it checks any stack; raises ValueError for a
-    # frame not of shape (N,)
-    r = np.asarray(r)
-    if r.shape != (grid.n,):
-        raise ValueError(f"received frame must have shape ({grid.n},), got {r.shape}")
-    return r[None]
 
 
 def _inner_slice(grid: AfdmGrid) -> slice:
@@ -316,31 +302,29 @@ def _smooth_length(target: int) -> int:
 # error bound in _fit_tables
 _COARSE_STEPS = 16
 _NODES = np.arange(-7, 8)
-
-
-def _lead(steps: int) -> int:
-    # the chirp-z outputs before the first profile bin's, and after the
-    # last's: one coarse step, for the readout a bin either side that a
-    # wrapped compensation reads, and the fit's half-width (_fit_tables)
-    return steps + int(_NODES[-1])
+# the chirp-z outputs before the first profile bin's, and after the last's:
+# one coarse step, for the readout a bin either side that a wrapped
+# compensation reads, and the fit's half-width (_fit_tables)
+_LEAD = _COARSE_STEPS + int(_NODES[-1])
 
 
 @lru_cache(maxsize=8)
-def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
+def _coarse_czt(grid: AfdmGrid, layout: PilotLayout):
     """Cached factors of the chirp-z transform that scores the coarse grid.
 
     The readout at bin b with kappa compensated is |Z(b - kappa)|/sqrt(N),
     where Z(f) = sum_n z[n] exp(-2 pi i n f / N) is the DTFT of the
     dechirped body z = conj(e1)*r. The J readout bins b = pilot - j0 - a
     (a = 0 .. J-1, j0 the first of profile_bins) step down by one and the
-    candidates are (i + 1/2)/steps, so every (candidate, bin) pair lies on
-    the one grid f_t = pilot - j0 - 1/(2 steps) - (t - L)/steps, output
-    t = L + a*steps + i, where L = :func:`_lead` outputs before and after
-    the J*steps of the profile let the refine's fit read a bin beyond
-    either end. Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2 turns the sum
-    over that grid into the first m = J*steps + 2L outputs of a linear
-    convolution of the N pre-multiplied samples with the chirp kernel
-    w^(-k^2), w = exp(2 pi i / (2 steps N)), over the lags k in (-N, m).
+    candidates are (i + 1/2)/steps, steps = _COARSE_STEPS, so every
+    (candidate, bin) pair lies on the one grid f_t = pilot - j0 - 1/(2 steps)
+    - (t - L)/steps, output t = L + a*steps + i, where L = _LEAD outputs
+    before and after the J*steps of the profile let the refine's fit read a
+    bin beyond either end. Bluestein's n*t = (n^2 + t^2 - (t - n)^2)/2
+    turns the sum over that grid into the first m = J*steps + 2L outputs of
+    a linear convolution of the N pre-multiplied samples with the chirp
+    kernel w^(-k^2), w = exp(2 pi i / (2 steps N)), over the lags k in
+    (-N, m).
 
     The convolution is computed by overlap-save in blocks of S points, S
     the 5-smooth length (no prime factor above 5) at or above 4N: each
@@ -362,7 +346,8 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     fit puts it back where it reads (:func:`_fit_tables`). The cached
     arrays are shared, so they are read-only.
     """
-    n, period, lead = grid.n, 2 * steps * grid.n, _lead(steps)
+    n, steps, lead = grid.n, _COARSE_STEPS, _LEAD
+    period = 2 * steps * n
     j = profile_bins(grid)
     m = j.size * steps + 2 * lead
     size = _smooth_length(4 * n)
@@ -404,16 +389,16 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout, steps: int):
     return pre, kernel_fft, m
 
 
-def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray, steps: int):
+def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     """PSPR of every coarse compensation candidate (i + 1/2)/steps of every
     row of an (F, N) stack r, with all readouts from one blocked chirp-z
     transform (:func:`_coarse_czt`), as (candidates, (F, candidates) scores,
     work). work is the transform's (F, blocks, S) complex work array,
     output t at [f, t // (S - N + 1), t % (S - N + 1)], without the output
     chirp."""
-    pre, kernel_fft, m = _coarse_czt(grid, layout, steps)
+    pre, kernel_fft, m = _coarse_czt(grid, layout)
     blocks, size = kernel_fft.shape
-    lead = _lead(steps)
+    steps, lead = _COARSE_STEPS, _LEAD
     # one (F, blocks, S) work array: the samples are transformed in block 0,
     # whose own product is taken last, in place
     spec = np.zeros((len(r), blocks, size), dtype=complex)
@@ -553,8 +538,8 @@ def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
     """
     n, steps = grid.n, _COARSE_STEPS
     j = profile_bins(grid).size
-    size = _coarse_czt(grid, layout, steps)[1].shape[-1]
-    t = np.arange(j * steps + 2 * _lead(steps), dtype=np.int64)
+    size = _coarse_czt(grid, layout)[1].shape[-1]
+    t = np.arange(j * steps + 2 * _LEAD, dtype=np.int64)
     period = 2 * steps * n
     place = t // (size - n + 1) * size + t % (size - n + 1)
     phase = np.exp(2j * np.pi * (t * (t - n + 1) % period) / period)
@@ -572,7 +557,7 @@ def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     beyond each end. They are fitted while the chirp-z outputs are at
     hand: one gather of the nodes, node-major, and one real product with
     the fit's matrix, real and imaginary parts side by side."""
-    cand, scores, work = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+    cand, scores, work = _coarse_scores(grid, layout, r)
     cell = np.argmax(scores, axis=-1)
     starts, place, phase = _fit_tables(grid, layout)
     i = starts + cell[:, None]
@@ -618,9 +603,9 @@ def estimate_doppler_frac(
     grid: AfdmGrid,
     r: np.ndarray,
     layout: PilotLayout,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional Doppler of every row of an (F, N) stack of frame bodies,
-    by closed-loop PSPR search (stage 1).
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Fractional Doppler of a frame body, or of every row of an (F, N)
+    stack of them, by closed-loop PSPR search (stage 1).
 
     Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
     coarse grid of candidate compensations over [0, 1), a block of rows at
@@ -631,21 +616,22 @@ def estimate_doppler_frac(
     searches only the best cell's basin, one coarse step either side, so
     where another cell's basin holds a higher PSPR that scored lower on the
     coarse grid, the compensation is that basin's maximum, not the global
-    one (7 of 2250 corpus frames when the grid went from 64 cells to 16,
-    5 of them at 0 dB). The stack is
-    read once, by the chirp-z. The PSPR objective is evaluated on the pilot
-    readout region only. Returns (kappa, p): the F compensations and the
-    (F, J) pilot readout magnitudes over profile_bins, row f with kappa[f]
-    compensated. Raises ValueError as :func:`_check_frames` does.
+    one. The stack is read once, by the chirp-z. The PSPR objective is
+    evaluated on the pilot readout region only. Returns (kappa, p): the
+    compensation and the (J,) pilot readout magnitudes over profile_bins
+    with it compensated, for a frame a float and for a stack (F,) and
+    (F, J) arrays. Raises ValueError as :func:`_check_frames` does.
     """
-    r = _check_frames(grid, r, layout)
+    stack = _check_frames(grid, r, layout)
     # near-equal blocks of at least one row, each within _SCORE_BLOCK_BYTES
-    rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes)
-    count = -(-len(r) // rows)
-    edges = [len(r) * i // count for i in range(count + 1)]
-    refined = [_refine(grid, *_best_cells(grid, layout, r[a:b])) for a, b in zip(edges, edges[1:])]
-    kappa, p = zip(*refined)
-    return np.concatenate(kappa), np.concatenate(p)
+    rows = max(1, _SCORE_BLOCK_BYTES // _coarse_czt(grid, layout)[1].nbytes)
+    count = -(-len(stack) // rows)
+    edges = [len(stack) * i // count for i in range(count + 1)]
+    refined = [
+        _refine(grid, *_best_cells(grid, layout, stack[a:b])) for a, b in zip(edges, edges[1:])
+    ]
+    kappa, p = (np.concatenate(a) for a in zip(*refined))
+    return (kappa.item(0), p[0]) if np.ndim(r) == 1 else (kappa, p)
 
 
 @lru_cache(maxsize=8)
@@ -663,7 +649,7 @@ def _decode_table(grid: AfdmGrid):
     search box. The decode flags nothing else: the decodeable range, js
     from -floor(C/2) to C*l_max + C - floor(C/2) - 1, rounds to l in
     [0, l_max] (the gate's bracket may still fall below it, which
-    :func:`joint_estimate_rows` flags).
+    :func:`joint_estimate` flags).
     The cached arrays are shared, so they are read-only.
     """
     c, half = grid.n_seg, grid.n_seg // 2
@@ -721,9 +707,10 @@ def _gate(delay_round: np.ndarray, taps: np.ndarray):
     return delay_round - early, iota
 
 
-def _finish(p: np.ndarray, *columns: np.ndarray) -> Estimate:
-    # the Estimate of the (F, J) profiles p from its (F,) columns; a row of
-    # p all zero (nothing received) is written flagged, zero elsewhere
+def _finish(frame: bool, p: np.ndarray, *columns: np.ndarray) -> Estimate:
+    # the Estimate of the (F, J) profiles p from its (F,) columns, of their
+    # Python scalars for a frame; a row of p all zero (nothing received) is
+    # written flagged, zero elsewhere
     signal = p.any(axis=-1)
     # all() of a list: a stack with no empty row takes no further numpy call
     if not all(signal.tolist()):
@@ -731,6 +718,8 @@ def _finish(p: np.ndarray, *columns: np.ndarray) -> Estimate:
         for column in columns:
             column[empty] = 0
         columns[-1][empty] = True
+    if frame:
+        return Estimate(*[column.item(0) for column in columns])
     return Estimate(*columns)
 
 
@@ -739,35 +728,21 @@ def joint_estimate(
     r: np.ndarray,
     layout: PilotLayout,
 ) -> Estimate:
-    """Full three-stage estimate from a received frame body (prefix stripped):
-    row 0 of :func:`joint_estimate_rows` of the frame as a stack of one.
-
-    Raises ValueError for a frame not of shape (N,), and as
-    :func:`_check_frames` does. A frame whose pilot readout is all zero
-    (nothing received) carries no estimate: it comes back flagged, with
-    zero in every other field.
-    """
-    return joint_estimate_rows(grid, _one_frame(grid, r), layout)[0]
-
-
-def joint_estimate_rows(
-    grid: AfdmGrid,
-    r: np.ndarray,
-    layout: PilotLayout,
-) -> Estimate:
-    """The three-stage estimate of every row of an (F, N) stack of frame
-    bodies, as one Estimate of (F,) columns whose row i is the Estimate of
-    row i alone.
+    """Full three-stage estimate from a received frame body (prefix
+    stripped), or of every row of an (F, N) stack of them, as an Estimate of
+    (F,) columns whose row i is the Estimate of row i alone.
 
     Stage 1 is :func:`estimate_doppler_frac`; the integer decode
     (:func:`_decode`) and the gate (:func:`_gate`) then run over all rows at
     once. A row is flagged when its integer Doppler lies outside +-k_max or
-    its gated delay below 0. An all-zero row carries no estimate: it reads
-    flagged, with zero in every other field.
-    Raises ValueError as :func:`_check_frames` does.
+    its gated delay below 0. A row whose pilot readout is all zero (nothing
+    received) carries no estimate: it reads flagged, with zero in every
+    other field. Raises ValueError as :func:`_check_frames` does.
     """
     kappa, p = estimate_doppler_frac(grid, r, layout)
+    # a frame's as a stack of one's
+    kappa, p = np.atleast_1d(kappa), np.atleast_2d(p)
     (peak_index, k, l_round, flagged), score, taps = _decode(grid, p)
     floor, iota = _gate(l_round, taps)
     flagged = flagged | (floor < 0)
-    return _finish(p, floor, iota, k, kappa, score, peak_index, flagged)
+    return _finish(np.ndim(r) == 1, p, floor, iota, k, kappa, score, peak_index, flagged)

@@ -52,7 +52,6 @@ from .estimator import (
     _gate,
     build_pilot_frame,
     joint_estimate,
-    joint_estimate_rows,
 )
 
 __all__ = [
@@ -76,9 +75,9 @@ SCHEMA_VERSION = 3
 # stack it demodulates itself); each looks its functions up when called, so
 # a patched attribute is seen
 ESTIMATORS = {
-    "joint": lambda g, r, lay: joint_estimate_rows(g, r, lay),
-    "integer_only": lambda g, r, lay: baselines.integer_only_rows(g, daft_demodulate(g, r), lay),
-    "two_d_search": lambda g, r, lay: baselines.two_d_search_rows(g, daft_demodulate(g, r), lay),
+    "joint": lambda g, r, lay: joint_estimate(g, r, lay),
+    "integer_only": lambda g, r, lay: baselines.integer_only(g, daft_demodulate(g, r), lay),
+    "two_d_search": lambda g, r, lay: baselines.two_d_search(g, daft_demodulate(g, r), lay),
 }
 
 # a chunk of a cell's trials holds at most this many frame samples (frames

@@ -17,7 +17,7 @@ import pytest
 
 import afdmest
 from afdmest import baselines, core, effective, estimator
-from afdmest.baselines import _search_tables, integer_only, two_d_search, two_d_search_rows
+from afdmest.baselines import _search_tables, integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import AfdmGrid, add_prefix, daft_demodulate, daft_modulate, strip_prefix
 from afdmest.estimator import (
@@ -117,7 +117,7 @@ def test_no_doppler_miss_where_the_oracle_is_the_model():
         noise = rng.standard_normal(GRID.n) + 1j * rng.standard_normal(GRID.n)
         ys.append(daft_demodulate(GRID, oversampled_oracle(GRID, x, ch) + np.sqrt(nv / 2) * noise))
         truth.append(ch.doppler)
-    ests = two_d_search_rows(GRID, np.array(ys), LAYOUT)
+    ests = two_d_search(GRID, np.array(ys), LAYOUT)
     errors = np.abs(ests.doppler - np.array(truth))
     assert errors.max() <= 0.05
     assert not ests.flagged.any()
@@ -130,7 +130,7 @@ def test_search_tables_are_read_only_and_the_keys_few():
     most 2*l_max + 1 keys (floor(L), ceil(L))."""
     rng = np.random.default_rng(7)
     y = rng.standard_normal((3, GRID.n)) + 1j * rng.standard_normal((3, GRID.n))
-    two_d_search_rows(GRID, y, LAYOUT)
+    two_d_search(GRID, y, LAYOUT)
     points, atoms, chirp, sums = _search_tables(GRID, LAYOUT)
     assert atoms.shape == (len(points), readout_bins(GRID, LAYOUT).size)
     tables = [a for table in sums.tables.values() for a in table]
@@ -280,16 +280,17 @@ def test_a_grid_of_numpy_integers_gives_the_int_grid_estimate(estimate):
 
 def test_package_and_every_estimator_load_no_scipy():
     """Importing the package, as every sweep worker does, and running all
-    three estimators, two_d_search included, load no scipy module: the
-    library runs on numpy alone."""
+    three estimators, two_d_search included, on a frame and on a 2-row
+    stack load no scipy module: the library runs on numpy alone."""
     code = (
         "import sys, afdmest\n"
         "g, lay = afdmest.AfdmGrid(), afdmest.PilotLayout()\n"
         "r = afdmest.daft_modulate(g, afdmest.build_pilot_frame(g, lay))\n"
-        "y = afdmest.daft_demodulate(g, r)\n"
-        "afdmest.joint_estimate(g, r, lay)\n"
-        "afdmest.integer_only(g, y, lay)\n"
-        "afdmest.two_d_search(g, y, lay)\n"
+        "for r in (r, r[None].repeat(2, axis=0)):\n"
+        "    y = afdmest.daft_demodulate(g, r)\n"
+        "    afdmest.joint_estimate(g, r, lay)\n"
+        "    afdmest.integer_only(g, y, lay)\n"
+        "    afdmest.two_d_search(g, y, lay)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(afdmest.__file__).resolve().parent.parent)

@@ -215,6 +215,22 @@ class TestEffectiveGain:
         for b, v in zip(bins % GRID.n, col):
             assert v == pytest.approx(effective_gain(GRID, int(b), 0, ch), abs=1e-12)
 
+    @pytest.mark.parametrize("delay,doppler", [(2.0, 1.0), (1.3, -0.45)])
+    def test_repeated_bins_are_the_distinct_column_gathered_back(self, delay, doppler):
+        """The run sums take a repeated bin like any other, so a column at
+        repeated bins is the column at the distinct bins gathered back, the
+        integer channel's u = 0 bin 239 included; no bins give an empty
+        column. The entries are at most |gain| = 1, and equal to rounding:
+        a point's one product with its edge table may sum in another order
+        for another count of bins."""
+        ch = LosChannel(gain=np.exp(0.4j), delay=delay, doppler=doppler)
+        bins = np.array([239, 17, 239, 100, 17, 3])
+        distinct, back = np.unique(bins, return_inverse=True)
+        col = effective_column(GRID, 0, ch, bins)
+        expect = effective_column(GRID, 0, ch, distinct)[back]
+        np.testing.assert_allclose(col, expect, rtol=0.0, atol=1e-15)
+        assert effective_column(GRID, 0, ch, np.array([], dtype=int)).shape == (0,)
+
     def test_integer_delay_pipeline_match(self):
         """For an integer channel the FIR path is exact, so demodulating the
         pipeline output must reproduce the model column entry for entry."""

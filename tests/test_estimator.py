@@ -18,13 +18,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from afdmest import estimator
-from afdmest.baselines import (
-    _search_tables,
-    integer_only,
-    integer_only_rows,
-    two_d_search,
-    two_d_search_rows,
-)
+from afdmest.baselines import _search_tables, integer_only, two_d_search
 from afdmest.channel import LosChannel, apply_los_channel, oversampled_oracle
 from afdmest.core import (
     AfdmGrid,
@@ -40,6 +34,7 @@ from afdmest.estimator import (
     _FINE_PROBES,
     _FIT,
     _INTEGER_SHARE,
+    _LEAD,
     _NODES,
     _PROBES,
     Estimate,
@@ -51,13 +46,11 @@ from afdmest.estimator import (
     _decode_table,
     _gate,
     _inner_slice,
-    _lead,
     _pspr_rows,
     _window_pspr,
     build_pilot_frame,
     estimate_doppler_frac,
     joint_estimate,
-    joint_estimate_rows,
     profile_bins,
     pspr,
     read_profile,
@@ -69,6 +62,21 @@ GRID = AfdmGrid()
 LAYOUT = PilotLayout()
 # what a frame whose pilot readout is all zero (nothing received) yields
 NO_ESTIMATE = Estimate(0, 0.0, 0, 0.0, 0.0, 0, True)
+# every function that takes one frame or an (F, N) stack of them: the three
+# estimators and stage 1
+FRAME_TAKERS = [joint_estimate, estimate_doppler_frac, integer_only, two_d_search]
+
+
+def assert_refused_before_any_table(fn, r, match):
+    """fn raises a ValueError matching ``match`` on r before it looks up a
+    cached chirp-z or search table."""
+    # cleared first, so a table looked up before the check is a miss even
+    # where an earlier test cached it
+    _coarse_czt.cache_clear()
+    _search_tables.cache_clear()
+    with pytest.raises(ValueError, match=match):
+        fn(GRID, r, LAYOUT)
+    assert _coarse_czt.cache_info().misses == _search_tables.cache_info().misses == 0
 
 
 def pipeline(grid, x, ch, rng=None):
@@ -365,14 +373,15 @@ def smooth_at_or_above(target):
     return next(v for v in range(target, 2 * target + 1) if smooth(v))
 
 
-def bluestein_scores(grid, layout, r, steps):
+def bluestein_scores(grid, layout, r):
     """The coarse scores of the (F, N) stack r from one long Bluestein
     convolution, zero-padded to the smallest 5-smooth length at or above
-    N + m - 1 (m = J*steps plus the lead of _lead(steps) outputs before
-    and after the profile's): the form the blocked transform replaced, kept
-    as its reference. On a grid where the block rule gives one block, the
-    two run the same arithmetic and give the same bits."""
-    n, period, lead = grid.n, 2 * steps * grid.n, _lead(steps)
+    N + m - 1 (m = J*steps plus the lead of _LEAD outputs before and after
+    the profile's), kept as the blocked transform's reference. On a grid
+    where the block rule gives one block, the two run the same arithmetic
+    and give the same bits."""
+    n, steps, lead = grid.n, _COARSE_STEPS, _LEAD
+    period = 2 * steps * n
     j = profile_bins(grid)
     m = j.size * steps + 2 * lead
     size = smooth_at_or_above(n + m - 1)
@@ -406,11 +415,10 @@ class TestCoarseScores:
         pad=st.integers(1, 4),
         l_max=st.integers(0, 3),
         pilot=st.integers(0, 10**6),
-        steps=st.sampled_from([4, 16, 64]),
         spike=st.integers(0, 10**6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batched_scores_match_scalar_loop(self, n, k_max, pad, l_max, pilot, steps, spike, seed):
+    def test_batched_scores_match_scalar_loop(self, n, k_max, pad, l_max, pilot, spike, seed):
         """One chirp-z transform over all candidates and the vectorised PSPR
         give the scores of the candidate-by-candidate loop, over N, the
         parity of C, the pilot position and zero search boxes; a flat profile
@@ -423,9 +431,9 @@ class TestCoarseScores:
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         j = profile_bins(grid)
-        cand, scores, _ = _coarse_scores(grid, layout, r[None], steps)
+        cand, scores, _ = _coarse_scores(grid, layout, r[None])
         scores = scores[0]
-        assert np.array_equal(cand, (np.arange(steps) + 0.5) / steps)
+        assert np.array_equal(cand, (np.arange(_COARSE_STEPS) + 0.5) / _COARSE_STEPS)
         profiles = np.array([readout(grid, r, layout, kappa) for kappa in cand])
         expect = np.array([scalar_pspr(grid, p) for p in profiles])
         # one chirp-z transform against a readout per candidate: equal
@@ -469,8 +477,8 @@ class TestCoarseScores:
         layout = PilotLayout(pilot_index=pilot % n)
         rng = np.random.default_rng(seed)
         r = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-        _, got, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
-        expect = bluestein_scores(grid, layout, r, _COARSE_STEPS)
+        _, got, _ = _coarse_scores(grid, layout, r)
+        expect = bluestein_scores(grid, layout, r)
         assert np.array_equal(np.isinf(got), np.isinf(expect))
         np.testing.assert_allclose(got, expect, rtol=1e-12)
         # rows whose best score clears the runner-up by more than the
@@ -488,9 +496,9 @@ class TestCoarseScores:
         grid = AfdmGrid(n=n)
         rng = np.random.default_rng(n)
         r = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        assert _coarse_czt(grid, LAYOUT, _COARSE_STEPS)[1].shape[0] == 1
-        _, got, _ = _coarse_scores(grid, LAYOUT, r, _COARSE_STEPS)
-        assert np.array_equal(got, bluestein_scores(grid, LAYOUT, r, _COARSE_STEPS))
+        assert _coarse_czt(grid, LAYOUT)[1].shape[0] == 1
+        _, got, _ = _coarse_scores(grid, LAYOUT, r)
+        assert np.array_equal(got, bluestein_scores(grid, LAYOUT, r))
 
     @pytest.mark.parametrize(
         "n,pad,blocks,size",
@@ -502,8 +510,8 @@ class TestCoarseScores:
         length at or above N + m - 1 takes no more FFT points: its two
         transforms against the blocks' one forward and one inverse each."""
         grid = AfdmGrid(n=n, doppler_pad=pad)
-        _, kernel_fft, m = _coarse_czt(grid, LAYOUT, _COARSE_STEPS)
-        assert m == profile_bins(grid).size * _COARSE_STEPS + 2 * _lead(_COARSE_STEPS)
+        _, kernel_fft, m = _coarse_czt(grid, LAYOUT)
+        assert m == profile_bins(grid).size * _COARSE_STEPS + 2 * _LEAD
         assert kernel_fft.shape == (blocks, size)
         quad = smooth_at_or_above(4 * n)
         count = -(-m // (quad - n + 1))
@@ -523,11 +531,11 @@ class TestCoarseScores:
         _coarse_czt.cache_clear()
         tracemalloc.start()
         try:
-            _coarse_scores(grid, LAYOUT, r[None], steps)
+            _coarse_scores(grid, LAYOUT, r[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pre, kernel_fft, m = _coarse_czt(grid, LAYOUT, steps)
+        pre, kernel_fft, m = _coarse_czt(grid, LAYOUT)
         blocks, size = kernel_fft.shape
         # one block: the padded length is the smallest 5-smooth one at or
         # above N + m - 1, below the one at or above 4N
@@ -535,7 +543,7 @@ class TestCoarseScores:
         assert grid.n + m - 1 <= size and smooth(size)
         assert not any(smooth(v) for v in range(grid.n + m - 1, size))
         assert size < smooth_at_or_above(4 * grid.n)
-        assert m == profile_bins(grid).size * steps + 2 * _lead(steps)
+        assert m == profile_bins(grid).size * steps + 2 * _LEAD
         assert peak <= 4 * 16 * size < 16 * grid.n * steps
         for a in (pre, kernel_fft):
             assert not a.flags.writeable
@@ -562,9 +570,9 @@ class TestCoarseScores:
                 for d, k in truth
             ]
         )
-        ests = joint_estimate_rows(grid, r, layout)
+        ests = joint_estimate(grid, r, layout)
         assert all(abs(e.doppler - k) <= 1e-3 for e, (_, k) in zip(ests, truth))
-        cand, scores, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+        cand, scores, _ = _coarse_scores(grid, layout, r)
         order = np.argsort(scores, axis=-1)
         top = np.take_along_axis(scores, order[:, -2:], axis=-1)
         tied = np.flatnonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
@@ -750,7 +758,7 @@ class TestFittedRefine:
         grid, layout = GRID, LAYOUT
         rng = np.random.default_rng(6)
         r = rng.standard_normal((6, grid.n)) + 1j * rng.standard_normal((6, grid.n))
-        row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
+        row_bytes = _coarse_czt(grid, layout)[1].nbytes
         with (
             mock.patch.object(estimator, "_coarse_scores", wraps=_coarse_scores) as scored,
             mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", block_rows * row_bytes),
@@ -825,11 +833,11 @@ class TestFittedRefine:
         channels = [LosChannel(delay=l, doppler=k + fraction) for l, k in box]
         r = np.array([strip_prefix(grid, apply_los_channel(grid, s, ch)) for ch in channels])
         if fraction == 0.0:
-            _, scores, _ = _coarse_scores(grid, layout, r, _COARSE_STEPS)
+            _, scores, _ = _coarse_scores(grid, layout, r)
             assert np.all(scores.argmax(axis=-1) == cell)
         with mock.patch.object(estimator, "_coarse_scores", forcing(cell)):
             kappa, p = estimate_doppler_frac(grid, r, layout)
-            ests = joint_estimate_rows(grid, r, layout)
+            ests = joint_estimate(grid, r, layout)
         assert np.all(unwrapped_floor(cell, kappa) == shift)
         np.testing.assert_allclose(kappa, fraction % 1.0, atol=1e-3)
         assert fraction != 0.0 or np.all(kappa == 0.0)
@@ -1124,21 +1132,20 @@ class TestJointEstimate:
         for stack in (r[:1], r):
             kappa, p = estimate_doppler_frac(GRID, stack, LAYOUT)
             assert kappa.shape == (len(stack),) and p.shape == (len(stack), 48)
-            ests = joint_estimate_rows(GRID, stack, LAYOUT)
+            ests = joint_estimate(GRID, stack, LAYOUT)
             for row, k, prof, est in zip(stack, kappa, p, ests):
                 expect = readout(GRID, row, LAYOUT, k)
                 assert np.max(np.abs(prof - expect)) < 1e-10
                 assert est.doppler_frac == k
                 assert est.pspr == scalar_pspr(GRID, prof)
 
-    @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
-    @pytest.mark.parametrize("shape", [(GRID.n - 1,), (GRID.n + 1,), (1, GRID.n), ()])
+    @pytest.mark.parametrize("fn", FRAME_TAKERS)
+    @pytest.mark.parametrize("shape", [(GRID.n - 1,), (GRID.n + 1,), (GRID.n, 1), ()])
     def test_wrong_shape_rejected(self, fn, shape):
-        """A frame of the wrong shape is refused by the one-frame entry point,
-        and as the one row of a stack by stage 1, which takes stacks."""
-        r = np.ones(shape, dtype=complex)
-        with pytest.raises(ValueError, match="shape"):
-            fn(GRID, r[None] if fn is estimate_doppler_frac else r, LAYOUT)
+        """A frame of N - 1 or N + 1 samples, a frame as a column and a
+        scalar are refused by every estimator and by stage 1, with the
+        transforms' message, before any table is built."""
+        assert_refused_before_any_table(fn, np.ones(shape, dtype=complex), "frame must have shape")
 
     @pytest.mark.parametrize("fn", [joint_estimate, estimate_doppler_frac])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -1146,7 +1153,7 @@ class TestJointEstimate:
         r = np.ones(GRID.n, dtype=complex)
         r[17] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            fn(GRID, r[None] if fn is estimate_doppler_frac else r, LAYOUT)
+            fn(GRID, r, LAYOUT)
 
     def test_all_zero_frame_is_flagged_with_finite_fields(self):
         est = joint_estimate(GRID, np.zeros(GRID.n, dtype=complex), LAYOUT)
@@ -1281,7 +1288,7 @@ def test_an_unflagged_joint_estimate_lies_in_its_box(
     frames = [strip_prefix(grid, apply_los_channel(grid, s, ch)) for ch in box]
     rng = np.random.default_rng(seed)
     frames.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for est in joint_estimate_rows(grid, np.array(frames), layout):
+    for est in joint_estimate(grid, np.array(frames), layout):
         assert est.flagged or (
             0.0 <= est.delay < l_max + 1 and -k_max <= est.doppler_int <= k_max
         ), est
@@ -1422,20 +1429,15 @@ class TestStacks:
     @settings(max_examples=25, deadline=None)
     @given(stack=loaded_stacks(), empty=st.lists(st.integers(0, 5), max_size=2))
     def test_every_row_of_a_stack_is_its_own_estimate(self, name, stack, empty):
-        """Each estimator's stacked form (harness.ESTIMATORS) on a stack
-        with all-zero rows inserted at random positions: one Estimate of
-        columns of length F and fixed dtypes, whose row i is the one-frame
-        entry point on row i, and whose all-zero rows are the flagged
-        no-estimate."""
+        """Each estimator (harness.ESTIMATORS) on a stack with all-zero rows
+        inserted at random positions: one Estimate of columns of length F
+        and fixed dtypes, whose row i is the estimator on frame i alone,
+        and whose all-zero rows are the flagged no-estimate."""
         grid, layout, r = stack
         for where in empty:
             r = np.insert(r, where % (len(r) + 1), 0.0, axis=0)
-        one = {
-            "joint": joint_estimate,
-            "integer_only": lambda g, row, lay: integer_only(g, daft_demodulate(g, row), lay),
-            "two_d_search": lambda g, row, lay: two_d_search(g, daft_demodulate(g, row), lay),
-        }[name]
-        got = ESTIMATORS[name](grid, r, layout)
+        estimate = ESTIMATORS[name]
+        got = estimate(grid, r, layout)
         dtypes = dict(
             delay_int=np.int64, delay_frac=np.float64, doppler_int=np.int64,
             doppler_frac=np.float64, pspr=np.float64, peak_index=np.int64, flagged=np.bool_,
@@ -1445,14 +1447,14 @@ class TestStacks:
             assert column.shape == (len(r),) and column.dtype == dtype, field
         assert list(got) == [got[i] for i in range(len(r))]
         for i, row in enumerate(r):
-            assert got[i] == one(grid, row, layout)
+            assert got[i] == estimate(grid, row, layout)
             assert (got[i] == NO_ESTIMATE) == (not row.any())
 
     @settings(max_examples=40, deadline=None)
     @given(stack=loaded_stacks())
     def test_every_row_of_the_stacked_joint_is_its_own_estimate(self, stack):
         grid, layout, r = stack
-        assert list(joint_estimate_rows(grid, r, layout)) == [
+        assert list(joint_estimate(grid, r, layout)) == [
             joint_estimate(grid, row, layout) for row in r
         ]
 
@@ -1461,9 +1463,9 @@ class TestStacks:
     def test_an_all_zero_row_is_flagged_and_leaves_the_others(self, stack, where):
         grid, layout, r = stack
         i = where % (len(r) + 1)
-        ests = list(joint_estimate_rows(grid, np.insert(r, i, 0.0, axis=0), layout))
+        ests = list(joint_estimate(grid, np.insert(r, i, 0.0, axis=0), layout))
         assert ests[i] == NO_ESTIMATE
-        assert ests[:i] + ests[i + 1 :] == list(joint_estimate_rows(grid, r, layout))
+        assert ests[:i] + ests[i + 1 :] == list(joint_estimate(grid, r, layout))
 
     def test_stacked_joint_on_odd_cn_and_a_nonzero_pilot(self):
         """A fixed case of the property above, as a sweep trial stacks its
@@ -1479,7 +1481,7 @@ class TestStacks:
         r = np.array([
             pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng) for _ in range(6)
         ])
-        ests = joint_estimate_rows(grid, r, layout)
+        ests = joint_estimate(grid, r, layout)
         assert list(ests) == [joint_estimate(grid, row, layout) for row in r]
         assert not ests.flagged.any()
 
@@ -1510,25 +1512,18 @@ class TestStacks:
         "shape,nan_row,match",
         [
             ((3, GRID.n), 1, "frame 1 of the stack has non-finite samples"),
-            ((3, GRID.n - 1), None, f"frames of the stack must have {GRID.n} samples"),
-            ((2, 3, GRID.n), None, "a frame stack must be 2-D"),
-            ((GRID.n,), None, "a frame stack must be 2-D"),
+            ((3, GRID.n - 1), None, "frame must have shape"),
+            ((2, 3, GRID.n), None, "frame must have shape"),
             ((0, GRID.n), None, "the frame stack holds no frames"),
         ],
-        ids=["nan-in-row-1", "wrong-last-dimension", "3-d", "1-d", "no-frames"],
+        ids=["nan-in-row-1", "wrong-last-dimension", "3-d", "no-frames"],
     )
     def test_malformed_stack_is_rejected_before_any_table(self, shape, nan_row, match):
         r = np.ones(shape, dtype=complex)
         if nan_row is not None:
             r[nan_row, 5] = np.nan
-        # cleared first, so a table looked up before the check is a miss even
-        # where an earlier test cached it
-        _coarse_czt.cache_clear()
-        _search_tables.cache_clear()
-        for estimate in (joint_estimate_rows, two_d_search_rows):
-            with pytest.raises(ValueError, match=match):
-                estimate(GRID, r, LAYOUT)
-        assert _coarse_czt.cache_info().misses == _search_tables.cache_info().misses == 0
+        for fn in FRAME_TAKERS:
+            assert_refused_before_any_table(fn, r, match)
 
     @settings(max_examples=40, deadline=None)
     @given(stack=loaded_stacks(), rows=st.integers(1, 5))
@@ -1536,22 +1531,22 @@ class TestStacks:
         """The coarse grid of a stack is scored a block of rows at a time;
         with blocks of ``rows`` rows every row is still its own estimate."""
         grid, layout, r = stack
-        row_bytes = _coarse_czt(grid, layout, _COARSE_STEPS)[1].nbytes
+        row_bytes = _coarse_czt(grid, layout)[1].nbytes
         with mock.patch.object(estimator, "_SCORE_BLOCK_BYTES", rows * row_bytes):
-            got = joint_estimate_rows(grid, r, layout)
+            got = joint_estimate(grid, r, layout)
         assert list(got) == [joint_estimate(grid, row, layout) for row in r]
 
     @settings(max_examples=30, deadline=None)
     @given(stack=loaded_stacks(), where=st.integers(0, 5))
     def test_two_d_search_reports_the_decode_of_its_compensated_readout(self, stack, where):
-        """Every two_d_search_rows estimate reports the PSPR and peak index
+        """Every row of a two_d_search stack reports the PSPR and peak index
         that _decode reads, bit for bit, off its frame's pilot readout with
         its own doppler_frac compensated (``readout`` of the frame's body);
         an all-zero row mixed into the stack is the flagged no-estimate."""
         grid, layout, r = stack
         i = where % (len(r) + 1)
         y = daft_demodulate(grid, np.insert(r, i, 0.0, axis=0))
-        got = list(two_d_search_rows(grid, y, layout))
+        got = list(two_d_search(grid, y, layout))
         assert got.pop(i) == NO_ESTIMATE
         for row, est in zip(np.delete(y, i, axis=0), got, strict=True):
             p = readout(grid, daft_modulate(grid, row), layout, est.doppler_frac)
@@ -1572,16 +1567,17 @@ class TestStacks:
             )
             r = pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng)
             y.append(daft_demodulate(grid, r))
-        ests = integer_only_rows(grid, np.array(y), layout)
+        ests = integer_only(grid, np.array(y), layout)
         assert list(ests) == [integer_only(grid, row, layout) for row in y]
         assert not ests.flagged.any()
 
     @pytest.mark.parametrize("case", ["loaded", "all-zero", "odd-cn-pilot-40"])
     def test_one_frame_entry_points_equal_one_row_stacks(self, case):
-        """Each estimator's one-frame entry point gives the Estimate its
-        stacked form (harness.ESTIMATORS) gives the frame as a stack of one:
-        on a loaded frame, on an all-zero frame (the flagged no-estimate)
-        and on the odd C*N grid (N=255, C=9) with the pilot at index 40."""
+        """A frame's estimate, of Python scalars, is row 0 of its stack of
+        one, for every estimator, and stage 1 gives a frame a float
+        compensation and a (J,) readout, row 0 of the stack of one's: on a
+        loaded frame, on an all-zero frame (the flagged no-estimate) and on
+        the odd C*N grid (N=255, C=9) with the pilot at index 40."""
         grid, layout = (
             (AfdmGrid(n=255, doppler_pad=3), PilotLayout(pilot_index=40))
             if case == "odd-cn-pilot-40"
@@ -1594,17 +1590,13 @@ class TestStacks:
         r = pipeline(grid, build_pilot_frame(grid, layout, rng), ch, rng=rng)
         if case == "all-zero":
             r = np.zeros(grid.n, dtype=complex)
-        y = daft_demodulate(grid, r)
-        one = {
-            "joint": joint_estimate(grid, r, layout),
-            "integer_only": integer_only(grid, y, layout),
-            "two_d_search": two_d_search(grid, y, layout),
-        }
-        assert set(one) == set(ESTIMATORS)
+        one = {name: estimate(grid, r, layout) for name, estimate in ESTIMATORS.items()}
         for name, estimate in ESTIMATORS.items():
             assert list(estimate(grid, r[None], layout)) == [one[name]]
+            types = [type(v) for v in vars(one[name]).values()]
+            assert types == [int, float, int, float, float, int, bool], name
         assert all(e == NO_ESTIMATE for e in one.values()) == (case == "all-zero")
-
-    def test_integer_only_rows_rejects_a_single_frame(self):
-        with pytest.raises(ValueError, match="a frame stack must be 2-D"):
-            integer_only_rows(GRID, np.ones(GRID.n, dtype=complex), LAYOUT)
+        kappa, p = estimate_doppler_frac(grid, r, layout)
+        (kappa_row,), (p_row,) = estimate_doppler_frac(grid, r[None], layout)
+        assert type(kappa) is float and p.shape == (profile_bins(grid).size,)
+        assert kappa == kappa_row and np.array_equal(p, p_row)

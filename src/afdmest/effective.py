@@ -106,7 +106,8 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     """``sums(delay, doppler)``: the exact sum F of ``exact_spectrum`` at the
     output bins m_src + offsets (mod N), one row per (delay, Doppler) point,
     for arrays (or scalars) of the channel's fields as floats: a (P, J)
-    array for P points and J offsets.
+    array for P points and J offsets. Raises TypeError for offsets that are
+    not integers.
 
     The tables a point reads depend on it only through (floor(L), ceil(L)),
     at most 2*l_max + 1 keys in the search box, and are cached per key in
@@ -141,7 +142,7 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     # points of all keys share one form.
     n, width = grid.n, grid.n_seg + 2
     w = _half_turns(n)
-    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = _check_indices("offsets", offsets)
     at_t = offsets % (2 * n)
     residues = offsets % n
     tables = {}
@@ -210,6 +211,16 @@ def _run_sums(grid: AfdmGrid, m_src: int, offsets: np.ndarray):
     return sums
 
 
+def _check_indices(name: str, values) -> np.ndarray:
+    # bins or bin offsets as int64: integers of any width pass, as does an
+    # empty list (a float64 array to numpy); a float (2.0 too) would index
+    # as an error, or be truncated in the runs
+    values = np.asarray(values)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise TypeError(f"{name} must be integers, got {values.dtype}")
+    return values.astype(np.int64)
+
+
 def _check_source(grid: AfdmGrid, m_src) -> int:
     # the source subcarrier of the exact model, an integer in [0, N): one
     # outside would be wrapped by the modular bin arithmetic into another
@@ -260,10 +271,12 @@ def effective_column(
 
     This is the model response a single source symbol produces across the
     requested output bins; the 2-D search baseline correlates measured pilot
-    readouts against it. Raises as :func:`exact_spectrum` does for m_src.
+    readouts against it. Raises as :func:`exact_spectrum` does for m_src,
+    and TypeError for bins that are not integers (numpy integers of any
+    width are accepted; no bins give an empty column).
     """
     n, m_src = grid.n, _check_source(grid, m_src)
-    bins = np.asarray(bins) % n
+    bins = _check_indices("bins", bins) % n
     _, e2 = _chirps(n, grid.c1, grid.c2)
     lead = ch.gain / n * e2[m_src] * cmath.exp(
         2j * math.pi * (grid.c1 * ch.delay**2 - ch.delay * m_src / n)

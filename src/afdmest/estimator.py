@@ -33,7 +33,11 @@ of frame i alone, bit for bit. Estimation runs in three stages:
    readout at the refined compensation is read from the fit too, so stage
    1 reads the stack once, in the chirp-z; the transform's outputs reach
    one bin beyond each end of the profile, where a compensation that wraps
-   past 0 or 1 reads it.
+   past 0 or 1 reads it. Stage 1 writes a block's temporaries to a
+   workspace of the calling thread (``_Workspace``), kept between calls,
+   so a warm call allocates no block-sized array; calls from several
+   threads at once are safe, and nothing it returns is a view of the
+   workspace.
 
 2. integer decode: the peak (first largest bin of the decodeable range) of
    the compensated readout sits on a comb with spacing C; its position
@@ -65,6 +69,8 @@ reads the pilot bins of its frame compensated and demodulated again.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -264,19 +270,27 @@ def _window_pspr(window: np.ndarray) -> np.ndarray:
     c = sq.shape[-1]
     peak = sq[..., c // 2].copy()
     sq[..., c // 2] = 0.0
-    denom = sq.sum(axis=-1) / c
-    return np.divide(peak, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
+    denom = np.add.reduce(sq, axis=-1) / c
+    score = np.empty(denom.shape)
+    score.fill(np.inf)
+    return np.divide(peak, denom, out=score, where=denom > 0.0)
+
+
+def _windows(grid: AfdmGrid, p: np.ndarray, offsets: np.ndarray):
+    # (pos, the bins at offsets from pos) of every profile of an (F, bins)
+    # stack, pos its _peak: one take from the flattened stack (a view where
+    # the stack is contiguous), each peak moved to its row's place in it
+    pos = _peak(grid, p)
+    at = pos + np.arange(0, p.size, p.shape[-1])
+    return pos, p.take(at[:, None] + offsets)
 
 
 def _pspr_rows(grid: AfdmGrid, p: np.ndarray) -> np.ndarray:
     """pspr of every profile of a (..., profiles, bins) stack, each taken at
     its profile's :func:`_peak`, with the bits pspr gives that profile. The
-    profiles are read as one (rows, bins) array, so one gather indexed by
-    row and bin takes every window, as :func:`_decode` takes its own."""
-    c, half = grid.n_seg, grid.n_seg // 2
-    rows = p.reshape(-1, p.shape[-1])
-    pos = _peak(grid, rows)
-    window = rows[np.arange(len(rows))[:, None], pos[:, None] + np.arange(-half, c - half)]
+    profiles are read as one (rows, bins) array, so one take gathers every
+    window, as :func:`_decode` gathers its own."""
+    window = _windows(grid, p.reshape(-1, p.shape[-1]), _decode_table(grid)[0][3:])[1]
     return _window_pspr(window).reshape(p.shape[:-1])
 
 
@@ -306,6 +320,47 @@ _NODES = np.arange(-7, 8)
 # one coarse step, for the readout a bin either side that a wrapped
 # compensation reads, and the fit's half-width (_fit_tables)
 _LEAD = _COARSE_STEPS + int(_NODES[-1])
+# the coarse compensation candidates, the centers (i + 1/2)/steps of the cells
+_CANDIDATES = (np.arange(_COARSE_STEPS) + 0.5) / _COARSE_STEPS
+_CANDIDATES.flags.writeable = False
+
+
+class _Workspace(threading.local):
+    """Stage 1's block temporaries, one set per thread: four flat buffers
+    (slots) that each grow to the largest array drawn on them and are never
+    freed. Allocated afresh on every call, the temporaries of a block of
+    rows (180-520 KB each on the 30 rows of a sweep chunk at N=256) are
+    returned to the system by malloc when the call ends and faulted back
+    in on the next one, a quarter to a third of a stacked joint's time.
+    The slots come to 1.4 MiB over a sweep at C = 8 and 12. A slot is
+    drawn on again only once what it held is dead, in this order per
+    block:
+
+        slot 0: chirp-z work array -> fit coefficients
+        slot 1: coarse magnitudes -> node values -> each pass's product
+        slot 2: coarse profiles -> node outputs -> first pass's profiles
+                -> second pass's magnitudes
+        slot 3: node positions -> node phases -> second pass's profiles
+
+    Each thread has its own slots, so calls from several threads are safe;
+    nothing a public function returns is a view of them."""
+
+    def __init__(self):
+        self.slots = [np.empty(0, dtype=np.uint8) for _ in range(4)]
+
+
+_WORKSPACE = _Workspace()
+
+
+def _scratch(slot: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+    # an uninitialised array on the calling thread's workspace slot, valid
+    # until the slot is drawn on again
+    slots = _WORKSPACE.slots
+    try:
+        return np.ndarray(shape, dtype, slots[slot])
+    except TypeError:  # the buffer is too small for the array: grow it
+        slots[slot] = np.empty(math.prod(shape) * np.dtype(dtype).itemsize, dtype=np.uint8)
+        return np.ndarray(shape, dtype, slots[slot])
 
 
 @lru_cache(maxsize=8)
@@ -395,25 +450,30 @@ def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     transform (:func:`_coarse_czt`), as (candidates, (F, candidates) scores,
     work). work is the transform's (F, blocks, S) complex work array,
     output t at [f, t // (S - N + 1), t % (S - N + 1)], without the output
-    chirp."""
+    chirp; it lives in workspace slot 0."""
     pre, kernel_fft, m = _coarse_czt(grid, layout)
     blocks, size = kernel_fft.shape
-    steps, lead = _COARSE_STEPS, _LEAD
+    out, lead = size - grid.n + 1, _LEAD
     # one (F, blocks, S) work array: the samples are transformed in block 0,
-    # whose own product is taken last, in place
-    spec = np.zeros((len(r), blocks, size), dtype=complex)
+    # whose own product is taken last, in place; every other block is
+    # written whole by its product
+    spec = _scratch(0, (len(r), blocks, size), complex)
     head = spec[:, :1]
+    head[..., grid.n :] = 0.0
     np.multiply(r[:, None], pre, out=head[..., : grid.n])
     np.fft.fft(head, out=head)
-    np.multiply(head, kernel_fft[1:], out=spec[:, 1:])
+    if blocks > 1:
+        np.multiply(head, kernel_fft[1:], out=spec[:, 1:])
     head *= kernel_fft[:1]
     np.fft.ifft(spec, out=spec)
     # the first S - N + 1 outputs of each block, in order, are the m outputs,
     # the profile's J*steps of them after the lead
-    mag = np.abs(spec[..., : size - grid.n + 1]).reshape(len(r), -1)[:, lead : m - lead]
+    mag = np.abs(spec[..., :out], out=_scratch(1, (len(r), blocks, out)))
+    mag = mag.reshape(len(r), -1)[:, lead : m - lead].reshape(len(r), -1, _COARSE_STEPS)
     # (F, bins, candidates) -> a profile over the bins per candidate
-    p = mag.reshape(len(r), -1, steps).swapaxes(-1, -2)
-    return (np.arange(steps) + 0.5) / steps, _pspr_rows(grid, p), spec
+    p = _scratch(2, (len(r), _COARSE_STEPS, mag.shape[1]))
+    np.copyto(p, mag.swapaxes(-1, -2))
+    return _CANDIDATES, _pspr_rows(grid, p), spec
 
 
 @dataclass(frozen=True)
@@ -451,16 +511,17 @@ class Estimate:
 
 # a stack's coarse grid is scored, fitted and refined in blocks of rows
 # whose chirp-z work arrays, (blocks, S) complex per row as kernel_fft,
-# stay within this many bytes: 22 rows at N=256 and C=8 (one block of
-# 1080), 16 at C=12, 6 at C=26 and 4 at N=4096. On 30-row stacks at N=256,
-# against 512 KiB, joint took 0.85, 0.91-0.93 and 0.92-0.95 of the time
-# per frame at C = 8, 12 and 26; 256 KiB took 0.76, 1.00 and 1.02-1.07,
-# 1 MiB 1.05, 1.32 and 1.39-1.42. Only 10-row stacks at N=4096, which a
-# sweep never forms (its chunks hold 2 rows there), ran faster with more
-# rows: 1.10 here, 0.87 at 1 MiB. 40 such stacks at C = 8 and 12 peaked at
-# 38.7 MiB RSS, 38.3 at 256 KiB and 39.0 at 512 KiB (2 vCPU, interleaved
-# calls, CPU time)
-_SCORE_BLOCK_BYTES = 3 << 17
+# stay within this many bytes: 30 rows at N=256 and C=8 (one block of
+# 1080), 22 at C=12, 8 at C=26 and 6 at N=4096. With the temporaries in
+# the workspace, on 30-row stacks at N=256, against 384 KiB, joint took
+# 0.90-0.92, 1.00-1.01 and 0.98-0.99 of the time per frame at C = 8, 12
+# and 26, and 0.89 at N=4096; 256 KiB took 0.99, 1.04-1.07, 1.08 and
+# 1.12-1.13, 1 MiB 0.83-0.88, 0.95-1.30, 0.97-1.02 and 0.83. 10-row stacks
+# at N=4096 took 0.91 here and 0.77 at 1 MiB, but a sweep never forms them
+# (its chunks hold 2 rows there, one block at any of these sizes). 40
+# 30-row stacks at C = 8 and 12 peaked at 39.0-39.2 MiB RSS, 38.5-38.7 at
+# 384 KiB (2 vCPU, interleaved calls, CPU time)
+_SCORE_BLOCK_BYTES = 1 << 19
 
 
 def _monomial_fit(nodes: np.ndarray) -> np.ndarray:
@@ -528,10 +589,10 @@ def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
     beyond each end of the profile: t runs from L - steps - 7 = 0 to
     L + J*steps + steps + 6 = m - 1.
 
-    Returns (starts, place, phase). place and phase are (K, windows) views
-    whose column i holds the K outputs t = i .. i + K - 1, the nodes of bin
-    a around cell c at i = starts[a + 1] + c: place their positions in a
-    frame's flattened (blocks, S) work array, phase their phases
+    Returns (nodes, place, phase): nodes the (K, 1, J+2) outputs t of the
+    nodes of every bin a = -1 .. J around cell 0, t = L + a*steps + s, so
+    that cell c's are nodes + c; place the position of every output t in a
+    frame's flattened (blocks, S) work array, and phase its phase
     exp(2 pi i t (t - N + 1)/(2 steps N)), t(t - N + 1) reduced mod
     2 steps N in integers. The cached arrays are shared, so they are
     read-only.
@@ -543,10 +604,10 @@ def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
     period = 2 * steps * n
     place = t // (size - n + 1) * size + t % (size - n + 1)
     phase = np.exp(2j * np.pi * (t * (t - n + 1) % period) / period)
-    starts = np.arange(j + 2) * steps
-    for a in (starts, place, phase):
+    nodes = _LEAD + _NODES[:, None, None] + np.arange(-1, j + 1) * steps
+    for a in (nodes, place, phase):
         a.flags.writeable = False
-    return starts, *(sliding_window_view(a, _NODES.size).T for a in (place, phase))
+    return nodes, place, phase
 
 
 def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
@@ -556,17 +617,21 @@ def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     readout near it (:func:`_fit_tables`) at the J profile bins and one
     beyond each end. They are fitted while the chirp-z outputs are at
     hand: one gather of the nodes, node-major, and one real product with
-    the fit's matrix, real and imaginary parts side by side."""
+    the fit's matrix, real and imaginary parts side by side. coef lives in
+    workspace slot 0, until the next block of stage 1 in this thread."""
     cand, scores, work = _coarse_scores(grid, layout, r)
     cell = np.argmax(scores, axis=-1)
-    starts, place, phase = _fit_tables(grid, layout)
-    i = starts + cell[:, None]
-    at = place[:, i]
-    at += (np.arange(len(r)) * work[0].size)[:, None]
-    values = work.take(at)
-    values *= phase[:, i]
-    coef = _FIT @ values.view(np.float64).reshape(_NODES.size, -1)
-    return cand[cell], coef.view(complex).reshape(values.shape)
+    nodes, place, phase = _fit_tables(grid, layout)
+    shape = (_NODES.size, len(r), nodes.shape[-1])
+    # every take is in range, and mode "clip" lets it write to out unbuffered
+    t = np.add(nodes, cell[:, None], out=_scratch(2, shape, np.int64))
+    at = np.take(place, t, out=_scratch(3, shape, np.int64), mode="clip")
+    at += np.arange(0, work.size, work[0].size)[:, None]
+    values = np.take(work, at, out=_scratch(1, shape, complex), mode="clip")
+    values *= np.take(phase, t, out=_scratch(3, shape, complex), mode="clip")
+    real = values.view(np.float64).reshape(_NODES.size, -1)
+    coef = np.matmul(_FIT, real, out=_scratch(0, real.shape))
+    return cand[cell], coef.view(complex).reshape(shape)
 
 
 def _refine(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray):
@@ -586,12 +651,25 @@ def _refine(grid: AfdmGrid, best: np.ndarray, coef: np.ndarray):
     end where k_u wraps. It reads no frame, and one form serves any stack
     height.
     """
+    nodes, frames, width = coef.shape
+    probes = len(_PROBES)
     real = coef.view(np.float64)
-    fitted = (_PROBE_POWERS @ real.reshape(len(real), -1)).view(complex)
-    profiles = np.abs(fitted.reshape(len(_PROBES), *coef.shape[1:])[..., 1:-1])
+    # each pass's product in workspace slot 1 and its profiles, the
+    # magnitudes but the bin beyond each end, in slot 2; the second pass
+    # takes all magnitudes there, for p, and copies its profiles to slot 3
+    fitted = np.matmul(
+        _PROBE_POWERS, real.reshape(nodes, -1), out=_scratch(1, (probes, 2 * frames * width))
+    ).view(complex)
+    profiles = fitted.reshape(probes, frames, width)[..., 1:-1]
+    profiles = np.abs(profiles, out=_scratch(2, profiles.shape))
     first = _pspr_rows(grid, profiles).argmax(axis=0)
-    fitted = np.abs((_FINE_POWERS[first] @ real.swapaxes(0, 1)).view(complex))
-    second = _pspr_rows(grid, fitted[..., 1:-1]).argmax(axis=-1)
+    fitted = np.matmul(
+        _FINE_POWERS[first], real.swapaxes(0, 1), out=_scratch(1, (frames, probes, 2 * width))
+    ).view(complex)
+    fitted = np.abs(fitted, out=_scratch(2, fitted.shape))
+    profiles = _scratch(3, (frames, probes, width - 2))
+    np.copyto(profiles, fitted[..., 1:-1])
+    second = _pspr_rows(grid, profiles).argmax(axis=-1)
     kappa = best + _FINE_PROBES[first, second] / _COARSE_STEPS
     shift = np.floor(kappa).astype(np.int64)
     rows = np.arange(len(kappa))[:, None]
@@ -630,7 +708,7 @@ def estimate_doppler_frac(
     refined = [
         _refine(grid, *_best_cells(grid, layout, stack[a:b])) for a, b in zip(edges, edges[1:])
     ]
-    kappa, p = (np.concatenate(a) for a in zip(*refined))
+    kappa, p = refined[0] if count == 1 else (np.concatenate(a) for a in zip(*refined))
     return (kappa.item(0), p[0]) if np.ndim(r) == 1 else (kappa, p)
 
 
@@ -674,8 +752,7 @@ def _decode(grid: AfdmGrid, p: np.ndarray):
     reads. One gather reads the taps and the PSPR windows of all rows.
     """
     offsets, split = _decode_table(grid)
-    pos = _peak(grid, p)
-    at = p[np.arange(len(p))[:, None], pos[:, None] + offsets]
+    pos, at = _windows(grid, p, offsets)
     return [a[pos] for a in split], _window_pspr(at[:, 3:]), at[:, :3]
 
 

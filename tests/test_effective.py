@@ -231,6 +231,23 @@ class TestEffectiveGain:
         np.testing.assert_allclose(col, expect, rtol=0.0, atol=1e-15)
         assert effective_column(GRID, 0, ch, np.array([], dtype=int)).shape == (0,)
 
+    @pytest.mark.parametrize("bins", [[2.5], np.array([2.0]), [17, 2.5]])
+    def test_bins_that_are_not_integers_are_refused(self, bins):
+        """A float bin, even a whole one, raises TypeError naming the bins,
+        where [2.5] used to raise numpy's IndexError from the chirp table
+        lookup; an empty list is no bins, an empty column."""
+        with pytest.raises(TypeError, match="bins must be integers"):
+            effective_column(GRID, 0, CH, bins)
+        assert effective_column(GRID, 0, CH, []).shape == (0,)
+        assert effective_column(GRID, 0, CH, np.array([17], dtype=np.int32)).tobytes() == (
+            effective_column(GRID, 0, CH, [17]).tobytes()
+        )
+
+    def test_run_sums_refuses_offsets_that_are_not_integers(self):
+        """Offset 2.7 used to be read as 2, its sums those at offset 2."""
+        with pytest.raises(TypeError, match="offsets must be integers"):
+            _run_sums(GRID, 0, np.array([2.7]))
+
     def test_integer_delay_pipeline_match(self):
         """For an integer channel the FIR path is exact, so demodulating the
         pipeline output must reproduce the model column entry for entry."""

@@ -7,6 +7,8 @@ nature and are held to the tolerances the pipeline is designed around:
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1600,3 +1602,98 @@ class TestStacks:
         (kappa_row,), (p_row,) = estimate_doppler_frac(grid, r[None], layout)
         assert type(kappa) is float and p.shape == (profile_bins(grid).size,)
         assert kappa == kappa_row and np.array_equal(p, p_row)
+
+
+def sweep_stack(pad, seed, rows=30):
+    """A stack of ``rows`` frames at N=256 and C set by doppler_pad, 30 as a
+    sweep chunk forms them: loaded frames over channels of their own at
+    20 dB."""
+    grid = AfdmGrid(n=256, doppler_pad=pad)
+    rng = np.random.default_rng(seed)
+    r = []
+    for _ in range(rows):
+        ch = LosChannel(
+            gain=np.exp(2j * np.pi * rng.uniform()),
+            delay=rng.uniform(0.0, grid.l_max),
+            doppler=rng.uniform(-grid.k_max, grid.k_max),
+            noise_var=noise_variance(grid, LAYOUT, 20.0),
+        )
+        r.append(pipeline(grid, build_pilot_frame(grid, LAYOUT, rng), ch, rng=rng))
+    return grid, np.array(r)
+
+
+def estimate_bytes(est):
+    return [column.tobytes() for column in vars(est).values()]
+
+
+class TestWorkspace:
+    """Stage 1 draws its block temporaries from a workspace of its thread,
+    kept between calls."""
+
+    def test_threads_running_stage_one_at_once_get_their_serial_results(self):
+        """Three threads, more than the cores a small runner has, run joint
+        50 times each on stacks of their own grids (C = 8, 12 and 26, the
+        last in 4 transform blocks), with the interpreter switching threads
+        every 10 us: every result is the serial one, bit for bit."""
+        stacks = [sweep_stack(pad, seed=pad) for pad in (2, 6, 20)]
+        serial = [estimate_bytes(joint_estimate(grid, r, LAYOUT)) for grid, r in stacks]
+        results = [[] for _ in stacks]
+
+        def run(i):
+            grid, r = stacks[i]
+            for _ in range(50):
+                results[i].append(estimate_bytes(joint_estimate(grid, r, LAYOUT)))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(stacks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expect, got in zip(serial, results):
+            assert len(got) == 50
+            assert all(result == expect for result in got)
+
+    def test_no_result_is_a_view_of_the_workspace(self):
+        """An Estimate and stage 1's (kappa, p), of a one-block stack and of
+        a frame, keep their bits through later calls on other stacks and
+        grids. The later calls are made once before, so that the workspace
+        has grown to them and they write where the first results were made."""
+        (grid, r), (other, s) = sweep_stack(2, seed=3, rows=15), sweep_stack(6, seed=4)
+        later = [(grid, r[::-1]), (other, s), (grid, r[:7]), (other, s[0])]
+        for g, stack in later:
+            joint_estimate(g, stack, LAYOUT)
+        results = [
+            joint_estimate(grid, r, LAYOUT),
+            estimate_doppler_frac(grid, r, LAYOUT),
+            estimate_doppler_frac(grid, r[0], LAYOUT),
+        ]
+        arrays = [*vars(results[0]).values(), results[1][0], results[1][1], results[2][1]]
+        before = [a.tobytes() for a in arrays]
+        for g, stack in later:
+            joint_estimate(g, stack, LAYOUT)
+            estimate_doppler_frac(g, stack, LAYOUT)
+        assert [a.tobytes() for a in arrays] == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts faults with RUSAGE_THREAD")
+    @pytest.mark.parametrize("pad", [2, 6, 20])
+    def test_a_warm_stacked_joint_takes_no_page_faults(self, pad):
+        """At C = 8, 12 and 26, 20 warm calls on a 30-row stack take fewer
+        than one minor page fault per frame; block temporaries allocated
+        afresh on every call took 9, 21 and 45, malloc returning them to
+        the system when the call ended."""
+        import resource
+
+        grid, r = sweep_stack(pad, seed=5)
+        for _ in range(3):
+            joint_estimate(grid, r, LAYOUT)
+        start = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for _ in range(20):
+            joint_estimate(grid, r, LAYOUT)
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - start
+        assert faults < 20 * len(r)

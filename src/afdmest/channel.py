@@ -8,8 +8,9 @@ Two channel implementations live here on purpose:
   the integer part is a shift, Doppler is a per-sample phasor, noise is
   AWGN. This is what Monte Carlo runs use. It takes one prefixed frame or
   a stack of them along a leading axis, shape (F, N + n_prefix), all
-  through the one channel; each row comes out bit for bit as that row
-  alone would.
+  through the one channel, the rows laid end to end so that each tap adds
+  one contiguous run; each row comes out bit for bit as that row alone
+  would.
 
 * :func:`oversampled_oracle` evaluates the delayed transmit waveform from
   its continuous-time description, per-segment frequency wraps included,
@@ -26,6 +27,7 @@ spectrum at the wrap, and mangle half the signal energy; see the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +87,17 @@ class LosChannel:
         return self.doppler - np.floor(self.doppler)
 
 
+@lru_cache(maxsize=4)
+def _tap_window(half_width: int) -> tuple:
+    # the tap index i = -half_width..half_width and its raised-cosine window,
+    # cached per half-width and read-only as they are shared
+    i = np.arange(-half_width, half_width + 1)
+    win = 0.5 + 0.5 * np.cos(np.pi * i / (half_width + 1))
+    i.flags.writeable = False
+    win.flags.writeable = False
+    return i, win
+
+
 def fir_taps(delay_frac: float, half_width: int = FIR_HALF_WIDTH) -> np.ndarray:
     """Fractional-delay interpolator taps over i = -half_width..half_width.
 
@@ -94,10 +107,32 @@ def fir_taps(delay_frac: float, half_width: int = FIR_HALF_WIDTH) -> np.ndarray:
     """
     if half_width < 4:
         raise ValueError("tap half-width below 4 is not supported")
-    i = np.arange(-half_width, half_width + 1)
-    win = 0.5 + 0.5 * np.cos(np.pi * i / (half_width + 1))
+    i, win = _tap_window(half_width)
     h = np.sinc(i - delay_frac) * win * np.exp(1j * np.pi * (i - delay_frac))
     return h / np.linalg.norm(h)
+
+
+@lru_cache(maxsize=64)
+def _edge_tables(grid: AfdmGrid, l: int, half_width: int) -> tuple:
+    # The source run of a row is s[-n_prefix - l - half_width ..
+    # N - l + half_width - 1]: the l + half_width samples before the prefix,
+    # the prefixed frame itself, cut short by l - half_width samples when
+    # that is positive, and max(0, half_width - l) samples past its end.
+    # Returns the run's length, where the in-frame part starts and how long
+    # it is, and for the samples past either end their places in the run,
+    # the frame samples they repeat and the chirp-train signs, read-only as
+    # they are shared.
+    n, ncp = grid.n, grid.n_prefix
+    run = n + ncp + 2 * half_width
+    start = l + half_width
+    inside = n + ncp - max(0, l - half_width)
+    place = np.concatenate([np.arange(start), np.arange(start + inside, run)])
+    src = place - (ncp + l + half_width)
+    frame = ncp + src % n
+    sign = _train_sign(grid, src // n)
+    for table in (place, frame, sign):
+        table.flags.writeable = False
+    return run, start, inside, place, frame, sign
 
 
 def apply_los_channel(
@@ -113,12 +148,15 @@ def apply_los_channel(
     output[p] = gain * sum_i taps[i] * s[p - l - i] * exp(-i*2*pi*K*p/N) + w[p]
 
     with p counted from the first post-prefix sample (so the prefix occupies
-    p = -n_prefix .. -1) and K the full normalized Doppler. The source
-    samples s[-n_prefix - l - half_width .. N - l + half_width - 1] are
-    gathered once, those past either end of the prefixed frame from the
-    periodic chirp-train extension of the frame body; each tap then adds
-    its shifted slice of that run, taps in order. The noise of a stack is
-    one :func:`awgn` draw over the whole stack.
+    p = -n_prefix .. -1) and K the full normalized Doppler. Each row's
+    source samples s[-n_prefix - l - half_width .. N - l + half_width - 1]
+    are laid end to end in one flat array: the in-frame run is one copy,
+    and the few samples past either end of the prefixed frame come from the
+    periodic chirp-train extension of the frame body, through index and
+    sign tables cached per (grid, l, half_width). Each tap's shifted slice
+    of all rows is then one contiguous run, and the taps add theirs in
+    order; the N + n_prefix outputs of each row are read back out of that
+    sum. The noise of a stack is one :func:`awgn` draw over the whole stack.
     """
     n, ncp = grid.n, grid.n_prefix
     if s_prefixed.ndim not in (1, 2) or s_prefixed.shape[-1] != n + ncp:
@@ -128,22 +166,25 @@ def apply_los_channel(
         raise ValueError("channel memory exceeds the prefix")
 
     taps = fir_taps(ch.delay_frac, half_width)
-    # non-causal taps peek past both frame edges; those samples come from
-    # the periodic chirp-train extension of the frame body
-    src = np.arange(-ncp - l - half_width, n - l + half_width)
-    ext = np.empty(s_prefixed.shape[:-1] + src.shape, dtype=complex)
-    inside = (src >= -ncp) & (src < n)
-    ext[..., inside] = s_prefixed[..., src[inside] + ncp]
-    outside = ~inside
-    ext[..., outside] = s_prefixed[..., ncp + src[outside] % n] * _train_sign(
-        grid, src[outside] // n
-    )
-    p = np.arange(-ncp, n)
-    out = np.zeros(s_prefixed.shape, dtype=complex)
-    for tap, i in zip(taps, range(-half_width, half_width + 1)):
-        # source sample p - l - i sits at ext[p + ncp + half_width - i]
-        out += tap * ext[..., half_width - i : half_width - i + n + ncp]
-    out *= ch.gain * np.exp(-2j * np.pi * ch.doppler * p / n)
+    run, start, inside, place, frame, sign = _edge_tables(grid, l, half_width)
+    rows = s_prefixed.reshape(-1, n + ncp)
+    ext = np.empty((rows.shape[0], run), dtype=complex)
+    ext[:, start : start + inside] = rows[:, :inside]
+    ext[:, place] = rows[:, frame] * sign
+    # output p of row f sums the taps over ext[f, p + 2 * half_width - k],
+    # k the tap's place in taps: at flat position f * run + p of the sum;
+    # the 2 * half_width sums between two rows mix both and are dropped.
+    # Keep the operand order tap * x: numpy's AVX-512 loops round x * tap
+    # differently, and the sweep's bits would move.
+    flat = ext.reshape(-1)
+    span = max(flat.size - 2 * half_width, 0)
+    acc = np.zeros(flat.size, dtype=complex)
+    term = np.empty(span, dtype=complex)
+    for k, tap in enumerate(taps):
+        np.multiply(tap, flat[2 * half_width - k : 2 * half_width - k + span], out=term)
+        acc[:span] += term
+    phasor = ch.gain * np.exp(-2j * np.pi * ch.doppler * np.arange(-ncp, n) / n)
+    out = (acc.reshape(-1, run)[:, : n + ncp] * phasor).reshape(s_prefixed.shape)
     if ch.noise_var > 0:
         if rng is None:
             raise ValueError("noise requested without an rng")
@@ -159,15 +200,23 @@ def awgn(s: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarra
         raise ValueError("negative noise variance")
     if noise_var == 0:
         return s.copy()
-    return s + _noise(s.shape, noise_var, rng)
+    # one draw of the real parts, then the imaginary ones, in one call
+    w = rng.standard_normal((2, *np.shape(s)))
+    out = np.array(s, dtype=complex)
+    _add_noise(out, w[0], w[1], noise_var)
+    return out
 
 
-def _noise(shape, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    # the samples awgn adds to an array of this shape; a caller that draws
-    # them frame by frame gets what awgn on each frame in turn would add
+def _add_noise(out: np.ndarray, re: np.ndarray, im: np.ndarray, noise_var: float) -> None:
+    # adds to complex out, in place, the noise awgn adds given the standard
+    # normal draws of its real and imaginary parts; scales re and im in
+    # place. The real products equal those of the complex noise
+    # scale * (re + 1j * im) added by complex arithmetic, bit for bit.
     scale = np.sqrt(noise_var / 2.0)
-    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return scale * w
+    re *= scale
+    im *= scale
+    out.real += re
+    out.imag += im
 
 
 def oversampled_oracle(grid: AfdmGrid, x: np.ndarray, ch: LosChannel) -> np.ndarray:

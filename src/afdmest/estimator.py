@@ -163,12 +163,18 @@ def build_pilot_frame(
     ValueError for a pilot index outside [0, N).
     """
     layout.validate(grid)
-    x = np.zeros(grid.n, dtype=complex)
-    x[layout.pilot_index] = layout.pilot_amplitude
-    if rng is not None:
-        slots = _data_slots(grid, layout)
-        bits = rng.integers(0, 2, size=(slots.size, 2))
-        x[slots] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
+    bits = None if rng is None else rng.integers(0, 2, size=(_data_slots(grid, layout).size, 2))
+    return _frames_from_bits(grid, layout, bits)
+
+
+def _frames_from_bits(grid: AfdmGrid, layout: PilotLayout, bits) -> np.ndarray:
+    # the frame of each (slots, 2) array of bit pairs along the leading axes
+    # of bits, the one bit-to-QPSK mapping; with bits None, the pilot-only
+    # frame. The caller checks the layout.
+    x = np.zeros((() if bits is None else bits.shape[:-2]) + (grid.n,), dtype=complex)
+    x[..., layout.pilot_index] = layout.pilot_amplitude
+    if bits is not None:
+        x[..., _data_slots(grid, layout)] = _QPSK[2 * bits[..., 0] + bits[..., 1]]
     return x
 
 

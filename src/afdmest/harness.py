@@ -3,21 +3,22 @@
 A sweep walks the grid of (C, SNR, pilot-to-data ratio) cells. Each cell
 runs ``trials_per_point`` independent trials; a trial draws one channel
 (delay uniform on [0, l_max], Doppler uniform on [-k_max, k_max], gain of
-unit modulus with random phase), then each frame's data and noise, frame
-by frame, in the order one frame at a time would draw them, and passes
-its ``estimates_per_trial`` frames through its own channel. Each
-estimator's per-frame composite estimates are averaged over the trial's
-frames; the trial error is that average minus the truth, and the cell
-reports RMSE over trials.
+unit modulus with random phase), then each frame's data bits and noise,
+frame by frame, with the calls and in the order one frame at a time would
+draw them, and passes its ``estimates_per_trial`` frames through its own
+channel. Each estimator's per-frame composite estimates are averaged over
+the trial's frames; the trial error is that average minus the truth, and
+the cell reports RMSE over trials.
 
 The unit of work is a chunk of a cell's trials: each trial draws as above
-from its own seed, then the chunk's frames go through modulation, the
-prefix, the prefix strip and every configured estimator as one stack. A
-chunk adds trials while its frames hold at most ``_CHUNK_SAMPLES`` samples
-(frames x N), and holds at least one trial; with more than one worker it
-holds at most ceil(trials / workers) trials, so every worker gets work.
-Every frame comes out as it would alone, so chunking does not change the
-results.
+from its own seed into arrays that span the chunk, then the chunk's frames
+go through the QPSK mapping, modulation, the prefix, the noise, the prefix
+strip and every configured estimator as one stack, and through the channel
+one trial at a time. A chunk adds trials while its frames hold at most
+``_CHUNK_SAMPLES`` samples (frames x N), and holds at least one trial; with
+more than one worker it holds at most ceil(trials / workers) trials, so
+every worker gets work. Every frame comes out bit for bit as it would
+alone, so chunking does not change the results.
 
 Everything is seeded through one master seed with per-(cell, trial) spawn
 keys, so results are byte-reproducible regardless of worker count or
@@ -30,14 +31,14 @@ import json
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
 
 from . import baselines
-from .channel import FIR_HALF_WIDTH, LosChannel, _noise, apply_los_channel
+from .channel import FIR_HALF_WIDTH, LosChannel, _add_noise, apply_los_channel
 from .core import (
     AfdmGrid,
     _check_integer,
@@ -49,6 +50,8 @@ from .core import (
 from .effective import elg_theory, envelope_profile, exact_profile
 from .estimator import (
     PilotLayout,
+    _data_slots,
+    _frames_from_bits,
     _gate,
     build_pilot_frame,
     joint_estimate,
@@ -173,7 +176,7 @@ def noise_variance(grid: AfdmGrid, layout: PilotLayout, snr_db: float) -> float:
     pilot: P = (pilot energy + data energy) / N, with unit-energy data
     symbols in every data slot.
     """
-    power = (layout.pilot_amplitude**2 + layout.data_slots(grid).size) / grid.n
+    power = (layout.pilot_amplitude**2 + _data_slots(grid, layout).size) / grid.n
     return power / 10.0 ** (snr_db / 10.0)
 
 
@@ -187,13 +190,13 @@ def run_trial(
 ):
     """One channel draw, ``frames`` received frames, every estimator on each.
 
-    Draws the channel, then frame by frame its data (one
-    ``build_pilot_frame`` call) and its noise, in the order a frame-at-a-time
-    loop draws them. The ``frames`` frames then go through modulation, the
-    prefix, the noise-free channel, the noise and the prefix strip as one
-    (frames, N) stack, and each estimator runs once on the received stack;
-    every frame comes out as it would alone. This is a chunk of one trial
-    (``_run_chunk``).
+    Draws the channel, then frame by frame its data bits and its noise,
+    with the draws ``build_pilot_frame`` and ``awgn`` make and in the order a
+    frame-at-a-time loop makes them. The ``frames`` frames then go through
+    the QPSK mapping, modulation, the prefix, the noise-free channel, the
+    noise and the prefix strip as one (frames, N) stack, and each estimator
+    runs once on the received stack; every frame comes out bit for bit as
+    it would alone. This is a chunk of one trial (``_run_chunk``).
 
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
     mean_pspr, seconds)}): plain means of the estimator's delay, Doppler and
@@ -207,42 +210,59 @@ def _run_chunk(grid, layout, noise_var, estimators, frames, seed_seqs) -> list:
     """``run_trial`` of every seed of ``seed_seqs``, as a list in seed order.
 
     Each trial draws from its own seed as ``run_trial`` does and passes
-    its frames through its own channel; modulation, the prefix, the prefix
-    strip and each estimator run once on the stack of all the trials'
-    frames. Each trial's means are over its own rows, in frame order, and
-    an estimator's seconds on the stack are shared equally by the trials.
+    its frames through its own channel (``_simulate``); each estimator runs
+    once on the stack of all the trials' received frames. Each trial's
+    means are over its own rows, in frame order, and an estimator's seconds
+    on the stack are shared equally by the trials.
     """
-    rows = len(seed_seqs) * frames
-    x = np.empty((rows, grid.n), dtype=complex)
-    noise = np.zeros((rows, grid.n + grid.n_prefix), dtype=complex)
-    channels = []
-    for t, seed_seq in enumerate(seed_seqs):
-        rng = np.random.default_rng(seed_seq)
-        delay = rng.uniform(0.0, grid.l_max)
-        doppler = rng.uniform(-grid.k_max, grid.k_max)
-        gain = np.exp(2j * np.pi * rng.uniform())
-        channels.append(LosChannel(gain=gain, delay=delay, doppler=doppler, noise_var=noise_var))
-        for f in range(t * frames, (t + 1) * frames):
-            x[f] = build_pilot_frame(grid, layout, rng)
-            if noise_var > 0:
-                noise[f] = _noise(noise.shape[1:], noise_var, rng)
-    s = add_prefix(grid, daft_modulate(grid, x))
-    for t, ch in enumerate(channels):
-        trial = slice(t * frames, (t + 1) * frames)
-        s[trial] = apply_los_channel(grid, s[trial], replace(ch, noise_var=0.0))
-    if noise_var > 0:
-        s += noise
-    body = strip_prefix(grid, s)
-
+    rngs = [np.random.default_rng(seed_seq) for seed_seq in seed_seqs]
+    channels, body = _simulate(grid, layout, noise_var, frames, rngs)
     out = [((ch.delay, ch.doppler), {}) for ch in channels]
     for name in estimators:
         t0 = time.perf_counter()
         est = ESTIMATORS[name](grid, body, layout)
-        seconds = (time.perf_counter() - t0) / len(seed_seqs)
+        seconds = (time.perf_counter() - t0) / len(rngs)
         columns = np.stack([est.delay, est.doppler, est.pspr]).reshape(3, len(out), frames)
         for (_, res), means in zip(out, columns.mean(axis=-1).T.tolist()):
             res[name] = (*means, seconds)
     return out
+
+
+def _simulate(grid, layout, noise_var, frames, rngs) -> tuple:
+    """The noise-free channel of each trial and the (trials x frames, N)
+    stack of received frame bodies, trial by trial, one generator per trial.
+
+    Each generator draws its channel, then each frame's bits and, with
+    ``noise_var`` > 0, its noise over N + n_prefix samples, with the calls
+    ``build_pilot_frame`` and ``awgn`` make, in the order a frame-at-a-time
+    loop makes them: the stack equals, row for row and bit for bit, that
+    loop's, and each generator ends where the loop's would. The bits map to
+    QPSK, and the noise is scaled and added, once for the whole stack;
+    modulation and the prefix run once on it, the channel once per trial.
+    """
+    layout.validate(grid)
+    rows, n_samples = len(rngs) * frames, grid.n + grid.n_prefix
+    # the bits drawn, kept in an eighth of the memory; each frame's noise as
+    # awgn draws it on one frame, its real parts, then its imaginary ones
+    bits = np.empty((rows, _data_slots(grid, layout).size, 2), dtype=np.uint8)
+    draws = np.empty((rows, 2, n_samples)) if noise_var > 0 else None
+    channels = []
+    for t, rng in enumerate(rngs):
+        delay = rng.uniform(0.0, grid.l_max)
+        doppler = rng.uniform(-grid.k_max, grid.k_max)
+        gain = np.exp(2j * np.pi * rng.uniform())
+        channels.append(LosChannel(gain=gain, delay=delay, doppler=doppler))
+        for f in range(t * frames, (t + 1) * frames):
+            bits[f] = rng.integers(0, 2, size=bits.shape[1:])
+            if draws is not None:
+                rng.standard_normal(out=draws[f])
+    s = add_prefix(grid, daft_modulate(grid, _frames_from_bits(grid, layout, bits)))
+    for t, ch in enumerate(channels):
+        trial = slice(t * frames, (t + 1) * frames)
+        s[trial] = apply_los_channel(grid, s[trial], ch)
+    if draws is not None:
+        _add_noise(s, draws[:, 0], draws[:, 1], noise_var)
+    return channels, strip_prefix(grid, s)
 
 
 def _chunk(grid, layout, noise_var, estimators, frames, master_seed, cell_idx, trials):

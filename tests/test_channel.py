@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from afdmest.channel import (
+    FIR_HALF_WIDTH,
     LosChannel,
+    _edge_tables,
     apply_los_channel,
     awgn,
     fir_taps,
@@ -119,6 +121,47 @@ class TestApplyLosChannel:
         ch = LosChannel(gain=0.6 - 0.8j, delay=delay, doppler=doppler)
         assert ch.delay_int in (0, grid.l_max)
         assert np.array_equal(apply_los_channel(grid, sp, ch), per_tap_channel(grid, sp, ch))
+
+    @pytest.mark.parametrize(
+        "rows,n_prefix,delay",
+        [(1, 36, 1.3), (5, 36, 2.6), (5, 36, 19.4), (5, 19, 3.55), (5, 16, 0.8)],
+        ids=["one-row", "five-rows", "delay-above-half-width", "prefix-exactly-memory",
+             "l0-prefix-exactly-memory"],
+    )
+    def test_stack_rows_match_per_tap_reference(self, rows, n_prefix, delay):
+        """Each row of a stack comes out, bit for bit, as the per-tap
+        reference run on that row alone: a one-row stack; five rows laid end
+        to end in one flat run; an integer delay above the half-width, where
+        no tap reads past the frame's end; and a prefix of exactly
+        l + half_width, the least the channel takes, where the taps of the
+        first body sample reach back to the first prefix sample."""
+        grid = AfdmGrid(n_prefix=n_prefix)
+        rng = np.random.default_rng(rows + n_prefix)
+        shape = (rows, grid.n)
+        sp = add_prefix(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ch = LosChannel(gain=np.exp(0.7j), delay=delay, doppler=-1.7)
+        out = apply_los_channel(grid, sp, ch)
+        assert out.shape == sp.shape and out.flags.c_contiguous
+        for got, row in zip(out, sp):
+            assert got.tobytes() == per_tap_channel(grid, row, ch).tobytes()
+
+    def test_no_tail_past_the_frame_for_a_delay_above_the_half_width(self):
+        """With l = 19 above the half-width of 16 the source run ends
+        l - 16 samples before the frame does: every sample gathered from
+        the chirp-train extension lies before the prefix."""
+        grid = AfdmGrid(n_prefix=36)
+        run, start, inside, place, frame, sign = _edge_tables(grid, 19, FIR_HALF_WIDTH)
+        assert start + inside == run
+        assert np.array_equal(place, np.arange(start))
+        assert not place.flags.writeable
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.5])
+    def test_empty_stack_gives_an_empty_stack(self, noise_var):
+        """A (0, N + n_prefix) stack, noisy or not, comes back empty."""
+        empty = np.empty((0, GRID.n + GRID.n_prefix), dtype=complex)
+        ch = LosChannel(delay=1.5, doppler=0.5, noise_var=noise_var)
+        out = apply_los_channel(GRID, empty, ch, rng=np.random.default_rng(0))
+        assert out.shape == empty.shape and out.dtype == complex
 
     def test_integer_channel_is_shift_and_phasor(self):
         """l=2, k=1: output body is the body delayed two samples (through the

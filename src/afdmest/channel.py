@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import AfdmGrid, _train_sign
+from .core import AfdmGrid, _check_shape, _train_sign
 
 __all__ = [
     "FIR_HALF_WIDTH",
@@ -62,13 +62,12 @@ class LosChannel:
     noise_var: float = 0.0
 
     def __post_init__(self):
-        for name in ("gain", "delay", "doppler", "noise_var"):
+        for name in ("gain", "delay", "doppler"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.delay < 0:
             raise ValueError("negative delay")
-        if self.noise_var < 0:
-            raise ValueError("negative noise variance")
+        _check_noise_var(self.noise_var)
 
     @property
     def delay_int(self) -> int:
@@ -85,6 +84,15 @@ class LosChannel:
     @property
     def doppler_frac(self) -> float:
         return self.doppler - np.floor(self.doppler)
+
+
+def _check_noise_var(noise_var: float) -> None:
+    # a NaN variance fails every comparison, so a "noise_var > 0" test
+    # would run it noise-free, and so would a negative one
+    if not np.isfinite(noise_var):
+        raise ValueError("noise_var must be finite")
+    if noise_var < 0:
+        raise ValueError("negative noise variance")
 
 
 @lru_cache(maxsize=4)
@@ -159,8 +167,7 @@ def apply_los_channel(
     sum. The noise of a stack is one :func:`awgn` draw over the whole stack.
     """
     n, ncp = grid.n, grid.n_prefix
-    if s_prefixed.ndim not in (1, 2) or s_prefixed.shape[-1] != n + ncp:
-        raise ValueError("expected a prefixed frame")
+    _check_shape(grid, s_prefixed, ncp)
     l = ch.delay_int
     if l + half_width > ncp:
         raise ValueError("channel memory exceeds the prefix")
@@ -193,11 +200,9 @@ def apply_los_channel(
 
 
 def awgn(s: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circular complex Gaussian noise of the given per-sample variance."""
-    if not np.isfinite(noise_var):
-        raise ValueError("noise_var must be finite")
-    if noise_var < 0:
-        raise ValueError("negative noise variance")
+    """Add circular complex Gaussian noise of the given per-sample variance.
+    Raises ValueError for a negative or non-finite variance."""
+    _check_noise_var(noise_var)
     if noise_var == 0:
         return s.copy()
     # one draw of the real parts, then the imaginary ones, in one call

@@ -172,10 +172,12 @@ def _chirps(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _check_shape(grid: AfdmGrid, a: np.ndarray) -> None:
-    # one frame of N samples, or a stack of them along a leading axis
-    if a.ndim not in (1, 2) or a.shape[-1] != grid.n:
-        raise ValueError(f"frame must have shape ({grid.n},) or (F, {grid.n}), got {a.shape}")
+def _check_shape(grid: AfdmGrid, a: np.ndarray, prefix: int = 0) -> None:
+    # one frame of N samples, N + prefix where it carries a prefix, or a
+    # stack of them along a leading axis
+    n = grid.n + prefix
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise ValueError(f"frame must have shape ({n},) or (F, {n}), got {a.shape}")
 
 
 def daft_modulate(grid: AfdmGrid, x: np.ndarray) -> np.ndarray:
@@ -215,15 +217,17 @@ def add_prefix(grid: AfdmGrid, s: np.ndarray) -> np.ndarray:
     tail sample s[N + n] one period back on the chirp train, that is times
     the train sign (-1)^(C*N), which keeps the chirp phase progression
     continuous across the frame start. When C*N is even this is a plain
-    cyclic prefix. Takes one frame or an (F, N) stack.
+    cyclic prefix. Takes one frame or an (F, N) stack; raises ValueError
+    for any other shape.
     """
+    _check_shape(grid, s)
     n, ncp = grid.n, grid.n_prefix
     return np.concatenate([s[..., n - ncp :] * _train_sign(grid, -1), s], axis=-1)
 
 
 def strip_prefix(grid: AfdmGrid, s_cp: np.ndarray) -> np.ndarray:
     """Drop the prefix samples, returning the N-sample frame body (a view;
-    for an (F, N + n_prefix) stack, the (F, N) bodies)."""
-    if s_cp.ndim not in (1, 2) or s_cp.shape[-1] != grid.n + grid.n_prefix:
-        raise ValueError("frame does not carry the expected prefix")
+    for an (F, N + n_prefix) stack, the (F, N) bodies). Raises ValueError
+    for any other shape."""
+    _check_shape(grid, s_cp, grid.n_prefix)
     return s_cp[..., grid.n_prefix :]

@@ -16,10 +16,9 @@ of frame i alone, bit for bit. Estimation runs in three stages:
    coarse candidates times the readout bins form one uniform frequency
    grid. One cached chirp-z transform, over a block of a stack's rows at
    once, scores that grid at 16 cells in one pass, then a vectorised
-   PSPR covers all candidates. Its Bluestein convolution runs
-   by overlap-save, one FFT of each frame and then one product and one
-   inverse FFT per block of outputs, or as one long convolution where
-   that takes fewer FFT points (at C = 8 and 12 on N=256, and at N=4096).
+   PSPR covers all candidates. Its Bluestein convolution is one circular
+   convolution per frame: one FFT of the zero-padded frame, one product
+   with the cached FFT of the kernel and one inverse FFT.
    While its outputs are at hand, each frame's complex readout near its
    best cell is fitted by a degree-14 polynomial in the compensation,
    through the 15 outputs one coarse step apart around that cell of every
@@ -75,7 +74,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AfdmGrid, _check_integer, _check_shape, _chirps
 
@@ -209,8 +207,10 @@ def read_profile(grid: AfdmGrid, y: np.ndarray, layout: PilotLayout) -> np.ndarr
 
     Positive j walks toward larger equivalent delay; the channel peak for
     integer delay l and Doppler k appears at j = k + C*l. Raises ValueError
-    for a pilot index outside [0, N).
+    for a y that is not one frame of N samples or an (F, N) stack, the
+    transforms' rule, and for a pilot index outside [0, N).
     """
+    _check_shape(grid, y)
     return np.abs(y.take(_pilot_bins(grid, layout), axis=-1))
 
 
@@ -387,35 +387,24 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout):
     kernel w^(-k^2), w = exp(2 pi i / (2 steps N)), over the lags k in
     (-N, m).
 
-    The convolution is computed by overlap-save in blocks of S points, S
-    the 5-smooth length (no prime factor above 5) at or above 4N: each
-    block gives S - N + 1 outputs from one product with the FFT of its
-    kernel block and one inverse FFT, and all blocks share one FFT of the
-    zero-padded samples. Where one block at the 5-smooth length at or above
-    N + m - 1, the single long Bluestein convolution with its bits, takes
-    no more FFT points (two transforms against the blocks' count plus one)
-    it is taken instead: at N=256 one block of 1080 points at C=8 and 1458
-    at C=12 in place of 2 of 1024, which ran 24% faster per frame of a
-    16-frame stack at C=8 and as fast at C=12, but 4 blocks of 1024 at C=26
-    against one of 2880; at N=4096 one of 5000 (2 vCPU, interleaved
-    calls).
+    The convolution is one circular convolution of S points, S the 5-smooth
+    length (no prime factor above 5) at or above N + m - 1, so that none of
+    the m outputs takes a wrapped-around term: one FFT of each frame's
+    zero-padded samples, one product with the cached FFT of the kernel and
+    one inverse FFT.
 
     Returns (pre, kernel_fft, m): the input pre-multiplier (conj(e1), the
-    start-frequency phase, the input chirp and 1/sqrt(N)), the (blocks, S)
-    FFTs of the kernel blocks, and m. The output chirp w^(t^2) has unit
-    modulus and is left out: the scores read magnitudes, and the refine's
-    fit puts it back where it reads (:func:`_fit_tables`). The cached
-    arrays are shared, so they are read-only.
+    start-frequency phase, the input chirp and 1/sqrt(N)), the (S,) FFT of
+    the kernel, and m. The output chirp w^(t^2) has unit modulus and is
+    left out: the scores read magnitudes, and the refine's fit puts it back
+    where it reads (:func:`_fit_tables`). The cached arrays are shared, so
+    they are read-only.
     """
     n, steps, lead = grid.n, _COARSE_STEPS, _LEAD
     period = 2 * steps * n
     j = profile_bins(grid)
     m = j.size * steps + 2 * lead
-    size = _smooth_length(4 * n)
-    blocks = -(-m // (size - n + 1))
-    if 2 * _smooth_length(n + m - 1) <= (blocks + 1) * size:
-        size, blocks = _smooth_length(n + m - 1), 1
-    out = size - n + 1
+    size = _smooth_length(n + m - 1)
     # every phase is reduced in integers before it is exponentiated: the
     # chirp index k^2 mod 2*steps*N and the start phase, the pilot offset
     # (pilot - j0)*n mod N less the 1/(2 steps) - L/steps start offset
@@ -426,7 +415,7 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout):
     e1, _ = _chirps(n, grid.c1, grid.c2)
     # pre is built and the kernel transformed in place, and the index arrays
     # are dropped before the kernel: with a 5-smooth S, length-N temporaries
-    # weigh about as much as a length-S kernel block
+    # weigh about as much as the length-S kernel
     start = 2j * np.pi * offset
     start /= period
     pre = np.conj(e1)
@@ -434,17 +423,14 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout):
     pre *= np.exp(start, out=start)
     pre /= np.sqrt(n)
     del k, offset, start
-    # the kernel at the lags -(N-1) .. blocks*out - 1, zero from m on; it is
-    # even in the lag, so one chirp table serves both signs
-    lags = np.zeros(n - 1 + blocks * out, dtype=complex)
-    lags[n - 1 : n - 1 + m] = np.conj(chirp[:m])
-    lags[: n - 1] = np.conj(chirp[n - 1 : 0 : -1])
+    # the kernel at the lags 0 .. m - 1, and at -(N-1) .. -1 laid out
+    # circularly at the end; it is even in the lag, so one chirp table
+    # serves both signs
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = np.conj(chirp[:m])
+    kernel[size - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
     del chirp
-    # block b covers the lags b*out - (N-1) .. b*out + out - 1, laid out
-    # circularly with lag b*out first
-    kernel = np.roll(sliding_window_view(lags, size)[::out], 1 - n, axis=-1)
-    del lags
-    kernel_fft = np.fft.fft(kernel, axis=-1, out=kernel)
+    kernel_fft = np.fft.fft(kernel, out=kernel)
     pre.flags.writeable = False
     kernel_fft.flags.writeable = False
     return pre, kernel_fft, m
@@ -452,30 +438,20 @@ def _coarse_czt(grid: AfdmGrid, layout: PilotLayout):
 
 def _coarse_scores(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     """PSPR of every coarse compensation candidate (i + 1/2)/steps of every
-    row of an (F, N) stack r, with all readouts from one blocked chirp-z
-    transform (:func:`_coarse_czt`), as (candidates, (F, candidates) scores,
-    work). work is the transform's (F, blocks, S) complex work array,
-    output t at [f, t // (S - N + 1), t % (S - N + 1)], without the output
-    chirp; it lives in workspace slot 0."""
+    row of an (F, N) stack r, with all readouts from one chirp-z transform
+    (:func:`_coarse_czt`), as (candidates, (F, candidates) scores, work).
+    work is the transform's (F, S) complex work array, output t at [f, t],
+    without the output chirp; it lives in workspace slot 0."""
     pre, kernel_fft, m = _coarse_czt(grid, layout)
-    blocks, size = kernel_fft.shape
-    out, lead = size - grid.n + 1, _LEAD
-    # one (F, blocks, S) work array: the samples are transformed in block 0,
-    # whose own product is taken last, in place; every other block is
-    # written whole by its product
-    spec = _scratch(0, (len(r), blocks, size), complex)
-    head = spec[:, :1]
-    head[..., grid.n :] = 0.0
-    np.multiply(r[:, None], pre, out=head[..., : grid.n])
-    np.fft.fft(head, out=head)
-    if blocks > 1:
-        np.multiply(head, kernel_fft[1:], out=spec[:, 1:])
-    head *= kernel_fft[:1]
+    spec = _scratch(0, (len(r), kernel_fft.size), complex)
+    spec[:, grid.n :] = 0.0
+    np.multiply(r, pre, out=spec[:, : grid.n])
+    np.fft.fft(spec, out=spec)
+    spec *= kernel_fft
     np.fft.ifft(spec, out=spec)
-    # the first S - N + 1 outputs of each block, in order, are the m outputs,
-    # the profile's J*steps of them after the lead
-    mag = np.abs(spec[..., :out], out=_scratch(1, (len(r), blocks, out)))
-    mag = mag.reshape(len(r), -1)[:, lead : m - lead].reshape(len(r), -1, _COARSE_STEPS)
+    # the profile's J*steps outputs after the lead
+    mag = np.abs(spec[:, _LEAD : m - _LEAD], out=_scratch(1, (len(r), m - 2 * _LEAD)))
+    mag = mag.reshape(len(r), -1, _COARSE_STEPS)
     # (F, bins, candidates) -> a profile over the bins per candidate
     p = _scratch(2, (len(r), _COARSE_STEPS, mag.shape[1]))
     np.copyto(p, mag.swapaxes(-1, -2))
@@ -516,15 +492,16 @@ class Estimate:
 
 
 # a stack's coarse grid is scored, fitted and refined in blocks of rows
-# whose chirp-z work arrays, (blocks, S) complex per row as kernel_fft,
-# stay within this many bytes: 30 rows at N=256 and C=8 (one block of
-# 1080), 22 at C=12, 8 at C=26 and 6 at N=4096. With the temporaries in
-# the workspace, on 30-row stacks at N=256, against 384 KiB, joint took
+# whose chirp-z work arrays, S complex per row as kernel_fft, stay within
+# this many bytes: 30 rows at N=256 and C=8 (S = 1080), 22 at C=12 (1458),
+# 11 at C=26 (2880) and 6 at N=4096 (5000). With the temporaries in the
+# workspace, on 30-row stacks at N=256, against 384 KiB, joint took
 # 0.90-0.92, 1.00-1.01 and 0.98-0.99 of the time per frame at C = 8, 12
-# and 26, and 0.89 at N=4096; 256 KiB took 0.99, 1.04-1.07, 1.08 and
-# 1.12-1.13, 1 MiB 0.83-0.88, 0.95-1.30, 0.97-1.02 and 0.83. 10-row stacks
-# at N=4096 took 0.91 here and 0.77 at 1 MiB, but a sweep never forms them
-# (its chunks hold 2 rows there, one block at any of these sizes). 40
+# and 26 (C=26 then at 8 rows of 4096 points), and 0.89 at N=4096; 256 KiB
+# took 0.99, 1.04-1.07, 1.08 and 1.12-1.13, 1 MiB 0.83-0.88, 0.95-1.30,
+# 0.97-1.02 and 0.83. 10-row stacks at N=4096 took 0.91 here and 0.77 at
+# 1 MiB, but a sweep never forms them (its chunks hold 2 rows there, one
+# block at any of these sizes). 40
 # 30-row stacks at C = 8 and 12 peaked at 39.0-39.2 MiB RSS, 38.5-38.7 at
 # 384 KiB (2 vCPU, interleaved calls, CPU time)
 _SCORE_BLOCK_BYTES = 1 << 19
@@ -566,10 +543,9 @@ del _table
 
 
 @lru_cache(maxsize=8)
-def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
-    """Cached per grid and pilot position: where stage 1's refine reads the
-    coarse chirp-z outputs, and the phase that makes them samples of a
-    smooth function.
+def _fit_tables(grid: AfdmGrid):
+    """Cached per grid: where stage 1's refine reads the coarse chirp-z
+    outputs, and the phase that makes them samples of a smooth function.
 
     With kappa = best + s/steps, best the center (c + 1/2)/steps of cell c,
     the readout at bin a of the profile is |Z(f_t)|/sqrt(N) at the output
@@ -595,25 +571,22 @@ def _fit_tables(grid: AfdmGrid, layout: PilotLayout):
     beyond each end of the profile: t runs from L - steps - 7 = 0 to
     L + J*steps + steps + 6 = m - 1.
 
-    Returns (nodes, place, phase): nodes the (K, 1, J+2) outputs t of the
-    nodes of every bin a = -1 .. J around cell 0, t = L + a*steps + s, so
-    that cell c's are nodes + c; place the position of every output t in a
-    frame's flattened (blocks, S) work array, and phase its phase
+    Returns (nodes, phase): nodes the (K, 1, J+2) outputs t of the nodes of
+    every bin a = -1 .. J around cell 0, t = L + a*steps + s, so that cell
+    c's are nodes + c, and phase the phase of every output t,
     exp(2 pi i t (t - N + 1)/(2 steps N)), t(t - N + 1) reduced mod
-    2 steps N in integers. The cached arrays are shared, so they are
-    read-only.
+    2 steps N in integers. Output t sits at position t of a frame's row of
+    the work array. The cached arrays are shared, so they are read-only.
     """
     n, steps = grid.n, _COARSE_STEPS
     j = profile_bins(grid).size
-    size = _coarse_czt(grid, layout)[1].shape[-1]
     t = np.arange(j * steps + 2 * _LEAD, dtype=np.int64)
     period = 2 * steps * n
-    place = t // (size - n + 1) * size + t % (size - n + 1)
     phase = np.exp(2j * np.pi * (t * (t - n + 1) % period) / period)
     nodes = _LEAD + _NODES[:, None, None] + np.arange(-1, j + 1) * steps
-    for a in (nodes, place, phase):
-        a.flags.writeable = False
-    return nodes, place, phase
+    nodes.flags.writeable = False
+    phase.flags.writeable = False
+    return nodes, phase
 
 
 def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
@@ -627,12 +600,12 @@ def _best_cells(grid: AfdmGrid, layout: PilotLayout, r: np.ndarray):
     workspace slot 0, until the next block of stage 1 in this thread."""
     cand, scores, work = _coarse_scores(grid, layout, r)
     cell = np.argmax(scores, axis=-1)
-    nodes, place, phase = _fit_tables(grid, layout)
+    nodes, phase = _fit_tables(grid)
     shape = (_NODES.size, len(r), nodes.shape[-1])
     # every take is in range, and mode "clip" lets it write to out unbuffered
     t = np.add(nodes, cell[:, None], out=_scratch(2, shape, np.int64))
-    at = np.take(place, t, out=_scratch(3, shape, np.int64), mode="clip")
-    at += np.arange(0, work.size, work[0].size)[:, None]
+    rows = np.arange(0, work.size, work.shape[-1])[:, None]
+    at = np.add(t, rows, out=_scratch(3, shape, np.int64))
     values = np.take(work, at, out=_scratch(1, shape, complex), mode="clip")
     values *= np.take(phase, t, out=_scratch(3, shape, complex), mode="clip")
     real = values.view(np.float64).reshape(_NODES.size, -1)
@@ -691,7 +664,7 @@ def estimate_doppler_frac(
     """Fractional Doppler of a frame body, or of every row of an (F, N)
     stack of them, by closed-loop PSPR search (stage 1).
 
-    Blocked chirp-z transforms (:func:`_coarse_czt`) score every frame's
+    Chirp-z transforms (:func:`_coarse_czt`) score every frame's
     coarse grid of candidate compensations over [0, 1), a block of rows at
     a time (_SCORE_BLOCK_BYTES bounds a block's work array), and fit each
     frame's readout near its best cell (:func:`_best_cells`); two dense

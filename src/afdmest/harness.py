@@ -38,7 +38,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import baselines
-from .channel import FIR_HALF_WIDTH, LosChannel, _add_noise, apply_los_channel
+from .channel import FIR_HALF_WIDTH, LosChannel, _add_noise, _check_noise_var, apply_los_channel
 from .core import (
     AfdmGrid,
     _check_integer,
@@ -201,8 +201,10 @@ def run_trial(
     Returns ((delay, doppler) truth, {name: (delay_hat, doppler_hat,
     mean_pspr, seconds)}): plain means of the estimator's delay, Doppler and
     PSPR over all of the trial's frames, flagged ones too (nothing is
-    dropped), and its seconds in the estimator.
+    dropped), and its seconds in the estimator. Raises ValueError for a
+    negative or non-finite ``noise_var``.
     """
+    _check_noise_var(noise_var)
     return _run_chunk(grid, layout, noise_var, estimators, frames, [seed_seq])[0]
 
 

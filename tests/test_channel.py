@@ -211,6 +211,13 @@ class TestApplyLosChannel:
         out = apply_los_channel(GRID, sp, LosChannel(delay=1.0))
         assert out.shape == (GRID.n + GRID.n_prefix,)
 
+    @pytest.mark.parametrize("shape", [(GRID.n,), (GRID.n + GRID.n_prefix + 1,), (2, 3, 292)])
+    def test_malformed_frames_refused(self, shape):
+        """A frame without its prefix, of the wrong length or in a 3-D
+        stack is refused by strip_prefix's rule, with its message."""
+        with pytest.raises(ValueError, match=r"frame must have shape \(292,\)"):
+            apply_los_channel(GRID, np.ones(shape, dtype=complex), LosChannel())
+
     def test_channel_memory_guard(self):
         rng = np.random.default_rng(5)
         sp = add_prefix(GRID, random_frame(rng))

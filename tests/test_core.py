@@ -266,6 +266,19 @@ class TestPrefix:
             s = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
             assert np.array_equal(strip_prefix(g, add_prefix(g, s)), s)
 
+    @pytest.mark.parametrize("shape", [(300,), (2, 3, 256), (256, 2)])
+    def test_malformed_frames_refused(self, shape):
+        """add_prefix takes one N-sample frame or an (F, N) stack, and
+        strip_prefix one of N + n_prefix samples, by the transforms' rule:
+        at N=256 a 300-sample frame came back as 380 samples and a
+        (2, 3, 256) array as (2, 3, 292)."""
+        g = AfdmGrid()
+        s = np.ones(shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"frame must have shape \(256,\)"):
+            add_prefix(g, s)
+        with pytest.raises(ValueError, match=r"frame must have shape \(292,\)"):
+            strip_prefix(g, s)
+
     def test_zero_and_impulse_frames(self):
         g = AfdmGrid()
         z = np.zeros(g.n, dtype=complex)

@@ -183,6 +183,16 @@ class TestRunTrial:
         _, alone = self._run((0, 2), estimators=("joint",))
         assert both["joint"][:3] == alone["joint"][:3]
 
+    @pytest.mark.parametrize(
+        "noise_var,match", [(-1.0, "negative noise variance"), (np.nan, "noise_var must be finite")]
+    )
+    def test_refuses_a_negative_or_nan_noise_variance(self, noise_var, match):
+        """A negative or NaN variance raises as awgn does, instead of
+        running the trial noise-free."""
+        ss = np.random.SeedSequence(1)
+        with pytest.raises(ValueError, match=match):
+            run_trial(AfdmGrid(), self.layout, noise_var, ("joint",), 2, ss)
+
     def test_truth_within_configured_ranges(self):
         for t in range(5):
             (delay, doppler), res = self._run((1, t))
